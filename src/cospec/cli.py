@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -23,8 +24,17 @@ from .blowup import (
     simple_blowup_recipe,
     solve_uniform_multiplicities,
 )
-from .decomps import DEFAULT_BUDGET, charpoly_via_decompositions
-from .errors import BudgetError, CospecError, PoleError, RecipeError
+from .decomps import DEFAULT_BUDGET, charpoly_via_decompositions, long_cycle_closed_form
+from .errors import (
+    BudgetError,
+    CertificateError,
+    CospecError,
+    IdentityCheckError,
+    OutputError,
+    ParameterError,
+    PoleError,
+    RecipeError,
+)
 from .graphs import assemble_ring, export_graph, subgraph_after_symmetry
 from .linalg import charpoly_exact, eigenvalues_numeric
 from .polynomials import poly_equal
@@ -32,7 +42,6 @@ from .rationals import parse_rat, rat_str
 from .transfer import (
     build_transfer,
     charpoly_via_transfer,
-    short_part,
     verify_U_conjugation,
 )
 from .words import Word, canonical_words, parse_word, toggle
@@ -60,7 +69,6 @@ class RunConfig:
     method: str = "all"
     scale: str = "1/1"
     ts: list = field(default_factory=list)
-    seed: int = 0  # reserved; exact paths are deterministic
 
 
 def _emit(payload: dict, summary: str) -> None:
@@ -96,7 +104,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float) -> dict:
         checks["transfer_equal"] = poly_equal(q1, q2)
         if p1 is not None:
             checks["transfer_matches_exact"] = poly_equal(q1, p1)
-        entry["short_part"] = short_part(w, k).to_json()
+        entry["short_part"] = (q1 - long_cycle_closed_form(w.tau, w.ell, w.m, k)).to_json()
     if method in ("all", "oracle"):
         try:
             o1 = charpoly_via_decompositions(g1, budget)
@@ -168,8 +176,11 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 def _write_or_print(text: str, path: str) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -322,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", default="")
-        p.add_argument("--seed", type=int, default=0, help="reserved; unused by exact paths")
         return p
 
     add("verify", "check one toggled pair by all methods", word=True, k=True, method=True)
@@ -350,7 +360,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         cfg.ks = [s.strip() for s in str(args.k).split(",") if s.strip()]
     if getattr(args, "t", None):
         cfg.ts = [s.strip() for s in args.t.split(",") if s.strip()]
-    for name in ("budget", "tol", "format", "out", "method", "scale", "seed"):
+    for name in ("budget", "tol", "format", "out", "method", "scale"):
         if getattr(args, name, None) is not None and hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     cfg.tau_max = getattr(args, "tau_max", 0)
@@ -378,10 +388,15 @@ def main(argv=None) -> int:
     try:
         if cfg.command == "scan" and not (3 <= cfg.tau_max <= 12):
             raise ValueError(f"--tau-max must be in [3, 12], got {cfg.tau_max}")
+        if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
+            raise ParameterError(f"--tol must be a finite non-negative number, got {cfg.tol}")
         return _COMMANDS[cfg.command](cfg)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (CertificateError, IdentityCheckError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (CospecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

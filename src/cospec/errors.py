@@ -41,6 +41,15 @@ class NumericalError(CospecError, RuntimeError):
     """Numeric eigensolver failed to converge."""
 
 
+class CertificateError(CospecError, ArithmeticError):
+    """A computed polynomial failed a property its construction guarantees
+    (divisibility by a power of t - 1, degree, monicity)."""
+
+
+class OutputError(CospecError, OSError):
+    """An output file could not be written."""
+
+
 class PoleError(CospecError, ValueError):
     """Evaluation requested at an excluded point (t = 1)."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import CertificateError, NumericalError, ShapeError
 from .graphs import WeightedGraph, normalized_laplacian, random_walk_matrix
 from .polynomials import Polynomial, interpolate
 from .rationals import Rat, bit_size
@@ -39,15 +39,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_trace(a):
-    return sum((a[i][i] for i in range(len(a))), Rat(0))
-
-
-def mat_scale(a, c):
-    c = Rat(c)
-    return [[x * c for x in row] for row in a]
 
 
 def mat_equal(a, b) -> bool:
@@ -145,7 +136,8 @@ def charpoly_exact(g: WeightedGraph) -> Polynomial:
         ]
         points.append((Rat(t), det_rational(m)))
     poly = interpolate(points, n)
-    assert poly.degree == n and poly.is_monic(), "characteristic polynomial malformed"
+    if poly.degree != n or not poly.is_monic():
+        raise CertificateError(f"characteristic polynomial is not monic of degree {n}")
     return poly
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .errors import InterpolationError
 from .rationals import Rat, rat_str
 
@@ -26,12 +28,21 @@ class Polynomial:
 
     @classmethod
     def t_minus_one_power(cls, j: int) -> "Polynomial":
-        """(t - 1)^j."""
-        p = cls((1,))
-        base = cls((-1, 1))
-        for _ in range(j):
-            p = p * base
-        return p
+        """(t - 1)^j, from the binomial theorem."""
+        return cls([(-1) ** (j - i) * math.comb(j, i) for i in range(j + 1)])
+
+    @classmethod
+    def from_u_coefficients(cls, coeffs) -> "Polynomial":
+        """The polynomial sum_i coeffs[i] * (t - 1)^i, by a Taylor shift.
+
+        Pascal-triangle form of the binomial expansion: only additions,
+        so integer coefficients stay integers until the final conversion.
+        """
+        a = list(coeffs)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] -= a[j + 1]
+        return cls(a)
 
     @property
     def degree(self) -> int:

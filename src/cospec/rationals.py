@@ -8,22 +8,20 @@ rest of the code relies on.
 
 from __future__ import annotations
 
+from .errors import ParameterError
+
 try:
     from gmpy2 import mpq as Rat
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
 
-def rat(num, den=None) -> Rat:
-    """Build an exact rational from ints, strings, or another rational."""
-    if den is None:
-        return Rat(num)
-    return Rat(num, den)
-
-
 def parse_rat(text: str) -> Rat:
     """Parse "p/q" or "p" into an exact rational."""
-    return Rat(text.strip())
+    try:
+        return Rat(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"not a rational number: {text!r}") from exc
 
 
 def rat_str(q) -> str:

@@ -9,22 +9,30 @@ matrices X_P, X_C, X_E carry the local contributions.  Conjugating by R
 compresses everything to 2x2 blocks Y_*, and the matrix U intertwines
 Y_P with Y_C while commuting with Y_E, which forces trace invariance
 under toggling.
+
+The short part is computed symbolically in u = t - 1.  Every entry of
+u^4 Q X_kind and of u^4 Y_kind is a polynomial of degree <= 2 in
+v = u^2, so one product of polynomial matrices around the word gives
+u^{4 tau} tr(prod).  Dividing by u^{4 tau - n} and shifting from u to t
+gives (t - 1)^n tr(prod); the division must be exact and leave degree
+<= n, which certifies that (t - 1)^n clears every denominator.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 from .errors import (
+    CertificateError,
     InvertibilityWarning,
     ParameterError,
     IdentityCheckError,
     PoleError,
 )
-from .graphs import assemble_ring
-from .linalg import det_rational, mat_equal, mat_inv, mat_mul, mat_trace
-from .polynomials import Polynomial, interpolate
+from .linalg import det_rational, mat_equal, mat_inv, mat_mul
+from .polynomials import Polynomial
 from .rationals import Rat
 from .words import Word
 from .decomps import long_cycle_closed_form
@@ -55,46 +63,52 @@ def r_matrix():
 def s_matrix():
     zero = Rat(0)
     m = [[zero] * 4 for _ in range(4)]
-    m = [list(row) for row in m]
     m[0][0] = Rat(3)
     m[1][2] = Rat(1)
     return m
 
 
-def _check_point(k, t):
+def _positive(k):
     k = Rat(k)
-    t = Rat(t)
     if k <= 0:
         raise ParameterError(f"k must be positive, got {k}")
+    return k
+
+
+def _check_point(k, t):
+    t = Rat(t)
     if t == 1:
         raise PoleError("t = 1 is a pole of the weight matrices")
-    return k, t
+    return _positive(k), t
+
+
+def _x_diagonal_v(kind: str, k):
+    """Diagonal of u^4 X_kind, one coefficient triple (c0, c1, c2) in
+    v = u^2 per state."""
+    k = _positive(k)
+    zero, one = Rat(0), Rat(1)
+    if kind == "P":
+        side = -k / (2 * k + 2)
+        sq = (2 * k + 2) ** 2
+        corner = (k * k / sq, -1 / sq, zero)
+        return [(zero, zero, one), (zero, side, zero), (zero, side, zero), corner]
+    if kind == "C":
+        kk1 = (k + 1) ** 2
+        side = -k / (2 * kk1)
+        empty = (zero, -k * k / kk1, one)
+        return [empty, (zero, side, zero), (zero, side, zero), (zero, -1 / (4 * kk1), zero)]
+    if kind == "E":
+        return [(zero, zero, one), (zero,) * 3, (zero,) * 3, (zero, Rat(-1, 4), zero)]
+    raise ParameterError(f"unknown module kind {kind!r}")
 
 
 def x_matrix(kind: str, k, t):
     """Diagonal local-contribution matrix of a module kind at (k, t)."""
     k, t = _check_point(k, t)
-    u2 = (t - 1) ** 2
+    v = (t - 1) ** 2
+    v2 = v * v
+    diag = [(c0 + c1 * v + c2 * v2) / v2 for c0, c1, c2 in _x_diagonal_v(kind, k)]
     zero = Rat(0)
-    if kind == "P":
-        diag = [
-            Rat(1),
-            -k / (u2 * (2 * k + 2)),
-            -k / (u2 * (2 * k + 2)),
-            (k * k - u2) / (u2 * u2 * (2 * k + 2) ** 2),
-        ]
-    elif kind == "C":
-        kk1 = (k + 1) ** 2
-        diag = [
-            1 - k * k / (u2 * kk1),
-            -k / (2 * u2 * kk1),
-            -k / (2 * u2 * kk1),
-            Rat(-1) / (4 * u2 * kk1),
-        ]
-    elif kind == "E":
-        diag = [Rat(1), zero, zero, Rat(-1) / (4 * u2)]
-    else:
-        raise ParameterError(f"unknown module kind {kind!r}")
     return [[diag[i] if i == j else zero for j in range(4)] for i in range(4)]
 
 
@@ -219,25 +233,81 @@ def build_transfer(k, t) -> TransferEvaluation:
     )
 
 
-def _trace_product(w: Word, k, t, block) -> Rat:
-    """trace of prod_i M_{letter_i} where block(kind, k, t) gives M."""
-    mats = {kind: block(kind, k, t) for kind in set(w.letters)}
-    prod = None
+def _qx_table(kind: str, k):
+    """u^4 Q X_kind as a 4x4 matrix of coefficient triples in v = u^2."""
+    diag = _x_diagonal_v(kind, k)
+    zeros = (Rat(0),) * 3
+    # Q is 0/1: each entry either selects a column of the diagonal or is zero
+    return [[diag[j] if q else zeros for j, q in enumerate(row)] for row in q_matrix()]
+
+
+def _y_table(kind: str, k):
+    """u^4 Y_kind, the upper left block of S R^-1 (u^4 X_kind) R, as a 2x2
+    matrix of coefficient triples in v = u^2."""
+    r = r_matrix()
+    left = mat_mul(s_matrix(), mat_inv(r))
+    diag = _x_diagonal_v(kind, k)
+    by_power = [
+        mat_mul([[row[j] * diag[j][p] for j in range(4)] for row in left], r)
+        for p in range(3)
+    ]
+    return [[tuple(m[i][j] for m in by_power) for j in range(2)] for i in range(2)]
+
+
+def _integral(table):
+    """(d, d * table) for the least common denominator d, entries as ints."""
+    den = math.lcm(*(int(c.denominator) for row in table for entry in row for c in entry))
+    return den, [
+        [[int(c.numerator) * (den // int(c.denominator)) for c in entry] for entry in row]
+        for row in table
+    ]
+
+
+def _poly_mat_mul(a, b):
+    """Product of matrices whose entries are integer coefficient lists; all
+    entries of a share one length, and so do all entries of b."""
+    width = len(a[0][0]) + len(b[0][0]) - 1
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = [0] * width
+            for x, b_row in zip(row, b):
+                for q, y in enumerate(b_row[j]):
+                    if y:
+                        for p, xp in enumerate(x):
+                            if xp:
+                                acc[p + q] += xp * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _short_kernel(w: Word, k, table) -> Polynomial:
+    """(t-1)^n tr(prod_i M_{letter_i}), where table(kind, k) gives u^4 M_kind
+    as a matrix of coefficient triples in v = u^2.
+
+    The trace of the integer-scaled product is u^{4 tau} tr(prod) times the
+    scale.  Raises CertificateError unless it is u^{4 tau - n} times a
+    polynomial of degree <= n, i.e. unless (t-1)^n clears every denominator.
+    """
+    blocks = {kind: _integral(table(kind, k)) for kind in set(w.letters)}
+    scale, prod = 1, None
     for letter in w:
-        prod = mats[letter] if prod is None else mat_mul(prod, mats[letter])
-    return mat_trace(prod)
-
-
-def _interpolated_short(w: Word, k, block) -> Polynomial:
-    n = assemble_ring(w, k).n
-    points = []
-    # n+2 points: one surplus point makes interpolate() certify that
-    # (t-1)^n really clears every denominator
-    for t in range(3, n + 5):
-        t = Rat(t)
-        value = (t - 1) ** n * _trace_product(w, k, t, block)
-        points.append((t, value))
-    return interpolate(points, n)
+        den, block = blocks[letter]
+        scale *= den
+        prod = block if prod is None else _poly_mat_mul(prod, block)
+    trace_v = [sum(c) for c in zip(*(prod[i][i] for i in range(len(prod))))]
+    u_coeffs = [0] * (2 * len(trace_v))
+    u_coeffs[::2] = trace_v
+    n = w.n
+    low = 4 * w.tau - n
+    if any(u_coeffs[:low]) or any(u_coeffs[low + n + 1:]):
+        raise CertificateError(
+            f"u^{4 * w.tau} tr(prod) for {w} at k={k} is not u^{low} times a "
+            f"polynomial of degree <= {n}"
+        )
+    return Polynomial.from_u_coefficients(u_coeffs[low:low + n + 1]).scale(Rat(1, scale))
 
 
 def short_part(w: Word, k) -> Polynomial:
@@ -246,22 +316,21 @@ def short_part(w: Word, k) -> Polynomial:
     Equals the sum of decomposition terms over decompositions without a
     long cycle.
     """
-    def block(kind, k, t):
-        return mat_mul(q_matrix(), x_matrix(kind, k, t))
-
-    return _interpolated_short(w, k, block)
+    return _short_kernel(w, k, _qx_table)
 
 
 def short_part_via_Y(w: Word, k) -> Polynomial:
     """Same polynomial computed from the 2x2 compressed blocks."""
-    return _interpolated_short(w, k, y_block)
+    return _short_kernel(w, k, _y_table)
 
 
 def charpoly_via_transfer(w: Word, k) -> Polynomial:
     """Long-cycle closed form plus transfer-matrix short part."""
     poly = long_cycle_closed_form(w.tau, w.ell, w.m, k) + short_part(w, k)
-    n = assemble_ring(w, k).n
-    assert poly.degree == n and poly.is_monic(), "transfer charpoly malformed"
+    if poly.degree != w.n or not poly.is_monic():
+        raise CertificateError(
+            f"transfer charpoly of {w} at k={k} is not monic of degree {w.n}"
+        )
     return poly
 
 

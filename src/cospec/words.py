@@ -47,6 +47,11 @@ class Word:
         """Number of C modules."""
         return self.letters.count("C")
 
+    @property
+    def n(self) -> int:
+        """Vertex count of G(W): one signed vertex per module, two more per P or C."""
+        return self.tau + 2 * (self.ell + self.m)
+
     def __str__(self) -> str:
         return self.letters
 

@@ -41,6 +41,22 @@ def test_verify_bad_k(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--word", "PCE", "--k", "1/0"],
+        ["verify", "--word", "PCE", "--k", "1", "--tol", "nan", "--method", "exact"],
+        ["blowup", "--word", "PCPC", "--k", "2", "--out", "{missing}"],
+    ],
+    ids=["k-zero-denominator", "tol-nan", "out-missing-dir"],
+)
+def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_oracle_budget(capsys):
     code, _, err = run(
         capsys, "verify", "--word", "CCCC", "--k", "1", "--method", "oracle",

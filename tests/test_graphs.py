@@ -81,7 +81,7 @@ def test_known_pair_sizes():
 @given(words, ks)
 def test_vertex_and_edge_counts(w, k):
     g = assemble_ring(w, k)
-    assert g.n == w.tau + 2 * (w.ell + w.m)
+    assert g.n == w.tau + 2 * (w.ell + w.m) == w.n
     assert g.edge_count == w.tau + 2 * w.ell + 3 * w.m
     assert g.is_connected()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec.errors import DegreeError, InterpolationError
+from cospec.errors import CertificateError, DegreeError, InterpolationError
 from cospec.graphs import WeightedGraph, assemble_ring
 from cospec.linalg import (
     charpoly_exact,
@@ -53,6 +53,20 @@ def test_poly_arithmetic():
 def test_t_minus_one_power():
     assert Polynomial.t_minus_one_power(2) == poly(1, -2, 1)
     assert Polynomial.t_minus_one_power(0) == poly(1)
+
+
+def test_from_u_coefficients_is_taylor_shift():
+    # 2 + 3(t-1)^2
+    assert Polynomial.from_u_coefficients([2, 0, 3]) == poly(3, -6, 5)
+    coeffs = [Rat(1, 3), -2, 0, Rat(5, 7), 4, -1]
+    expected = Polynomial()
+    for i, c in enumerate(coeffs):
+        expected = expected + Polynomial.t_minus_one_power(i).scale(c)
+    assert Polynomial.from_u_coefficients(coeffs) == expected
+    product = poly(1)
+    for _ in range(5):
+        product = product * poly(1, -1)
+    assert Polynomial.t_minus_one_power(5) == product
 
 
 def test_interpolate_quadratic():
@@ -113,6 +127,12 @@ def test_charpoly_eee():
 def test_charpoly_rejects_isolated():
     with pytest.raises(DegreeError):
         charpoly_exact(WeightedGraph(3, [(0, 1, 1)]))
+
+
+def test_charpoly_postcondition_raises(monkeypatch):
+    monkeypatch.setattr("cospec.linalg.interpolate", lambda points, degree: poly(2, 0, 0, 0))
+    with pytest.raises(CertificateError):
+        charpoly_exact(ring("EEE"))
 
 
 @given(words, st.sampled_from([Rat(1), Rat(2), Rat(1, 2)]))

@@ -3,7 +3,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec.errors import InvertibilityWarning, ParameterError, PoleError
+from cospec.errors import CertificateError, InvertibilityWarning, ParameterError, PoleError
 from cospec.graphs import assemble_ring
 from cospec.linalg import charpoly_exact, det_rational, mat_equal, mat_mul
 from cospec.polynomials import Polynomial
@@ -120,6 +120,45 @@ def test_block_reduction_at_sample_point():
     y = y_block("P", k, t)
     prod2 = mat_mul(mat_mul(y, y), y)
     assert sum(prod4[i][i] for i in range(4)) == sum(prod2[i][i] for i in range(2))
+
+
+def trace_of_product(mats):
+    prod = mats[0]
+    for m in mats[1:]:
+        prod = mat_mul(prod, m)
+    return sum(prod[i][i] for i in range(len(prod)))
+
+
+@given(st.text(alphabet="PCE", min_size=3, max_size=8).map(parse_word), st.sampled_from(sample_ks))
+@settings(max_examples=25, deadline=None)
+def test_short_part_matches_pointwise_products(w, k):
+    # the kernel works symbolically in u; these references multiply the
+    # blocks at one rational t and never see u
+    via_qx, via_y = short_part(w, k), short_part_via_Y(w, k)
+    for t in (Rat(7, 2), Rat(-1, 3)):
+        qx = trace_of_product([mat_mul(q_matrix(), x_matrix(l, k, t)) for l in w])
+        y = trace_of_product([y_block_reference(l, k, t) for l in w])
+        assert qx == y
+        assert via_qx(t) == via_y(t) == (t - 1) ** w.n * qx
+
+
+def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch):
+    # u^4 X = constant means X ~ u^-4: (t-1)^n cannot clear tau such factors
+    one, zero = Rat(1), Rat(0)
+    monkeypatch.setattr(
+        "cospec.transfer._x_diagonal_v", lambda kind, k: [(one, zero, zero)] * 4
+    )
+    with pytest.raises(CertificateError):
+        short_part(parse_word("PCE"), 1)
+
+
+def test_charpoly_via_transfer_postcondition_raises(monkeypatch):
+    monkeypatch.setattr(
+        "cospec.transfer.long_cycle_closed_form",
+        lambda tau, ell, m, k: Polynomial.t_minus_one_power(tau + 2 * (ell + m)),
+    )
+    with pytest.raises(CertificateError):
+        charpoly_via_transfer(parse_word("PCE"), 1)
 
 
 @given(words, st.sampled_from([Rat(1), Rat(2)]))
