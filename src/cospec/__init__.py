@@ -33,11 +33,9 @@ from .graphs import (
     subgraph_after_symmetry,
 )
 from .linalg import charpoly_exact, eigenvalues_numeric
-from .polynomials import Polynomial, interpolate, poly_equal
+from .polynomials import Polynomial, poly_equal
 from .rationals import Rat
 from .transfer import (
-    TransferEvaluation,
-    build_transfer,
     charpoly_via_transfer,
     short_part,
     short_part_via_Y,
@@ -55,9 +53,9 @@ __all__ = [
     "export_graph", "normalized_laplacian", "random_walk_matrix",
     "subgraph_after_symmetry",
     "charpoly_exact", "eigenvalues_numeric",
-    "Polynomial", "interpolate", "poly_equal",
+    "Polynomial", "poly_equal",
     "Rat",
-    "TransferEvaluation", "build_transfer", "charpoly_via_transfer",
+    "charpoly_via_transfer",
     "short_part", "short_part_via_Y", "verify_U_conjugation",
     "Word", "canonical_form", "cyclic_equivalent", "parse_word", "toggle",
 ]

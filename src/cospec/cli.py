@@ -39,11 +39,7 @@ from .graphs import assemble_ring, export_graph, subgraph_after_symmetry
 from .linalg import charpoly_exact, eigenvalues_numeric
 from .polynomials import poly_equal
 from .rationals import parse_rat, rat_str
-from .transfer import (
-    build_transfer,
-    charpoly_via_transfer,
-    verify_U_conjugation,
-)
+from .transfer import charpoly_via_transfer, verify_U_conjugation
 from .words import Word, canonical_words, parse_word, toggle
 
 EXIT_PASS = 0
@@ -241,7 +237,6 @@ def cmd_identities(cfg: RunConfig) -> int:
     ok = True
     for k in ks:
         for t in ts:
-            build_transfer(k, t)  # raises IdentityCheckError on failure
             report = verify_U_conjugation(k, t)
             results.append(
                 {
@@ -318,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, *, word=False, k=False, fmt=False, method=False):
+    def add(name, help, *, word=False, k=False, fmt=False, method=False,
+            budget=False, tol=False, out=None):
         p = sub.add_parser(name, help=help)
         if word:
             p.add_argument("--word", required=True, help="module word over P/C/E")
@@ -330,38 +326,56 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--method", default="all", choices=["all", "exact", "transfer", "oracle"]
             )
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", default="")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="most decompositions the oracle may enumerate")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="largest accepted numeric eigenvalue gap")
+        if out:
+            p.add_argument("--out", default="", help=out)
         return p
 
-    add("verify", "check one toggled pair by all methods", word=True, k=True, method=True)
-    scan = add("scan", "verify every cyclic word class up to a length", method=True)
+    add("verify", "check one toggled pair by all methods", word=True, k=True, method=True,
+        budget=True, tol=True)
+    scan = add("scan", "verify every cyclic word class up to a length", method=True,
+               budget=True, tol=True)
     scan.add_argument("--tau-max", type=int, required=True)
     scan.add_argument("--k", default=",".join(DEFAULT_SCAN_KS),
                       help="comma-separated k values")
-    blow = add("blowup", "emit a simple cospectral pair of blowups", word=True, k=True, fmt=True)
+    blow = add("blowup", "emit a simple cospectral pair of blowups", word=True, k=True,
+               fmt=True, tol=True, out="directory for the two blowup files")
     blow.add_argument("--scale", default="1", help="pre-scale edge weights")
     ident = add("identities", "check the exact transfer-matrix identities")
     ident.add_argument("--k", default=",".join(("1/1", "2/1", "1/2", "7/3")),
                        help="comma-separated k values")
     ident.add_argument("--t", default="3,4,5,-1,7/2", help="comma-separated t values")
-    add("export", "serialize one ring graph", word=True, k=True, fmt=True)
+    add("export", "serialize one ring graph", word=True, k=True, fmt=True,
+        out="output file (default: stdout)")
     add("spectrum", "numeric normalized-Laplacian eigenvalues", word=True, k=True)
-    add("charpoly", "exact characteristic polynomial", word=True, k=True, method=True)
+    add("charpoly", "exact characteristic polynomial", word=True, k=True, method=True,
+        budget=True)
     return parser
+
+
+def _values(text: str, option: str) -> list:
+    """The non-empty items of a comma-separated option value."""
+    items = [s.strip() for s in text.split(",") if s.strip()]
+    if not items:
+        raise ParameterError(f"{option} needs at least one value, got {text!r}")
+    return items
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    if getattr(args, "word", None):
+    if hasattr(args, "word"):
         cfg.words = [args.word]
-    if getattr(args, "k", None):
-        cfg.ks = [s.strip() for s in str(args.k).split(",") if s.strip()]
-    if getattr(args, "t", None):
-        cfg.ts = [s.strip() for s in args.t.split(",") if s.strip()]
+    if hasattr(args, "k"):
+        cfg.ks = _values(args.k, "--k")
+    if hasattr(args, "t"):
+        cfg.ts = _values(args.t, "--t")
     for name in ("budget", "tol", "format", "out", "method", "scale"):
-        if getattr(args, name, None) is not None and hasattr(args, name):
+        if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     cfg.tau_max = getattr(args, "tau_max", 0)
     return cfg
@@ -384,8 +398,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cfg = _config_from(args)
     try:
+        cfg = _config_from(args)
         if cfg.command == "scan" and not (3 <= cfg.tau_max <= 12):
             raise ValueError(f"--tau-max must be in [3, 12], got {cfg.tau_max}")
         if not (math.isfinite(cfg.tol) and cfg.tol >= 0):

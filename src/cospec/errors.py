@@ -33,10 +33,6 @@ class BudgetError(CospecError, RuntimeError):
     """Enumeration would exceed the configured budget."""
 
 
-class InterpolationError(CospecError, ValueError):
-    """Duplicate abscissae or inconsistent overdetermined interpolation."""
-
-
 class NumericalError(CospecError, RuntimeError):
     """Numeric eigensolver failed to converge."""
 

@@ -2,17 +2,21 @@
 
 The characteristic polynomial of the normalized Laplacian is computed
 without any floating point: L is similar to I - D^{-1}A, so
-det(tI - L) = det((t-1)I + D^{-1}A), which is evaluated at rational
-points and interpolated.
+det(tI - L) = det(uI + D^{-1}A) with u = t - 1.  Scaling D^{-1}A by the
+least common denominator of its entries gives an integer matrix, whose
+characteristic polynomial Berkowitz's division-free algorithm computes
+in one pass; one Taylor shift turns u into t.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import CertificateError, NumericalError, ShapeError
 from .graphs import WeightedGraph, normalized_laplacian, random_walk_matrix
-from .polynomials import Polynomial, interpolate
+from .polynomials import Polynomial
 from .rationals import Rat, bit_size
 
 # ---------------------------------------------------------------------------
@@ -106,44 +110,77 @@ def mat_inv(matrix):
 # characteristic polynomials
 
 
-def charpoly_of_matrix(matrix) -> Polynomial:
-    """det(tI - M) for a square rational matrix, by evaluation/interpolation."""
-    n = len(matrix)
-    points = []
-    for t in range(2, n + 3):
-        shifted = [
-            [Rat(t) - x if i == j else -x for j, x in enumerate(row)]
-            for i, row in enumerate(matrix)
+def _berkowitz(m) -> list:
+    """Integer coefficients of det(xI - m), constant term first, for a
+    square integer matrix m.
+
+    Berkowitz's division-free algorithm (1984): with m = [[a, R], [C, A]],
+    det(xI - m) is the lower-triangular Toeplitz matrix with first column
+    (1, -a, -RC, -RAC, ..., -RA^{s-1}C) applied to the coefficients of
+    det(xI - A), where A is s x s.  Peeling one row and column at a time
+    from the bottom right needs only integer products.
+    """
+    n = len(m)
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    p = [1]  # det(xI - A) for the trailing block A, highest power first
+    for r in range(n - 1, -1, -1):
+        # R and A as sparse rows with columns counted from r + 1; v runs
+        # through C, AC, A^2 C, ...
+        top = [(j - r - 1, x) for j, x in nonzero[r] if j > r]
+        block = [[(j - r - 1, x) for j, x in nonzero[i] if j > r] for i in range(r + 1, n)]
+        v = [m[i][r] for i in range(r + 1, n)]
+        col = [1, -m[r][r]]
+        for _ in range(n - r - 1):
+            col.append(-sum(x * v[j] for j, x in top))
+            v = [sum(x * v[j] for j, x in row) for row in block]
+        p = [
+            sum(col[i - j] * p[j] for j in range(min(i, len(p) - 1) + 1))
+            for i in range(len(p) + 1)
         ]
-        points.append((Rat(t), det_rational(shifted)))
-    return interpolate(points, n)
+    return p[::-1]
+
+
+def _walk_charpoly(g: WeightedGraph, sign: int):
+    """det(xI - sign * D^{-1}A) as (integer coefficients, scale): the
+    polynomial is sum_i coeffs[i] x^i / scale.
+
+    With c the least common denominator of W = D^{-1}A, the kernel gives
+    det(yI - sign cW) = c^n det((y/c)I - sign W), so the coefficient of
+    x^i is b_i c^i / c^n.
+    """
+    walk = random_walk_matrix(g)
+    c = math.lcm(*(int(x.denominator) for row in walk for x in row))
+    b = _berkowitz(
+        [[sign * int(x.numerator) * (c // int(x.denominator)) for x in row] for row in walk]
+    )
+    return [bi * c**i for i, bi in enumerate(b)], c**g.n
 
 
 def charpoly_exact(g: WeightedGraph) -> Polynomial:
     """Exact characteristic polynomial of the normalized Laplacian of g.
 
-    Evaluates det((t-1)I + D^{-1}A) at t = 2 .. n+2 and interpolates;
-    t = 1 is avoided because downstream identities divide by (t-1).
+    L is similar to I - D^{-1}A, so det(tI - L) = det(uI + D^{-1}A) with
+    u = t - 1: one division-free integer charpoly in u, then one Taylor
+    shift to t.  The result is monic of degree n by construction; the
+    postcondition checks the two facts of every loop-free graph without
+    isolated vertices that the arithmetic could still get wrong, namely
+    det L = 0 and tr L = n.
     """
-    walk = random_walk_matrix(g)
+    coeffs, scale = _walk_charpoly(g, -1)
+    poly = Polynomial.from_u_coefficients(coeffs).scale(Rat(1, scale))
     n = g.n
-    points = []
-    for t in range(2, n + 3):
-        u = Rat(t) - 1
-        m = [
-            [u + x if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(walk)
-        ]
-        points.append((Rat(t), det_rational(m)))
-    poly = interpolate(points, n)
-    if poly.degree != n or not poly.is_monic():
-        raise CertificateError(f"characteristic polynomial is not monic of degree {n}")
+    if poly.coefficient(0) != 0 or poly.coefficient(n - 1) != -n:
+        raise CertificateError(
+            f"characteristic polynomial of L has constant term {poly.coefficient(0)} "
+            f"and t^{n - 1} coefficient {poly.coefficient(n - 1)}, expected 0 and {-n}"
+        )
     return poly
 
 
 def charpoly_random_walk(g: WeightedGraph) -> Polynomial:
     """Exact characteristic polynomial of the transition matrix D^{-1}A."""
-    return charpoly_of_matrix(random_walk_matrix(g))
+    coeffs, scale = _walk_charpoly(g, 1)
+    return Polynomial(coeffs).scale(Rat(1, scale))
 
 
 def eigenvalues_numeric(g: WeightedGraph) -> np.ndarray:

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import InterpolationError
 from .rationals import Rat, rat_str
 
 _ZERO = Rat(0)
-_ONE = Rat(1)
 
 
 class Polynomial:
@@ -124,38 +122,3 @@ def poly_equal(p: Polynomial, q: Polynomial) -> bool:
     """Exact coefficientwise equality of normalized representations."""
     return p == q
 
-
-def interpolate(points, degree_bound: int) -> Polynomial:
-    """Unique polynomial of degree <= degree_bound through the points.
-
-    Uses Newton divided differences on the first degree_bound+1 points;
-    any surplus points must lie on the result (otherwise the data is not
-    a polynomial of the claimed degree and InterpolationError is raised).
-    """
-    pts = [(Rat(t), Rat(v)) for t, v in points]
-    if len({t for t, _ in pts}) != len(pts):
-        raise InterpolationError("duplicate abscissae")
-    if len(pts) < degree_bound + 1:
-        raise InterpolationError(
-            f"need {degree_bound + 1} points for degree bound {degree_bound}, got {len(pts)}"
-        )
-    base, extra = pts[: degree_bound + 1], pts[degree_bound + 1 :]
-
-    # Newton divided-difference table on the base points.
-    xs = [t for t, _ in base]
-    coeffs = [v for _, v in base]
-    for level in range(1, len(base)):
-        for i in range(len(base) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-
-    # Horner-style assembly: p = c0 + (x-x0)(c1 + (x-x1)(c2 + ...))
-    poly = Polynomial.constant(coeffs[-1])
-    for x, c in zip(reversed(xs[:-1]), reversed(coeffs[:-1])):
-        poly = poly * Polynomial((-x, 1)) + Polynomial.constant(c)
-
-    for t, v in extra:
-        if poly(t) != v:
-            raise InterpolationError(
-                f"data is not a polynomial of degree <= {degree_bound}: residual at t={t}"
-            )
-    return poly

@@ -184,55 +184,6 @@ def u_matrix(t):
     ]
 
 
-@dataclass
-class TransferEvaluation:
-    """All transfer machinery evaluated at a fixed rational point (k, t)."""
-
-    k: Rat
-    t: Rat
-    u: Rat
-    Q: list
-    R: list
-    S: list
-    X_P: list
-    X_C: list
-    X_E: list
-    Y_P: list
-    Y_C: list
-    Y_E: list
-    U: list
-
-    def x(self, kind: str):
-        return {"P": self.X_P, "C": self.X_C, "E": self.X_E}[kind]
-
-    def y(self, kind: str):
-        return {"P": self.Y_P, "C": self.Y_C, "E": self.Y_E}[kind]
-
-
-def build_transfer(k, t) -> TransferEvaluation:
-    """Populate a TransferEvaluation and assert its internal identities."""
-    k, t = _check_point(k, t)
-    Q, R, S = q_matrix(), r_matrix(), s_matrix()
-    if not mat_equal(Q, mat_mul(mat_mul(R, S), mat_inv(R))):
-        raise IdentityCheckError(f"Q != R S R^-1 at t={t}")
-    xs, ys = {}, {}
-    for kind in "PCE":
-        xs[kind] = x_matrix(kind, k, t)
-        full = _compressed(kind, k, t)
-        lower_right = [row[2:] for row in full[2:]]
-        if any(entry != 0 for row in lower_right for entry in row):
-            raise IdentityCheckError(
-                f"lower right block of S R^-1 X_{kind} R is not zero: {lower_right}"
-            )
-        ys[kind] = [row[:2] for row in full[:2]]
-    return TransferEvaluation(
-        k=k, t=t, u=t - 1, Q=Q, R=R, S=S,
-        X_P=xs["P"], X_C=xs["C"], X_E=xs["E"],
-        Y_P=ys["P"], Y_C=ys["C"], Y_E=ys["E"],
-        U=u_matrix(t),
-    )
-
-
 def _qx_table(kind: str, k):
     """u^4 Q X_kind as a 4x4 matrix of coefficient triples in v = u^2."""
     diag = _x_diagonal_v(kind, k)
@@ -351,10 +302,24 @@ class UConjugationReport:
 
 
 def verify_U_conjugation(k, t) -> UConjugationReport:
-    """Check the three U identities and U's invertibility, all exactly."""
+    """Check Q = R S R^-1, that S R^-1 X_kind R has a zero lower right
+    block for every kind, the three U identities and U's invertibility,
+    all exactly.  A failed identity raises IdentityCheckError."""
     k, t = _check_point(k, t)
+    R, S = r_matrix(), s_matrix()
+    if not mat_equal(q_matrix(), mat_mul(mat_mul(R, S), mat_inv(R))):
+        raise IdentityCheckError(f"Q != R S R^-1 at t={t}")
+    blocks = []
+    for kind in "PCE":
+        full = _compressed(kind, k, t)
+        lower_right = [row[2:] for row in full[2:]]
+        if any(entry != 0 for row in lower_right for entry in row):
+            raise IdentityCheckError(
+                f"lower right block of S R^-1 X_{kind} R is not zero: {lower_right}"
+            )
+        blocks.append([row[:2] for row in full[:2]])
     U = u_matrix(t)
-    yp, yc, ye = (y_block(kind, k, t) for kind in "PCE")
+    yp, yc, ye = blocks
     report = UConjugationReport(
         k=k,
         t=t,

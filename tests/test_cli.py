@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cospec.cli import main
 
@@ -47,14 +51,41 @@ def test_verify_bad_k(capsys):
         ["verify", "--word", "PCE", "--k", "1/0"],
         ["verify", "--word", "PCE", "--k", "1", "--tol", "nan", "--method", "exact"],
         ["blowup", "--word", "PCPC", "--k", "2", "--out", "{missing}"],
+        ["verify", "--word", "PCE", "--k", ""],
+        ["charpoly", "--word", "PCE", "--k", " "],
+        ["blowup", "--word", "PCE", "--k", ""],
+        ["export", "--word", "PCE", "--k", " "],
+        ["spectrum", "--word", "PCE", "--k", ""],
+        ["scan", "--tau-max", "3", "--k", ","],
+        ["identities", "--k", ""],
+        ["identities", "--t", ","],
+        ["verify", "--word", ""],
     ],
-    ids=["k-zero-denominator", "tol-nan", "out-missing-dir"],
+    ids=["k-zero-denominator", "tol-nan", "out-missing-dir", "verify-k-empty",
+         "charpoly-k-blank", "blowup-k-empty", "export-k-blank", "spectrum-k-empty",
+         "scan-k-comma", "identities-k-empty", "identities-t-comma", "word-empty"],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--word", "PCE", "--out", "x"],
+        ["export", "--word", "PCE", "--tol", "5", "--budget", "3"],
+        ["identities", "--budget", "3"],
+        ["charpoly", "--word", "PCE", "--tol", "1"],
+    ],
+    ids=["spectrum-out", "export-tol-budget", "identities-budget", "charpoly-tol"],
+)
+def test_options_a_command_does_not_read_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def test_verify_oracle_budget(capsys):
@@ -143,3 +174,57 @@ def test_charpoly_methods_agree(capsys):
     assert set(payload["coefficients"]) == {"exact", "transfer", "oracle"}
     # constant term first; p(0) = 0 for connected ring graphs
     assert payload["coefficients"]["exact"][0] == "0/1"
+
+
+# (usual values, malformed or out-of-domain values) for each option
+OPTION_VALUES = {
+    "--word": (st.text(alphabet="PCE", min_size=3, max_size=5),
+               st.text(alphabet="PCEX", max_size=5)),
+    "--k": (st.sampled_from(["1", "2", "1/2", "7/3", "1,2"]),
+            st.sampled_from(["0", "-1", "1/0", "", ",", "x"])),
+    "--t": (st.sampled_from(["3", "7/2", "-1", "3,4"]),
+            st.sampled_from(["0", "1", "2", ",", "x"])),
+    "--method": (st.sampled_from(["all", "exact", "transfer", "oracle"]), st.just("bogus")),
+    "--format": (st.sampled_from(["json", "dot", "csv"]), st.just("xml")),
+    "--budget": (st.sampled_from(["10", "100000"]), st.sampled_from(["0", "-1", "x"])),
+    "--tol": (st.sampled_from(["1e-9", "0"]), st.sampled_from(["nan", "-1", "inf", "x"])),
+    "--scale": (st.sampled_from(["1", "2", "1/2"]), st.sampled_from(["0", "", "x"])),
+    "--tau-max": (st.just("3"), st.sampled_from(["2", "13", "x"])),
+    "--out": (st.sampled_from(["{dir}", "{dir}/g.out"]), st.just("{dir}/missing/g.out")),
+}
+COMMAND_OPTIONS = {
+    "verify": ["--word", "--k", "--method", "--budget", "--tol"],
+    "scan": ["--tau-max", "--k", "--method", "--budget", "--tol"],
+    "blowup": ["--word", "--k", "--format", "--tol", "--out", "--scale"],
+    "identities": ["--k", "--t"],
+    "export": ["--word", "--k", "--format", "--out"],
+    "spectrum": ["--word", "--k"],
+    "charpoly": ["--word", "--k", "--method", "--budget"],
+}
+
+
+@st.composite
+def argvs(draw):
+    # words stay at tau <= 5 and scans at tau <= 3: verify --method all
+    # runs the decomposition oracle, exponential in n
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS) + ["bogus"]))
+    own = COMMAND_OPTIONS.get(command) or sorted(OPTION_VALUES)
+    # mostly the command's own options, sometimes any option
+    pool = draw(st.sampled_from([own, own, sorted(OPTION_VALUES)]))
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True)):
+        usual, odd = OPTION_VALUES[option]
+        argv += [option, draw(odd if draw(st.integers(0, 7)) == 0 else usual)]
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{dir}", tmp) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec.errors import CertificateError, DegreeError, InterpolationError
-from cospec.graphs import WeightedGraph, assemble_ring
+from cospec import linalg
+from cospec.errors import CertificateError, DegreeError
+from cospec.graphs import WeightedGraph, assemble_ring, random_walk_matrix
 from cospec.linalg import (
     charpoly_exact,
     charpoly_random_walk,
@@ -12,7 +13,7 @@ from cospec.linalg import (
     mat_inv,
     mat_mul,
 )
-from cospec.polynomials import Polynomial, interpolate, poly_equal
+from cospec.polynomials import Polynomial, poly_equal
 from cospec.rationals import Rat
 from cospec.words import parse_word
 
@@ -69,29 +70,6 @@ def test_from_u_coefficients_is_taylor_shift():
     assert Polynomial.t_minus_one_power(5) == product
 
 
-def test_interpolate_quadratic():
-    assert interpolate([(0, 1), (1, 2), (2, 5)], 2) == poly(1, 0, 1)
-
-
-def test_interpolate_constant():
-    assert interpolate([(0, Rat(7, 3))], 0) == Polynomial((Rat(7, 3),))
-
-
-def test_interpolate_collinear_below_bound():
-    p = interpolate([(0, 0), (1, 2), (2, 4)], 2)
-    assert p == poly(2, 0)
-
-
-def test_interpolate_duplicate_abscissae():
-    with pytest.raises(InterpolationError):
-        interpolate([(1, 1), (1, 2)], 1)
-
-
-def test_interpolate_inconsistent_extra_point():
-    with pytest.raises(InterpolationError):
-        interpolate([(0, 0), (1, 1), (2, 2), (3, 100)], 2)
-
-
 # ---------------------------------------------------------------- determinants
 
 
@@ -130,9 +108,13 @@ def test_charpoly_rejects_isolated():
 
 
 def test_charpoly_postcondition_raises(monkeypatch):
-    monkeypatch.setattr("cospec.linalg.interpolate", lambda points, degree: poly(2, 0, 0, 0))
-    with pytest.raises(CertificateError):
-        charpoly_exact(ring("EEE"))
+    # the kernel's output is monic of degree n whatever it computes, so
+    # corrupt what the postcondition can see: det L and tr L
+    kernel = linalg._berkowitz
+    for corrupt in (lambda b: [b[0] + 1] + b[1:], lambda b: b[:-2] + [b[-2] + 1, b[-1]]):
+        monkeypatch.setattr(linalg, "_berkowitz", lambda m: corrupt(kernel(m)))
+        with pytest.raises(CertificateError):
+            charpoly_exact(ring("EEE"))
 
 
 @given(words, st.sampled_from([Rat(1), Rat(2), Rat(1, 2)]))
@@ -155,6 +137,40 @@ def test_cospectrality_transfers_to_random_walk():
     g3 = ring("PPPPPPPC")  # not the toggled partner: both must disagree
     assert charpoly_exact(g1) != charpoly_exact(g3)
     assert charpoly_random_walk(g1) != charpoly_random_walk(g3)
+
+
+weights = st.builds(Rat, st.integers(1, 50), st.integers(1, 50))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus random extra edges, weights p/q <= 50/1."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weights) for v in range(1, n)}
+    vertex = st.integers(0, n - 1)
+    for u, v, w in draw(st.lists(st.tuples(vertex, vertex, weights), max_size=n * (n - 1) // 2)):
+        if u != v:
+            edges[min(u, v), max(u, v)] = w
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def shifted(m, diag, sign):
+    """diag * I + sign * m."""
+    return [
+        [(diag if i == j else 0) + sign * x for j, x in enumerate(row)] for i, row in enumerate(m)
+    ]
+
+
+@given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_charpolys_match_determinants_on_random_graphs(g):
+    # the kernel scales W = D^-1 A to integers; the references eliminate
+    # over the rationals at single points
+    walk = random_walk_matrix(g)
+    p, q = charpoly_exact(g), charpoly_random_walk(g)
+    for x in (Rat(7, 2), Rat(-5, 3)):
+        assert p(x) == det_rational(shifted(walk, x - 1, 1))
+        assert q(x) == det_rational(shifted(walk, x, -1))
 
 
 # ---------------------------------------------------------------- eigenvalues

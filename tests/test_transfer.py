@@ -3,13 +3,18 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec.errors import CertificateError, InvertibilityWarning, ParameterError, PoleError
+from cospec.errors import (
+    CertificateError,
+    IdentityCheckError,
+    InvertibilityWarning,
+    ParameterError,
+    PoleError,
+)
 from cospec.graphs import assemble_ring
 from cospec.linalg import charpoly_exact, det_rational, mat_equal, mat_mul
 from cospec.polynomials import Polynomial
 from cospec.rationals import Rat
 from cospec.transfer import (
-    build_transfer,
     charpoly_via_transfer,
     q_matrix,
     short_part,
@@ -72,21 +77,31 @@ def test_u_invertible_exactly_off_excluded_points():
     assert det_rational(u_matrix(Rat(2))) == 0
 
 
-# ------------------------------------------------------------- build_transfer
+# ------------------------------------------------------------- identities
 
 
 @pytest.mark.parametrize("k", sample_ks)
 @pytest.mark.parametrize("t", sample_ts)
 def test_build_transfer_identities(k, t):
-    ev = build_transfer(k, t)  # internal identity assertions must pass
-    assert mat_equal(ev.Q, q_matrix())
-    for kind in "PCE":
-        assert ev.y(kind) == y_block(kind, k, t)
+    report = verify_U_conjugation(k, t)  # raises unless Q = RSR^-1 and the blocks vanish
+    assert report.all_hold and report.invertible
 
 
 def test_build_transfer_rejects_pole():
     with pytest.raises(PoleError):
-        build_transfer(1, 1)
+        verify_U_conjugation(Rat(2), 1)
+    with pytest.raises(ParameterError):
+        verify_U_conjugation(0, Rat(3))
+
+
+def test_identity_checks_raise(monkeypatch):
+    monkeypatch.setattr("cospec.transfer.s_matrix", lambda: [[Rat(1)] * 4] * 4)
+    with pytest.raises(IdentityCheckError, match="R S R"):
+        verify_U_conjugation(Rat(1), Rat(3))
+    monkeypatch.undo()
+    monkeypatch.setattr("cospec.transfer._compressed", lambda kind, k, t: [[Rat(1)] * 4] * 4)
+    with pytest.raises(IdentityCheckError, match="lower right"):
+        verify_U_conjugation(Rat(1), Rat(3))
 
 
 @pytest.mark.parametrize("kind", "PCE")
