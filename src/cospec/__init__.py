@@ -6,7 +6,6 @@ the normalized Laplacian, plus blowups into simple cospectral pairs.
 __version__ = "0.1.0"
 
 from .blowup import (
-    BlowupSpec,
     blow_up,
     is_simple,
     scale_weights,
@@ -33,7 +32,7 @@ from .graphs import (
     subgraph_after_symmetry,
 )
 from .linalg import charpoly_exact, eigenvalues_numeric
-from .polynomials import Polynomial, poly_equal
+from .polynomials import Polynomial
 from .rationals import Rat
 from .transfer import (
     charpoly_via_transfer,
@@ -44,7 +43,7 @@ from .transfer import (
 from .words import Word, canonical_form, cyclic_equivalent, parse_word, toggle
 
 __all__ = [
-    "BlowupSpec", "blow_up", "is_simple", "scale_weights",
+    "blow_up", "is_simple", "scale_weights",
     "simple_blowup_recipe", "split_e_chain",
     "Decomposition", "LongCycleClass", "charpoly_via_decompositions",
     "classify_long", "enumerate_decompositions", "long_cycle_closed_form",
@@ -53,7 +52,7 @@ __all__ = [
     "export_graph", "normalized_laplacian", "random_walk_matrix",
     "subgraph_after_symmetry",
     "charpoly_exact", "eigenvalues_numeric",
-    "Polynomial", "poly_equal",
+    "Polynomial",
     "Rat",
     "charpoly_via_transfer",
     "short_part", "short_part_via_Y", "verify_U_conjugation",

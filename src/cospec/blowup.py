@@ -4,20 +4,10 @@ blowups, and splitting chains of edge modules into parallel paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ParameterError, RecipeError, ShapeError
 from .graphs import WeightedGraph, assemble_ring
 from .rationals import Rat, is_integral
 from .words import Word, toggle
-
-
-@dataclass(frozen=True)
-class BlowupSpec:
-    """Multiplicities per vertex plus chains to split into parallel paths."""
-
-    multiplicity: dict = field(default_factory=dict)
-    path_splits: tuple = ()  # tuples of vertex ids forming chains
 
 
 def scale_weights(g: WeightedGraph, c) -> WeightedGraph:

@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .errors import (
 )
 from .graphs import assemble_ring, export_graph, subgraph_after_symmetry
 from .linalg import charpoly_exact, eigenvalues_numeric
-from .polynomials import poly_equal
 from .rationals import parse_rat, rat_str
 from .transfer import charpoly_via_transfer, verify_U_conjugation
 from .words import Word, canonical_words, parse_word, toggle
@@ -48,23 +46,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 DEFAULT_SCAN_KS = ("1/1", "2/1", "1/2")
-
-
-@dataclass
-class RunConfig:
-    """Everything that determines a run's output, echoed in reports."""
-
-    command: str
-    words: list = field(default_factory=list)
-    ks: list = field(default_factory=list)
-    tau_max: int = 0
-    budget: int = DEFAULT_BUDGET
-    tol: float = 1e-9
-    format: str = "json"
-    out: str = ""
-    method: str = "all"
-    scale: str = "1/1"
-    ts: list = field(default_factory=list)
 
 
 def _emit(payload: dict, summary: str) -> None:
@@ -93,21 +74,21 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float) -> dict:
     p1 = None
     if method in ("all", "exact"):
         p1, p2 = charpoly_exact(g1), charpoly_exact(g2)
-        checks["exact_equal"] = poly_equal(p1, p2)
+        checks["exact_equal"] = p1 == p2
         entry["charpoly_exact"] = p1.to_json()
     if method in ("all", "transfer"):
         q1, q2 = charpoly_via_transfer(w, k), charpoly_via_transfer(wt, k)
-        checks["transfer_equal"] = poly_equal(q1, q2)
+        checks["transfer_equal"] = q1 == q2
         if p1 is not None:
-            checks["transfer_matches_exact"] = poly_equal(q1, p1)
+            checks["transfer_matches_exact"] = q1 == p1
         entry["short_part"] = (q1 - long_cycle_closed_form(w.tau, w.ell, w.m, k)).to_json()
     if method in ("all", "oracle"):
         try:
             o1 = charpoly_via_decompositions(g1, budget)
             o2 = charpoly_via_decompositions(g2, budget)
-            checks["oracle_equal"] = poly_equal(o1, o2)
+            checks["oracle_equal"] = o1 == o2
             if p1 is not None:
-                checks["oracle_matches_exact"] = poly_equal(o1, p1)
+                checks["oracle_matches_exact"] = o1 == p1
         except BudgetError as exc:
             if method == "oracle":
                 raise
@@ -124,24 +105,24 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float) -> dict:
     return entry
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    w = parse_word(cfg.words[0])
-    k = parse_rat(cfg.ks[0])
-    entry = _verify_pair(w, k, cfg.method, cfg.budget, cfg.tol)
+def cmd_verify(args: argparse.Namespace) -> int:
+    w = parse_word(args.word)
+    k = parse_rat(args.k)
+    entry = _verify_pair(w, k, args.method, args.budget, args.tol)
     payload = {"command": "verify", "version": __version__, "result": entry}
     status = "PASS" if entry["pass"] else "FAIL"
     _emit(payload, f"verify {w} vs {entry['toggled_word']} (k={rat_str(k)}): {status}")
     return EXIT_PASS if entry["pass"] else EXIT_CHECK_FAILED
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    ks = [parse_rat(s) for s in cfg.ks]
+def cmd_scan(args: argparse.Namespace) -> int:
+    ks = [parse_rat(s) for s in _values(args.k, "--k")]
     entries = []
     failures = skipped = 0
-    for w in canonical_words(3, cfg.tau_max):
+    for w in canonical_words(3, args.tau_max):
         for k in ks:
             try:
-                entry = _verify_pair(w, k, cfg.method, cfg.budget, cfg.tol)
+                entry = _verify_pair(w, k, args.method, args.budget, args.tol)
             except BudgetError as exc:
                 entries.append({"word": str(w), "k": rat_str(k), "skipped": str(exc)})
                 skipped += 1
@@ -154,7 +135,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     payload = {
         "command": "scan",
         "version": __version__,
-        "tau_max": cfg.tau_max,
+        "tau_max": args.tau_max,
         "k": [rat_str(k) for k in ks],
         "entries": entries,
         "summary": {
@@ -166,7 +147,7 @@ def cmd_scan(cfg: RunConfig) -> int:
             ),
         },
     }
-    _emit(payload, f"scan tau<={cfg.tau_max}: {checked} pairs, {failures} failures, {skipped} skipped")
+    _emit(payload, f"scan tau<={args.tau_max}: {checked} pairs, {failures} failures, {skipped} skipped")
     return EXIT_PASS if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -181,10 +162,10 @@ def _write_or_print(text: str, path: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_blowup(cfg: RunConfig) -> int:
-    w = parse_word(cfg.words[0])
-    k = parse_rat(cfg.ks[0])
-    scale = parse_rat(cfg.scale)
+def cmd_blowup(args: argparse.Namespace) -> int:
+    w = parse_word(args.word)
+    k = parse_rat(args.k)
+    scale = parse_rat(args.scale)
     wt = toggle(w)
     if wt.letters == w.letters:
         print(f"note: {w} is its own toggle; the blowup pair is identical", file=sys.stderr)
@@ -206,11 +187,11 @@ def cmd_blowup(cfg: RunConfig) -> int:
         b1, b2 = pair
         specs = {"recipe": "scale-then-blowup", "scale": rat_str(scale)}
     gap = _eig_gap(b1, b2)
-    ok = is_simple(b1) and is_simple(b2) and gap <= cfg.tol
-    if cfg.out:
+    ok = is_simple(b1) and is_simple(b2) and gap <= args.tol
+    if args.out:
         for name, g in (("blowup_1", b1), ("blowup_2", b2)):
-            ext = {"json": "json", "dot": "dot", "csv": "csv"}[cfg.format]
-            _write_or_print(export_graph(g, cfg.format), f"{cfg.out}/{name}.{ext}")
+            ext = {"json": "json", "dot": "dot", "csv": "csv"}[args.format]
+            _write_or_print(export_graph(g, args.format), f"{args.out}/{name}.{ext}")
     payload = {
         "command": "blowup",
         "version": __version__,
@@ -227,9 +208,9 @@ def cmd_blowup(cfg: RunConfig) -> int:
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
-def cmd_identities(cfg: RunConfig) -> int:
-    ks = [parse_rat(s) for s in cfg.ks]
-    ts = [parse_rat(s) for s in cfg.ts]
+def cmd_identities(args: argparse.Namespace) -> int:
+    ks = [parse_rat(s) for s in _values(args.k, "--k")]
+    ts = [parse_rat(s) for s in _values(args.t, "--t")]
     for t in ts:
         if t in (0, 1, 2):
             raise PoleError(f"t={rat_str(t)} is an excluded evaluation point")
@@ -255,16 +236,16 @@ def cmd_identities(cfg: RunConfig) -> int:
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    g = assemble_ring(parse_word(cfg.words[0]), parse_rat(cfg.ks[0]))
-    _write_or_print(export_graph(g, cfg.format), cfg.out)
+def cmd_export(args: argparse.Namespace) -> int:
+    g = assemble_ring(parse_word(args.word), parse_rat(args.k))
+    _write_or_print(export_graph(g, args.format), args.out)
     print(f"exported {g}", file=sys.stderr)
     return EXIT_PASS
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    w = parse_word(cfg.words[0])
-    k = parse_rat(cfg.ks[0])
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    w = parse_word(args.word)
+    k = parse_rat(args.k)
     g = assemble_ring(w, k)
     eigs = eigenvalues_numeric(g)
     payload = {
@@ -279,19 +260,19 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_charpoly(cfg: RunConfig) -> int:
-    w = parse_word(cfg.words[0])
-    k = parse_rat(cfg.ks[0])
+def cmd_charpoly(args: argparse.Namespace) -> int:
+    w = parse_word(args.word)
+    k = parse_rat(args.k)
     g = assemble_ring(w, k)
     polys = {}
-    if cfg.method in ("all", "exact"):
+    if args.method in ("all", "exact"):
         polys["exact"] = charpoly_exact(g)
-    if cfg.method in ("all", "transfer"):
+    if args.method in ("all", "transfer"):
         polys["transfer"] = charpoly_via_transfer(w, k)
-    if cfg.method in ("all", "oracle"):
-        polys["oracle"] = charpoly_via_decompositions(g, cfg.budget)
+    if args.method in ("all", "oracle"):
+        polys["oracle"] = charpoly_via_decompositions(g, args.budget)
     vals = list(polys.values())
-    agree = all(poly_equal(vals[0], p) for p in vals[1:])
+    agree = all(vals[0] == p for p in vals[1:])
     payload = {
         "command": "charpoly",
         "version": __version__,
@@ -366,21 +347,6 @@ def _values(text: str, option: str) -> list:
     return items
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if hasattr(args, "word"):
-        cfg.words = [args.word]
-    if hasattr(args, "k"):
-        cfg.ks = _values(args.k, "--k")
-    if hasattr(args, "t"):
-        cfg.ts = _values(args.t, "--t")
-    for name in ("budget", "tol", "format", "out", "method", "scale"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    cfg.tau_max = getattr(args, "tau_max", 0)
-    return cfg
-
-
 _COMMANDS = {
     "verify": cmd_verify,
     "scan": cmd_scan,
@@ -399,12 +365,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = _config_from(args)
-        if cfg.command == "scan" and not (3 <= cfg.tau_max <= 12):
-            raise ValueError(f"--tau-max must be in [3, 12], got {cfg.tau_max}")
-        if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
-            raise ParameterError(f"--tol must be a finite non-negative number, got {cfg.tol}")
-        return _COMMANDS[cfg.command](cfg)
+        if args.command == "scan" and not (3 <= args.tau_max <= 12):
+            raise ValueError(f"--tau-max must be in [3, 12], got {args.tau_max}")
+        tol = getattr(args, "tol", 0.0)
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ParameterError(f"--tol must be a finite non-negative number, got {tol}")
+        budget = getattr(args, "budget", 1)
+        if budget < 1:
+            raise ParameterError(f"--budget must be at least 1, got {budget}")
+        return _COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -5,6 +5,10 @@ Summing the weighted terms over all decompositions reproduces the
 characteristic polynomial of the normalized Laplacian; restricting the
 sum to decompositions containing a long cycle (one through all signed
 vertices) reproduces the closed form used by the ring construction.
+
+Each term is a scalar times u^j with u = t - 1 and j = n - |V(D)|, so a
+sum is one rational per power of u, shifted to t once at the end (the
+same convention as the exact and transfer routes).
 """
 
 from __future__ import annotations
@@ -122,8 +126,11 @@ def enumerate_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET):
         yield materialize(item)
 
 
-def decomposition_term(d: Decomposition, g: WeightedGraph) -> Polynomial:
-    """One summand: (-1)^e 2^s (t-1)^{n-|V(D)|} * weights / degrees."""
+def decomposition_term(d: Decomposition, g: WeightedGraph) -> tuple:
+    """One summand (-1)^e 2^s u^j * weights / degrees, as the pair (j, scalar).
+
+    u = t - 1 and j = n - |V(D)|.
+    """
     covered = d.covered_vertices()
     scalar = Rat((-1) ** d.even_cycle_count() * 2 ** d.long_cycle_count())
     for (u, v) in d.all_edges():
@@ -132,15 +139,21 @@ def decomposition_term(d: Decomposition, g: WeightedGraph) -> Polynomial:
         scalar *= g.weight(u, v)
     for v in covered:
         scalar /= g.degrees[v]
-    return Polynomial.t_minus_one_power(g.n - len(covered)).scale(scalar)
+    return g.n - len(covered), scalar
+
+
+def _sum_terms(terms, n: int) -> Polynomial:
+    """Sum (j, scalar) terms by power of u, then shift to t once."""
+    coeffs = [Rat(0)] * (n + 1)
+    for j, scalar in terms:
+        coeffs[j] += scalar
+    return Polynomial.from_u_coefficients(coeffs)
 
 
 def charpoly_via_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Polynomial:
     """Sum of decomposition terms; equals the exact characteristic polynomial."""
-    total = Polynomial()
-    for d in enumerate_decompositions(g, budget):
-        total = total + decomposition_term(d, g)
-    return total
+    terms = (decomposition_term(d, g) for d in enumerate_decompositions(g, budget))
+    return _sum_terms(terms, g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +218,7 @@ def classify_long(d: Decomposition, g: WeightedGraph) -> LongCycleClass:
 
 def long_part_bruteforce(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Polynomial:
     """Sum of terms over decompositions containing a long cycle."""
-    total = Polynomial()
-    for d in enumerate_decompositions(g, budget):
-        if classify_long(d, g).is_long:
-            total = total + decomposition_term(d, g)
-    return total
+    return sum(long_terms_by_config(g, budget).values(), Polynomial())
 
 
 def long_terms_by_config(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> dict:
@@ -218,9 +227,8 @@ def long_terms_by_config(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> dict
     for d in enumerate_decompositions(g, budget):
         cls = classify_long(d, g)
         if cls.is_long:
-            key = (cls.h, cls.i, cls.j)
-            grouped[key] = grouped.get(key, Polynomial()) + decomposition_term(d, g)
-    return grouped
+            grouped.setdefault((cls.h, cls.i, cls.j), []).append(decomposition_term(d, g))
+    return {key: _sum_terms(terms, g.n) for key, terms in grouped.items()}
 
 
 def long_cycle_closed_form(tau: int, ell: int, m: int, k) -> Polynomial:

@@ -113,12 +113,3 @@ class Polynomial:
             terms.append(f"({c})*{mono}" if i else f"({c})")
         return "Polynomial(" + " + ".join(terms) + ")"
 
-
-ZERO_POLY = Polynomial()
-ONE_POLY = Polynomial((1,))
-
-
-def poly_equal(p: Polynomial, q: Polynomial) -> bool:
-    """Exact coefficientwise equality of normalized representations."""
-    return p == q
-

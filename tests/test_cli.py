@@ -60,10 +60,19 @@ def test_verify_bad_k(capsys):
         ["identities", "--k", ""],
         ["identities", "--t", ","],
         ["verify", "--word", ""],
+        ["verify", "--word", "PCE", "--k", "1,2", "--method", "exact"],
+        ["charpoly", "--word", "PCE", "--k", "1,2"],
+        ["blowup", "--word", "PCE", "--k", "1,2"],
+        ["export", "--word", "PCE", "--k", "1,2"],
+        ["spectrum", "--word", "PCE", "--k", "1,2"],
+        ["charpoly", "--word", "PCE", "--method", "oracle", "--budget", "-1"],
+        ["verify", "--word", "PCE", "--budget", "0"],
     ],
     ids=["k-zero-denominator", "tol-nan", "out-missing-dir", "verify-k-empty",
          "charpoly-k-blank", "blowup-k-empty", "export-k-blank", "spectrum-k-empty",
-         "scan-k-comma", "identities-k-empty", "identities-t-comma", "word-empty"],
+         "scan-k-comma", "identities-k-empty", "identities-t-comma", "word-empty",
+         "verify-k-list", "charpoly-k-list", "blowup-k-list", "export-k-list",
+         "spectrum-k-list", "budget-negative", "budget-zero"],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]

@@ -72,20 +72,19 @@ def test_budget_enforced():
 def test_term_empty_decomposition():
     g = ring("EEE")
     d = Decomposition((), ())
-    assert decomposition_term(d, g) == Polynomial.t_minus_one_power(3)
+    assert decomposition_term(d, g) == (3, 1)
 
 
 def test_term_single_weighted_edge():
     g = ring("EEE")  # k=1 triangle, weights 2, degrees 4
     d = Decomposition(((0, 1),), ())
-    expected = Polynomial.t_minus_one_power(1).scale(Rat(-1, 4))
-    assert decomposition_term(d, g) == expected
+    assert decomposition_term(d, g) == (1, Rat(-1, 4))
 
 
 def test_term_triangle_cycle():
     g = ring("EEE")
     d = Decomposition((), ((0, 1, 2),))
-    assert decomposition_term(d, g) == Polynomial.constant(Rat(1, 4))
+    assert decomposition_term(d, g) == (0, Rat(1, 4))
 
 
 def test_even_cycle_sign():
@@ -93,7 +92,7 @@ def test_even_cycle_sign():
     d = Decomposition((), ((0, 1, 2, 3),))
     assert d.even_cycle_count() == 1
     # -2 * 1 / (2*2*2*2)
-    assert decomposition_term(d, g) == Polynomial.constant(Rat(-1, 8))
+    assert decomposition_term(d, g) == (0, Rat(-1, 8))
 
 
 # ------------------------------------------------------------- oracle sums
