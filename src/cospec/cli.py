@@ -2,7 +2,7 @@
 
 Structured JSON goes to stdout, a short human summary to stderr.
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error,
-3 enumeration budget exceeded.
+3 enumeration budget exceeded (for `scan`: a pair was skipped, none failed).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .graphs import assemble_ring, export_graph, subgraph_after_symmetry
 from .linalg import charpoly_exact, eigenvalues_numeric
-from .rationals import parse_rat, rat_str
+from .rationals import BACKEND, parse_rat, rat_str
 from .transfer import charpoly_via_transfer, verify_U_conjugation
 from .words import Word, canonical_words, parse_word, toggle
 
@@ -109,7 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     k = parse_rat(args.k)
     entry = _verify_pair(w, k, args.method, args.budget, args.tol)
-    payload = {"command": "verify", "version": __version__, "result": entry}
+    payload = {"command": "verify", "version": __version__, "backend": BACKEND, "result": entry}
     status = "PASS" if entry["pass"] else "FAIL"
     _emit(payload, f"verify {w} vs {entry['toggled_word']} (k={rat_str(k)}): {status}")
     return EXIT_PASS if entry["pass"] else EXIT_CHECK_FAILED
@@ -135,6 +135,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     payload = {
         "command": "scan",
         "version": __version__,
+        "backend": BACKEND,
         "tau_max": args.tau_max,
         "k": [rat_str(k) for k in ks],
         "entries": entries,
@@ -148,7 +149,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         },
     }
     _emit(payload, f"scan tau<={args.tau_max}: {checked} pairs, {failures} failures, {skipped} skipped")
-    return EXIT_PASS if failures == 0 else EXIT_CHECK_FAILED
+    if failures:
+        return EXIT_CHECK_FAILED
+    return EXIT_BUDGET if skipped else EXIT_PASS
 
 
 def _write_or_print(text: str, path: str) -> None:
@@ -276,6 +279,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
     payload = {
         "command": "charpoly",
         "version": __version__,
+        "backend": BACKEND,
         "word": str(w),
         "k": rat_str(k),
         "n": g.n,

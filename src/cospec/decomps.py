@@ -6,9 +6,17 @@ characteristic polynomial of the normalized Laplacian; restricting the
 sum to decompositions containing a long cycle (one through all signed
 vertices) reproduces the closed form used by the ring construction.
 
-Each term is a scalar times u^j with u = t - 1 and j = n - |V(D)|, so a
-sum is one rational per power of u, shifted to t once at the end (the
-same convention as the exact and transfer routes).
+The term of D is (-1)^e 2^s u^j prod_{E(D)} w / prod_{V(D)} d with
+u = t - 1 and j = n - |V(D)| (isolated edges count twice in the weight
+product).  It has as many weight factors as degree factors, |V(D)| each,
+so scaling every weight and degree by L, the least common multiple of
+the weight denominators, leaves it unchanged.  Over the common
+denominator P = prod_v D_v of the scaled degrees D_v = L d_v, the term
+is x / P with the integer x = (-1)^e 2^s prod W prod_{v not in V(D)} D_v
+and W = L w.  One recursive walk enumerates the decompositions and builds x
+as it descends; a sum is one integer per power of u, divided by P once
+per coefficient and shifted to t once at the end (the same convention as
+the exact and transfer routes).
 """
 
 from __future__ import annotations
@@ -60,76 +68,111 @@ class Decomposition:
         return len(self.cycles)
 
 
-def enumerate_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET):
-    """Yield every decomposition of g exactly once, empty one included."""
-    if g.n > MAX_VERTICES:
-        raise BudgetError(f"n={g.n} exceeds the oracle limit of {MAX_VERTICES}")
+def _scale(g: WeightedGraph) -> tuple:
+    """Integer neighbour lists [(u, W_uv)] and degrees D_v, all scaled by L.
+
+    L is the least common multiple of the weight denominators.  A vertex of
+    degree 0 is never covered, so its factor cancels; D_v = 1 keeps P nonzero.
+    """
+    scale = math.lcm(*(int(w.denominator) for w in g.weights.values()))
+    nbrs = [
+        [(u, int(w.numerator) * (scale // int(w.denominator))) for u, w in g.adj[v].items()]
+        for v in range(g.n)
+    ]
+    return nbrs, [sum(w for _, w in row) or 1 for row in nbrs]
+
+
+def _walk(g: WeightedGraph, budget: int, leaf) -> int:
+    """Call leaf(j, x, parts) once per decomposition D; return P = prod D_v.
+
+    j = n - |V(D)| and x / P is the term of D.  `parts` is the walk's stack:
+    (u, v) for an isolated edge, a vertex tuple of length >= 3 for a cycle.
+    The leaf may read it but must not keep it.
+    """
+    n = g.n
+    if n > MAX_VERTICES:
+        raise BudgetError(f"n={n} exceeds the oracle limit of {MAX_VERTICES}")
+    nbrs, degree = _scale(g)
+    covered = [False] * n
+    parts = []
     emitted = 0
 
-    def cycles_from(start, path, used, covered):
-        """Extend a simple path from `start` into cycles; canonical direction.
-
-        Only undecided vertices larger than the start may appear, and
-        each cycle is emitted once (second vertex smaller than last).
-        """
-        u = path[-1]
-        for v in g.adj[u]:
-            if v == start and len(path) >= 3:
-                # emit once: second vertex smaller than last vertex
-                if path[1] < path[-1]:
-                    yield tuple(path)
-            elif v > start and v not in used and v not in covered:
-                used.add(v)
-                path.append(v)
-                yield from cycles_from(start, path, used, covered)
-                path.pop()
-                used.remove(v)
-
-    def rec(v, covered):
+    def rec(v, j, x):
+        """Decide the vertices from v on; x carries the decided factors."""
         nonlocal emitted
-        if v == g.n:
+        while v < n and covered[v]:
+            v += 1
+        if v == n:
             emitted += 1
             if emitted > budget:
                 raise BudgetError(f"more than {budget} decompositions")
-            yield ()
-            return
-        if v in covered:
-            yield from rec(v + 1, covered)
+            leaf(j, x, parts)
             return
         # v stays out of the decomposition
-        yield from rec(v + 1, covered)
+        rec(v + 1, j + 1, x * degree[v])
+        covered[v] = True
         # v is matched by an isolated edge
-        for u in g.adj[v]:
-            if u > v and u not in covered:
-                covered.add(u)
-                for rest in rec(v + 1, covered):
-                    yield ((v, u), None, rest)
-                covered.remove(u)
+        for u, w in nbrs[v]:
+            if u > v and not covered[u]:
+                covered[u] = True
+                parts.append((v, u))
+                rec(v + 1, j, -x * w * w)
+                parts.pop()
+                covered[u] = False
         # v is the minimum vertex of a cycle
-        for cyc in cycles_from(v, [v], {v}, covered):
-            covered.update(cyc)
-            for rest in rec(v + 1, covered):
-                yield (None, cyc, rest)
-            covered.difference_update(cyc)
+        cycles([v], j, x, 2)
+        covered[v] = False
 
-    def materialize(item):
-        edges, cycles = [], []
-        while item != ():
-            edge, cyc, item = item
-            if edge is not None:
-                edges.append(edge)
-            if cyc is not None:
-                cycles.append(cyc)
-        return Decomposition(tuple(sorted(edges)), tuple(sorted(cycles)))
+    def cycles(path, j, x, product):
+        """Close or extend a path from its minimum vertex through larger free
+        vertices; each cycle is closed in one direction only (second vertex
+        smaller than last).  product is 2 times the path's weights."""
+        start, u = path[0], path[-1]
+        for v, w in nbrs[u]:
+            if v == start:
+                if len(path) >= 3 and path[1] < u:
+                    parts.append(tuple(path))
+                    sign = -1 if len(path) % 2 == 0 else 1
+                    rec(start + 1, j, sign * x * product * w)
+                    parts.pop()
+            elif v > start and not covered[v]:
+                covered[v] = True
+                path.append(v)
+                cycles(path, j, x, product * w)
+                path.pop()
+                covered[v] = False
 
-    for item in rec(0, set()):
-        yield materialize(item)
+    rec(0, 0, 1)
+    return math.prod(degree)
+
+
+def _decomposition(parts) -> Decomposition:
+    edges = sorted(p for p in parts if len(p) == 2)
+    cycles = sorted(p for p in parts if len(p) > 2)
+    return Decomposition(tuple(edges), tuple(cycles))
+
+
+def _polynomial(sums, common: int) -> Polynomial:
+    """The u-coefficients sums[j] / P, shifted to t once."""
+    return Polynomial.from_u_coefficients([Rat(c, common) for c in sums])
+
+
+def enumerate_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET):
+    """Yield every decomposition of g exactly once, empty one included.
+
+    The walk runs to the end before the first one is yielded, so all of
+    them (at most `budget`) are held at once.
+    """
+    found = []
+    _walk(g, budget, lambda j, x, parts: found.append(_decomposition(parts)))
+    yield from found
 
 
 def decomposition_term(d: Decomposition, g: WeightedGraph) -> tuple:
     """One summand (-1)^e 2^s u^j * weights / degrees, as the pair (j, scalar).
 
-    u = t - 1 and j = n - |V(D)|.
+    u = t - 1 and j = n - |V(D)|.  The reference the integer walk is
+    tested against; the sums do not call it.
     """
     covered = d.covered_vertices()
     scalar = Rat((-1) ** d.even_cycle_count() * 2 ** d.long_cycle_count())
@@ -142,18 +185,14 @@ def decomposition_term(d: Decomposition, g: WeightedGraph) -> tuple:
     return g.n - len(covered), scalar
 
 
-def _sum_terms(terms, n: int) -> Polynomial:
-    """Sum (j, scalar) terms by power of u, then shift to t once."""
-    coeffs = [Rat(0)] * (n + 1)
-    for j, scalar in terms:
-        coeffs[j] += scalar
-    return Polynomial.from_u_coefficients(coeffs)
-
-
 def charpoly_via_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Polynomial:
     """Sum of decomposition terms; equals the exact characteristic polynomial."""
-    terms = (decomposition_term(d, g) for d in enumerate_decompositions(g, budget))
-    return _sum_terms(terms, g.n)
+    sums = [0] * (g.n + 1)
+
+    def add(j, x, parts):
+        sums[j] += x
+
+    return _polynomial(sums, _walk(g, budget, add))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +263,14 @@ def long_part_bruteforce(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Poly
 def long_terms_by_config(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> dict:
     """Long-cycle terms grouped by the (h, i, j) C-module profile."""
     grouped: dict = {}
-    for d in enumerate_decompositions(g, budget):
-        cls = classify_long(d, g)
+
+    def add(j, x, parts):
+        cls = classify_long(_decomposition(parts), g)
         if cls.is_long:
-            grouped.setdefault((cls.h, cls.i, cls.j), []).append(decomposition_term(d, g))
-    return {key: _sum_terms(terms, g.n) for key, terms in grouped.items()}
+            grouped.setdefault((cls.h, cls.i, cls.j), [0] * (g.n + 1))[j] += x
+
+    common = _walk(g, budget, add)
+    return {key: _polynomial(sums, common) for key, sums in grouped.items()}
 
 
 def long_cycle_closed_form(tau: int, ell: int, m: int, k) -> Polynomial:

@@ -15,6 +15,8 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
+BACKEND = f"{Rat.__module__}.{Rat.__name__}"  # "gmpy2.mpq" or "fractions.Fraction"
+
 
 def parse_rat(text: str) -> Rat:
     """Parse "p/q" or "p" into an exact rational."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospec.cli import main
+from cospec.rationals import Rat
 
 
 def run(capsys, *args):
@@ -115,6 +116,41 @@ def test_scan_tau3(capsys):
         w = entry["word"]
         if w.count("P") == w.count("C"):
             assert entry["edge_delta"] == 0
+
+
+def test_scan_with_skipped_pairs_exits_3(capsys):
+    code, payload, err = run(
+        capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "oracle", "--budget", "5"
+    )
+    assert code == 3
+    assert payload["summary"]["skipped"] == 9 and payload["summary"]["failures"] == 0
+    assert len(payload["entries"]) == 10
+    assert "9 skipped" in err
+
+
+def test_scan_with_oracle_skipped_inside_pairs_exits_0(capsys):
+    # under --method all the exact and transfer checks still ran on every pair
+    code, payload, _ = run(
+        capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "all", "--budget", "5"
+    )
+    assert code == 0
+    assert payload["summary"]["skipped"] == 0
+    assert any("oracle_skipped" in entry for entry in payload["entries"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--word", "PCE", "--method", "exact"],
+        ["scan", "--tau-max", "3", "--k", "1", "--method", "exact"],
+        ["charpoly", "--word", "PCE", "--method", "exact"],
+    ],
+    ids=["verify", "scan", "charpoly"],
+)
+def test_payload_names_rational_backend(capsys, argv):
+    code, payload, _ = run(capsys, *argv)
+    assert code == 0
+    assert payload["backend"] == f"{Rat.__module__}.{Rat.__name__}"
 
 
 def test_scan_bad_tau(capsys):

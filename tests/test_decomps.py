@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospec import decomps
 from cospec.decomps import (
     Decomposition,
     charpoly_via_decompositions,
@@ -66,6 +67,25 @@ def test_budget_enforced():
         list(enumerate_decompositions(ring("C" * 11)))  # n = 33 > 30
 
 
+def test_budget_counts_every_decomposition():
+    g = ring("EEE")  # a triangle has N = 5 decompositions
+    assert charpoly_via_decompositions(g, budget=5) == charpoly_exact(g)
+    with pytest.raises(BudgetError):
+        charpoly_via_decompositions(g, budget=4)
+
+
+def test_vertex_limit_raised_before_scaling(monkeypatch):
+    def scale(g):
+        raise AssertionError("weights scaled for a graph over the vertex limit")
+
+    monkeypatch.setattr(decomps, "_scale", scale)
+    g = ring("C" * 11)  # n = 33 > 30
+    for run in (charpoly_via_decompositions, long_terms_by_config,
+                lambda g: list(enumerate_decompositions(g))):
+        with pytest.raises(BudgetError):
+            run(g)
+
+
 # ------------------------------------------------------------- terms
 
 
@@ -93,6 +113,43 @@ def test_even_cycle_sign():
     assert d.even_cycle_count() == 1
     # -2 * 1 / (2*2*2*2)
     assert decomposition_term(d, g) == (0, Rat(-1, 8))
+
+
+big_weights = st.builds(Rat, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Up to 6 vertices, any edge set (isolated vertices too), weights p/q <= 10^6."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return WeightedGraph(n, [(u, v, draw(big_weights)) for u, v in chosen])
+
+
+def walk_terms(g):
+    """(decomposition, j, x / P) for every leaf of the integer walk."""
+    leaves = []
+    common = decomps._walk(
+        g, decomps.DEFAULT_BUDGET,
+        lambda j, x, parts: leaves.append((decomps._decomposition(parts), j, x)),
+    )
+    return [(d, j, Rat(x, common)) for d, j, x in leaves]
+
+
+@pytest.mark.parametrize("word,k", [("EEE", 1), ("PCE", Rat(7, 3)), ("CCC", 2),
+                                    ("PCPC", Rat(2, 5))])
+def test_walk_terms_match_decomposition_term_on_rings(word, k):
+    g = ring(word, k)
+    for d, j, scalar in walk_terms(g):
+        assert (j, scalar) == decomposition_term(d, g)
+
+
+@given(weighted_graphs())
+@settings(max_examples=40, deadline=None)
+def test_walk_terms_match_decomposition_term_on_random_graphs(g):
+    for d, j, scalar in walk_terms(g):
+        assert (j, scalar) == decomposition_term(d, g)
 
 
 # ------------------------------------------------------------- oracle sums
