@@ -34,11 +34,16 @@ from .errors import (
     PoleError,
     RecipeError,
 )
-from .graphs import assemble_ring, export_graph, subgraph_after_symmetry
+from .graphs import (
+    assemble_ring,
+    export_graph,
+    non_isomorphism_witness,
+    subgraph_after_symmetry,
+)
 from .linalg import charpoly_exact, eigenvalues_numeric
 from .rationals import BACKEND, parse_rat, rat_str
 from .transfer import charpoly_via_transfer, verify_U_conjugation
-from .words import Word, canonical_words, parse_word, toggle
+from .words import Word, is_self_toggle, parse_word, toggle, toggle_classes
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -59,46 +64,66 @@ def _eig_gap(g1, g2) -> float:
     return float(np.max(np.abs(e1 - e2)))
 
 
-def _verify_pair(w: Word, k, method: str, budget: int, tol: float) -> dict:
+def _compare(checks: dict, route: str, polys: list, exact) -> None:
+    """Record a route's checks: its polynomials on the two sides agree, and
+    on G(w) it matches the exact route (when that ran)."""
+    if len(polys) == 2:
+        checks[f"{route}_equal"] = polys[0] == polys[1]
+    if exact is not None:
+        checks[f"{route}_matches_exact"] = polys[0] == exact
+
+
+def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *,
+                 compare_trivial: bool = True) -> dict:
+    """Check G(w) against G(toggle(w)) by each route `method` names.
+
+    With compare_trivial=False a self-toggle class, whose two graphs are
+    one graph relabelled, is checked alone: each route runs on G(w) once
+    and only the cross-route checks remain.
+    """
     start = time.perf_counter()
     wt = toggle(w)
-    g1, g2 = assemble_ring(w, k), assemble_ring(wt, k)
+    trivial = is_self_toggle(w)
+    sides = (w,) if trivial and not compare_trivial else (w, wt)
+    graphs = [assemble_ring(x, k) for x in sides]
     entry = {
         "word": str(w),
         "toggled_word": str(wt),
         "k": rat_str(k),
-        "n": g1.n,
-        "edge_counts": [g1.edge_count, g2.edge_count],
+        "n": graphs[0].n,
+        "trivial": trivial,
+        "edge_counts": [g.edge_count for g in graphs],
     }
     checks = {}
-    p1 = None
+    exact = None
     if method in ("all", "exact"):
-        p1, p2 = charpoly_exact(g1), charpoly_exact(g2)
-        checks["exact_equal"] = p1 == p2
-        entry["charpoly_exact"] = p1.to_json()
+        exacts = [charpoly_exact(g) for g in graphs]
+        _compare(checks, "exact", exacts, None)
+        exact = exacts[0]
+        entry["charpoly_exact"] = exact.to_json()
     if method in ("all", "transfer"):
-        q1, q2 = charpoly_via_transfer(w, k), charpoly_via_transfer(wt, k)
-        checks["transfer_equal"] = q1 == q2
-        if p1 is not None:
-            checks["transfer_matches_exact"] = q1 == p1
-        entry["short_part"] = (q1 - long_cycle_closed_form(w.tau, w.ell, w.m, k)).to_json()
+        transfers = [charpoly_via_transfer(x, k) for x in sides]
+        _compare(checks, "transfer", transfers, exact)
+        entry["short_part"] = (transfers[0] - long_cycle_closed_form(w.tau, w.ell, w.m, k)).to_json()
     if method in ("all", "oracle"):
         try:
-            o1 = charpoly_via_decompositions(g1, budget)
-            o2 = charpoly_via_decompositions(g2, budget)
-            checks["oracle_equal"] = o1 == o2
-            if p1 is not None:
-                checks["oracle_matches_exact"] = o1 == p1
+            oracles = [charpoly_via_decompositions(g, budget) for g in graphs]
         except BudgetError as exc:
             if method == "oracle":
                 raise
-            checks["oracle_equal"] = None
+            if len(sides) == 2:
+                checks["oracle_equal"] = None
             entry["oracle_skipped"] = str(exc)
-    gap = _eig_gap(g1, g2)
-    entry["eigenvalue_gap"] = gap
-    checks["eigenvalues_agree"] = gap <= tol
-    sparse, dense = (g1, g2) if g1.edge_count <= g2.edge_count else (g2, g1)
-    entry["subgraph_sparse_in_dense"] = subgraph_after_symmetry(sparse, dense)
+        else:
+            _compare(checks, "oracle", oracles, exact)
+    if len(sides) == 2:
+        g1, g2 = graphs
+        gap = _eig_gap(g1, g2)
+        entry["eigenvalue_gap"] = gap
+        checks["eigenvalues_agree"] = gap <= tol
+        sparse, dense = (g1, g2) if g1.edge_count <= g2.edge_count else (g2, g1)
+        entry["subgraph_sparse_in_dense"] = subgraph_after_symmetry(sparse, dense)
+        entry["witness"] = non_isomorphism_witness(g1, g2)
     entry["checks"] = checks
     entry["pass"] = all(v for v in checks.values() if v is not None)
     entry["seconds"] = round(time.perf_counter() - start, 6)
@@ -119,19 +144,24 @@ def cmd_scan(args: argparse.Namespace) -> int:
     ks = [parse_rat(s) for s in _values(args.k, "--k")]
     entries = []
     failures = skipped = 0
-    for w in canonical_words(3, args.tau_max):
+    for w in toggle_classes(3, args.tau_max):
         for k in ks:
             try:
-                entry = _verify_pair(w, k, args.method, args.budget, args.tol)
+                entry = _verify_pair(w, k, args.method, args.budget, args.tol,
+                                     compare_trivial=False)
             except BudgetError as exc:
-                entries.append({"word": str(w), "k": rat_str(k), "skipped": str(exc)})
+                entries.append({"word": str(w), "k": rat_str(k),
+                                "trivial": is_self_toggle(w), "skipped": str(exc)})
                 skipped += 1
                 continue
-            entry["edge_delta"] = entry["edge_counts"][1] - entry["edge_counts"][0]
+            entry["edge_delta"] = entry["edge_counts"][-1] - entry["edge_counts"][0]
             entries.append(entry)
             if not entry["pass"]:
                 failures += 1
     checked = len(entries) - skipped
+    pairs = [e for e in entries if "witness" in e]
+    unwitnessed = [f"{e['word']}/{e['toggled_word']} (k={e['k']})"
+                   for e in pairs if e["witness"] is None]
     payload = {
         "command": "scan",
         "version": __version__,
@@ -143,12 +173,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
             "pairs_checked": checked,
             "failures": failures,
             "skipped": skipped,
-            "subgraph_hits": sum(
-                1 for e in entries if e.get("subgraph_sparse_in_dense")
-            ),
+            "trivial": sum(1 for e in entries if e["trivial"] and "skipped" not in e),
+            "witnessed": len(pairs) - len(unwitnessed),
+            "unwitnessed": len(unwitnessed),
+            "subgraph_hits": sum(1 for e in pairs if e["subgraph_sparse_in_dense"]),
         },
     }
-    _emit(payload, f"scan tau<={args.tau_max}: {checked} pairs, {failures} failures, {skipped} skipped")
+    summary = payload["summary"]
+    line = (f"scan tau<={args.tau_max}: {checked} pairs ({summary['trivial']} trivial), "
+            f"{failures} failures, {skipped} skipped, {summary['witnessed']} witnessed, "
+            f"{len(unwitnessed)} unwitnessed")
+    if unwitnessed:
+        line += ": " + ", ".join(unwitnessed)
+    _emit(payload, line)
     if failures:
         return EXIT_CHECK_FAILED
     return EXIT_BUDGET if skipped else EXIT_PASS
@@ -170,8 +207,6 @@ def cmd_blowup(args: argparse.Namespace) -> int:
     k = parse_rat(args.k)
     scale = parse_rat(args.scale)
     wt = toggle(w)
-    if wt.letters == w.letters:
-        print(f"note: {w} is its own toggle; the blowup pair is identical", file=sys.stderr)
     if scale == 1:
         if k.denominator != 1:
             raise RecipeError(f"blowup recipe needs integer k, got {rat_str(k)}")
@@ -207,6 +242,8 @@ def cmd_blowup(args: argparse.Namespace) -> int:
         "eigenvalue_gap": gap,
         "pass": ok,
     }
+    if is_self_toggle(w):
+        print(f"note: {w} is its own toggle; the blowup pair is identical", file=sys.stderr)
     _emit(payload, f"blowup {w}/{wt} (k={rat_str(k)}): {'PASS' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 

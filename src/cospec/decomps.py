@@ -262,11 +262,15 @@ def long_part_bruteforce(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Poly
 
 def long_terms_by_config(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> dict:
     """Long-cycle terms grouped by the (h, i, j) C-module profile."""
+    if g.signed is None:
+        raise ShapeError("graph does not carry ring metadata")
+    signed = set(g.signed)
     grouped: dict = {}
 
     def add(j, x, parts):
-        cls = classify_long(_decomposition(parts), g)
-        if cls.is_long:
+        # only a leaf with a cycle through every signed vertex is classified
+        if any(len(p) > 2 and signed <= set(p) for p in parts):
+            cls = classify_long(_decomposition(parts), g)
             grouped.setdefault((cls.h, cls.i, cls.j), [0] * (g.n + 1))[j] += x
 
     common = _walk(g, budget, add)

@@ -208,6 +208,44 @@ def subgraph_after_symmetry(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     return False
 
 
+def non_isomorphism_witness(g1: WeightedGraph, g2: WeightedGraph) -> Optional[str]:
+    """Why g1 and g2 are not isomorphic as weighted graphs, or None if unshown.
+
+    "edge_count" when the edge counts differ, else "wl" when 1-WL colour
+    refinement separates them.  Isomorphic graphs get None, since an
+    isomorphism preserves every colour histogram.
+    """
+    if g1.edge_count != g2.edge_count:
+        return "edge_count"
+    return "wl" if _wl_separates(g1, g2) else None
+
+
+def _wl_separates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
+    """1-WL colour refinement on both graphs in lockstep: a vertex starts
+    with its weighted degree, and each round its colour becomes its old
+    colour plus the sorted (weight, colour) pairs of its neighbours.  Colours
+    are interned in one table, so equal colours mean equal refinement
+    histories; True iff the histograms differ at some round."""
+    table: dict = {}
+    colours = [[table.setdefault(d, len(table)) for d in g.degrees] for g in (g1, g2)]
+    for _ in range(max(g1.n, g2.n)):
+        if sorted(colours[0]) != sorted(colours[1]):
+            return True
+        classes = len(set(colours[0]))
+        colours = [
+            [
+                table.setdefault(
+                    (c[v], tuple(sorted((w, c[u]) for u, w in g.adj[v].items()))), len(table)
+                )
+                for v in range(g.n)
+            ]
+            for g, c in zip((g1, g2), colours)
+        ]
+        if len(set(colours[0])) == classes:
+            break
+    return sorted(colours[0]) != sorted(colours[1])
+
+
 def export_graph(g: WeightedGraph, format: str) -> str:
     """Serialize deterministically as DOT, JSON, or edge-list CSV."""
     fmt = format.strip().lower()

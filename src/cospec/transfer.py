@@ -20,6 +20,7 @@ gives (t - 1)^n tr(prod); the division must be exact and leave degree
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -205,13 +206,17 @@ def _y_table(kind: str, k):
     return [[tuple(m[i][j] for m in by_power) for j in range(2)] for i in range(2)]
 
 
-def _integral(table):
-    """(d, d * table) for the least common denominator d, entries as ints."""
-    den = math.lcm(*(int(c.denominator) for row in table for entry in row for c in entry))
-    return den, [
-        [[int(c.numerator) * (den // int(c.denominator)) for c in entry] for entry in row]
-        for row in table
-    ]
+@functools.lru_cache(maxsize=64)
+def _integral_block(table, kind: str, k):
+    """(d, d * table(kind, k)) for the least common denominator d, entries as
+    ints in nested tuples: built once per (table, kind, k) and shared by
+    every caller, so it must stay immutable."""
+    entries = table(kind, k)
+    den = math.lcm(*(int(c.denominator) for row in entries for entry in row for c in entry))
+    return den, tuple(
+        tuple(tuple(int(c.numerator) * (den // int(c.denominator)) for c in entry) for entry in row)
+        for row in entries
+    )
 
 
 def _poly_mat_mul(a, b):
@@ -242,7 +247,7 @@ def _short_kernel(w: Word, k, table) -> Polynomial:
     scale.  Raises CertificateError unless it is u^{4 tau - n} times a
     polynomial of degree <= n, i.e. unless (t-1)^n clears every denominator.
     """
-    blocks = {kind: _integral(table(kind, k)) for kind in set(w.letters)}
+    blocks = {kind: _integral_block(table, kind, k) for kind in set(w.letters)}
     scale, prod = 1, None
     for letter in w:
         den, block = blocks[letter]

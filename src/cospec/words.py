@@ -88,6 +88,12 @@ def canonical_form(w: Word) -> Word:
     return Word(min(_variants(w)))
 
 
+def is_self_toggle(w: Word) -> bool:
+    """True iff toggle(w) is a rotation or reflected rotation of w, so that
+    G(w) and G(toggle(w)) are the same graph up to relabelling."""
+    return canonical_form(toggle(w)) == canonical_form(w)
+
+
 def all_words(tau: int):
     """All 3^tau words of length tau, in lexicographic order."""
     for letters in itertools.product(ALPHABET, repeat=tau):
@@ -103,3 +109,14 @@ def canonical_words(tau_min: int, tau_max: int):
             if c.letters not in seen:
                 seen.add(c.letters)
                 yield c
+
+
+def toggle_classes(tau_min: int, tau_max: int):
+    """One canonical word per unordered pair {w, toggle(w)} of classes, in
+    canonical_words order: a class is left out when its toggle partner's
+    class came earlier.  A self-toggle class is its own pair."""
+    partners = set()
+    for w in canonical_words(tau_min, tau_max):
+        if w not in partners:
+            partners.add(canonical_form(toggle(w)))
+            yield w

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospec.cli import main
+from cospec.graphs import assemble_ring
+from cospec.linalg import charpoly_exact
 from cospec.rationals import Rat
+from cospec.words import canonical_form, canonical_words, is_self_toggle, parse_word, toggle
 
 
 def run(capsys, *args):
@@ -109,7 +112,9 @@ def test_verify_oracle_budget(capsys):
 def test_scan_tau3(capsys):
     code, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "exact")
     assert code == 0
-    assert payload["summary"]["pairs_checked"] == 10
+    # 10 classes: EEE and CEP toggle to themselves, the other 8 form 4 pairs
+    assert payload["summary"]["pairs_checked"] == 6
+    assert payload["summary"]["trivial"] == 2
     assert payload["summary"]["failures"] == 0
     # words with ell == m give zero edge delta
     for entry in payload["entries"]:
@@ -123,9 +128,80 @@ def test_scan_with_skipped_pairs_exits_3(capsys):
         capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "oracle", "--budget", "5"
     )
     assert code == 3
-    assert payload["summary"]["skipped"] == 9 and payload["summary"]["failures"] == 0
-    assert len(payload["entries"]) == 10
-    assert "9 skipped" in err
+    assert payload["summary"]["skipped"] == 5 and payload["summary"]["failures"] == 0
+    assert len(payload["entries"]) == 6
+    assert "5 skipped" in err
+
+
+def test_scan_one_entry_per_unordered_pair_and_k(capsys):
+    code, payload, err = run(
+        capsys, "scan", "--tau-max", "5", "--k", "1,7/3", "--method", "transfer"
+    )
+    assert code == 0
+    entries = payload["entries"]
+    # 70 classes: 12 toggle to themselves, the other 58 form 29 pairs
+    assert len(entries) == 2 * (12 + 29)
+    for k in ("1/1", "7/3"):
+        covered = []
+        for e in entries:
+            if e["k"] == k:
+                w = parse_word(e["word"])
+                assert e["trivial"] == is_self_toggle(w)
+                covered += {canonical_form(w).letters, canonical_form(toggle(w)).letters}
+        assert sorted(covered) == sorted(c.letters for c in canonical_words(3, 5))
+    summary = payload["summary"]
+    assert (summary["pairs_checked"], summary["trivial"], summary["witnessed"],
+            summary["unwitnessed"], summary["failures"]) == (82, 24, 58, 0, 0)
+    witnesses = [e["witness"] for e in entries if not e["trivial"]]
+    assert (witnesses.count("edge_count"), witnesses.count("wl")) == (56, 2)
+    assert "24 trivial" in err and "58 witnessed, 0 unwitnessed" in err
+
+
+def test_scan_unwitnessed_pair_is_counted_and_named(capsys, monkeypatch):
+    monkeypatch.setattr("cospec.cli.non_isomorphism_witness", lambda g1, g2: None)
+    code, payload, err = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "exact")
+    assert code == 0
+    assert (payload["summary"]["witnessed"], payload["summary"]["unwitnessed"]) == (0, 4)
+    assert "4 unwitnessed: PPP/CCC (k=1/1), " in err
+
+
+def test_scan_trivial_entry_checks_one_graph(capsys):
+    code, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "2", "--method", "all")
+    assert code == 0
+    trivial = [e for e in payload["entries"] if e["trivial"]]
+    assert [e["word"] for e in trivial] == ["CEP", "EEE"]
+    for e in trivial:
+        g = assemble_ring(parse_word(e["word"]), 2)
+        assert e["edge_counts"] == [g.edge_count] and e["edge_delta"] == 0
+        assert e["checks"] == {"transfer_matches_exact": True, "oracle_matches_exact": True}
+        assert e["pass"] is True
+        assert e["charpoly_exact"] == charpoly_exact(g).to_json()
+        assert "short_part" in e
+        assert not {"eigenvalue_gap", "subgraph_sparse_in_dense", "witness"} & set(e)
+    assert payload["summary"]["subgraph_hits"] == sum(
+        1 for e in payload["entries"] if e.get("subgraph_sparse_in_dense"))
+
+
+def test_scan_pair_entry_equals_verify(capsys):
+    code, payload, _ = run(capsys, "scan", "--tau-max", "4", "--k", "7/3", "--method", "all")
+    assert code == 0
+    pairs = [e for e in payload["entries"] if not e["trivial"]]
+    assert len(pairs) == 12
+    for e in pairs:
+        code, verified, _ = run(capsys, "verify", "--word", e["word"], "--k", "7/3")
+        assert code == 0
+        result = verified["result"]
+        for key in ("toggled_word", "edge_counts", "charpoly_exact", "short_part",
+                    "checks", "witness", "subgraph_sparse_in_dense", "pass"):
+            assert e[key] == result[key], (e["word"], key)
+
+
+def test_verify_self_toggle_runs_every_check(capsys):
+    code, payload, _ = run(capsys, "verify", "--word", "PCEE", "--k", "1", "--method", "exact")
+    assert code == 0
+    result = payload["result"]
+    assert result["trivial"] is True and result["witness"] is None
+    assert result["checks"] == {"exact_equal": True, "eigenvalues_agree": True}
 
 
 def test_scan_with_oracle_skipped_inside_pairs_exits_0(capsys):
@@ -191,6 +267,13 @@ def test_blowup_identity_warns(capsys):
     code, payload, err = run(capsys, "blowup", "--word", "EEE", "--k", "1")
     assert code == 0
     assert "own toggle" in err
+
+
+def test_blowup_warns_on_a_reflected_rotation(capsys):
+    # PCEE toggles to CPEE, a reflected rotation of it
+    code, payload, err = run(capsys, "blowup", "--word", "PCEE", "--k", "1")
+    assert code == 0
+    assert "note: PCEE is its own toggle" in err
 
 
 def test_blowup_obstruction(capsys):

@@ -11,12 +11,13 @@ from cospec.graphs import (
     assemble_ring,
     build_module_gadget,
     export_graph,
+    non_isomorphism_witness,
     normalized_laplacian,
     random_walk_matrix,
     subgraph_after_symmetry,
 )
 from cospec.rationals import Rat
-from cospec.words import parse_word
+from cospec.words import is_self_toggle, parse_word, toggle, toggle_classes
 
 words = st.text(alphabet="PCE", min_size=3, max_size=8).map(parse_word)
 ks = st.sampled_from([Rat(1), Rat(2), Rat(1, 2), Rat(7, 3)])
@@ -213,3 +214,55 @@ def test_export_unknown_format():
 def test_export_deterministic():
     g = ring("PPCCPPPC")
     assert export_graph(g, "json") == export_graph(ring("PPCCPPPC"), "json")
+
+
+# ------------------------------------------------------ non-isomorphism witness
+
+
+def toggle_pairs(tau_max, k):
+    for w in toggle_classes(3, tau_max):
+        if not is_self_toggle(w):
+            yield w, assemble_ring(w, k), assemble_ring(toggle(w), k)
+
+
+@pytest.mark.parametrize("k", [Rat(1), Rat(2), Rat(7, 3)])
+def test_every_toggle_pair_has_a_witness(k):
+    witnesses = [non_isomorphism_witness(g1, g2) for _, g1, g2 in toggle_pairs(7, k)]
+    assert (witnesses.count("edge_count"), witnesses.count("wl"), len(witnesses)) == (148, 13, 161)
+
+
+def test_wl_separates_equal_edge_counts():
+    g1, g2 = ring("CECPP"), ring("PEPCC")
+    assert g1.edge_count == g2.edge_count == 15
+    assert non_isomorphism_witness(g1, g2) == "wl"
+
+
+@given(words, ks, st.randoms(use_true_random=False))
+def test_no_witness_for_a_relabelled_graph(w, k, rnd):
+    # an isomorphic copy: vertices permuted, and the ring rotated and reflected
+    g = assemble_ring(w, k)
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    shuffled = WeightedGraph(g.n, [(perm[u], perm[v], x) for u, v, x in g.edges()])
+    i = rnd.randrange(w.tau)
+    turned = assemble_ring(parse_word((w.letters[i:] + w.letters[:i])[::-1]), k)
+    assert non_isomorphism_witness(g, shuffled) is None
+    assert non_isomorphism_witness(g, turned) is None
+
+
+@pytest.mark.parametrize("k", [Rat(1), Rat(7, 3)])
+def test_witnessed_pairs_are_not_isomorphic(k):
+    nx = pytest.importorskip("networkx")
+
+    def as_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_weighted_edges_from(g.edges())
+        return h
+
+    same_weight = nx.algorithms.isomorphism.categorical_edge_match("weight", None)
+    pairs = list(toggle_pairs(6, k))
+    assert len(pairs) == 69
+    for w, g1, g2 in pairs:
+        assert non_isomorphism_witness(g1, g2) is not None
+        assert not nx.is_isomorphic(as_nx(g1), as_nx(g2), edge_match=same_weight), w

@@ -3,6 +3,8 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospec import transfer
+from cospec.cli import main
 from cospec.errors import (
     CertificateError,
     IdentityCheckError,
@@ -157,7 +159,16 @@ def test_short_part_matches_pointwise_products(w, k):
         assert via_qx(t) == via_y(t) == (t - 1) ** w.n * qx
 
 
-def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch):
+@pytest.fixture
+def fresh_blocks():
+    """Integer blocks cached before a test that patches the tables would hide
+    the patch, and blocks built from the patch must not outlive the test."""
+    transfer._integral_block.cache_clear()
+    yield
+    transfer._integral_block.cache_clear()
+
+
+def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch, fresh_blocks):
     # u^4 X = constant means X ~ u^-4: (t-1)^n cannot clear tau such factors
     one, zero = Rat(1), Rat(0)
     monkeypatch.setattr(
@@ -165,6 +176,23 @@ def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch):
     )
     with pytest.raises(CertificateError):
         short_part(parse_word("PCE"), 1)
+
+
+def test_blocks_built_once_per_table_kind_and_k(capsys, fresh_blocks):
+    k = Rat(5, 7)
+    ws = [parse_word(s) for s in ("PCE", "PPCCE", "EEE", "CCCPEP")]
+    polys = [(short_part(w, k), short_part_via_Y(w, k)) for w in ws]
+    # blocks served from the cache give the same polynomials
+    assert [(short_part(w, k), short_part_via_Y(w, k)) for w in ws] == polys
+    assert transfer._integral_block.cache_info().misses == 2 * 3
+    assert all(p == q for p, q in polys)
+    den, block = transfer._integral_block(transfer._qx_table, "P", k)
+    assert isinstance(block, tuple) and all(isinstance(row, tuple) for row in block)
+    # a one-k scan builds each of the three kinds' blocks once
+    transfer._integral_block.cache_clear()
+    assert main(["scan", "--tau-max", "4", "--k", "3/7", "--method", "transfer"]) == 0
+    capsys.readouterr()
+    assert transfer._integral_block.cache_info().misses == 3
 
 
 def test_charpoly_via_transfer_postcondition_raises(monkeypatch):

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cospec.errors import AlphabetError, LengthError
+from cospec.graphs import assemble_ring, non_isomorphism_witness, subgraph_after_symmetry
 from cospec.words import (
     Word,
     all_words,
     canonical_form,
     canonical_words,
     cyclic_equivalent,
+    is_self_toggle,
     parse_word,
     toggle,
+    toggle_classes,
 )
 
 words = st.text(alphabet="PCE", min_size=3, max_size=10).map(Word)
@@ -106,3 +109,35 @@ def test_canonical_constant_on_class(w, shift, flip):
     v = Word(s[shift:] + s[:shift])
     assert cyclic_equivalent(w, v)
     assert canonical_form(v) == canonical_form(w)
+
+
+def test_toggle_classes_cover_each_class_once():
+    covered = []
+    for w in toggle_classes(3, 7):
+        partner = canonical_form(toggle(w))
+        covered += [w] if partner == w else [w, partner]
+    assert sorted(c.letters for c in covered) == sorted(c.letters for c in canonical_words(3, 7))
+    assert len(covered) == len(set(covered)) == 360
+
+
+def test_toggle_classes_keep_canonical_order():
+    assert [str(w) for w in toggle_classes(3, 3)] == ["PPP", "CPP", "EPP", "CEP", "EEP", "EEE"]
+
+
+def test_self_toggle_classes_tau7():
+    # 38 of the 360 classes toggle to themselves; their two graphs are one
+    # graph relabelled (an embedding between equal edge counts), so no
+    # witness may separate them
+    trivial = [w for w in canonical_words(3, 7) if is_self_toggle(w)]
+    assert len(trivial) == 38
+    assert {"EEE", "CEP", "CEEP", "CPCP"} <= {w.letters for w in trivial}
+    for w in trivial:
+        g, gt = assemble_ring(w, 2), assemble_ring(toggle(w), 2)
+        assert g.edge_count == gt.edge_count
+        assert subgraph_after_symmetry(g, gt)
+        assert non_isomorphism_witness(g, gt) is None
+
+
+@given(words)
+def test_is_self_toggle_is_a_class_property(w):
+    assert is_self_toggle(w) == is_self_toggle(canonical_form(w)) == is_self_toggle(toggle(w))
