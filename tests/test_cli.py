@@ -6,6 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospec import cli
 from cospec.cli import main
 from cospec.graphs import assemble_ring
 from cospec.linalg import charpoly_exact
@@ -128,9 +129,27 @@ def test_scan_with_skipped_pairs_exits_3(capsys):
         capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "oracle", "--budget", "5"
     )
     assert code == 3
-    assert payload["summary"]["skipped"] == 5 and payload["summary"]["failures"] == 0
+    # the 4 pairs are skipped; the 2 trivial entries never run the oracle
+    assert payload["summary"]["skipped"] == 4 and payload["summary"]["failures"] == 0
     assert len(payload["entries"]) == 6
-    assert "5 skipped" in err
+    assert "4 skipped" in err
+
+
+@pytest.mark.parametrize("method, calls", [("oracle", 8), ("all", 10), ("exact", 0)])
+def test_scan_runs_the_oracle_on_a_trivial_entry_only_when_a_check_reads_it(
+        capsys, monkeypatch, method, calls):
+    seen = []
+    oracle = cli.charpoly_via_decompositions
+    monkeypatch.setattr(cli, "charpoly_via_decompositions",
+                        lambda g, budget: seen.append(g.word) or oracle(g, budget))
+    code, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", method)
+    assert code == 0
+    # 4 pairs run it on both sides; CEP and EEE only for oracle_matches_exact
+    assert len(seen) == calls
+    for e in payload["entries"]:
+        if e["trivial"]:
+            assert e["checks"] == ({"transfer_matches_exact": True, "oracle_matches_exact": True}
+                                   if method == "all" else {})
 
 
 def test_scan_one_entry_per_unordered_pair_and_k(capsys):

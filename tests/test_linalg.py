@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospec import linalg
 from cospec.decomps import charpoly_via_decompositions
-from cospec.errors import CertificateError, DegreeError
+from cospec.errors import CertificateError, DegreeError, ParameterError
 from cospec.graphs import WeightedGraph, assemble_ring, random_walk_matrix
 from cospec.linalg import (
     charpoly_exact,
@@ -111,9 +113,9 @@ def test_charpoly_rejects_isolated():
 def test_charpoly_postcondition_raises(monkeypatch):
     # the kernel's output is monic of degree n whatever it computes, so
     # corrupt what the postcondition can see: det L and tr L
-    kernel = linalg._berkowitz
+    kernel = linalg._charpoly_integer
     for corrupt in (lambda b: [b[0] + 1] + b[1:], lambda b: b[:-2] + [b[-2] + 1, b[-1]]):
-        monkeypatch.setattr(linalg, "_berkowitz", lambda m: corrupt(kernel(m)))
+        monkeypatch.setattr(linalg, "_charpoly_integer", lambda m: corrupt(kernel(m)))
         with pytest.raises(CertificateError):
             charpoly_exact(ring("EEE"))
 
@@ -174,6 +176,150 @@ def test_charpolys_match_determinants_on_random_graphs(g):
         assert q(x) == det_rational(shifted(walk, x, -1))
     if g.n <= 7:  # weighted K7 has 2,461 decompositions; K9 has 152,531
         assert charpoly_via_decompositions(g) == p
+
+
+# ---------------------------------------------------------------- the multi-modular kernel
+
+
+def berkowitz(m) -> list:
+    """Integer coefficients of det(xI - m), constant term first: the
+    reference for the multi-modular kernel.
+
+    Berkowitz's division-free algorithm (1984): with m = [[a, R], [C, A]],
+    det(xI - m) is the lower-triangular Toeplitz matrix with first column
+    (1, -a, -RC, -RAC, ..., -RA^{s-1}C) applied to the coefficients of
+    det(xI - A), where A is s x s.  Peeling one row and column at a time
+    from the bottom right needs only integer products.
+    """
+    n = len(m)
+    p = [1]  # det(xI - A) for the trailing block A, highest power first
+    for r in range(n - 1, -1, -1):
+        top = m[r][r + 1:]
+        block = [row[r + 1:] for row in m[r + 1:]]
+        v = [row[r] for row in m[r + 1:]]
+        col = [1, -m[r][r]]
+        for _ in range(n - r - 1):
+            col.append(-sum(x * y for x, y in zip(top, v)))
+            v = [sum(x * y for x, y in zip(row, v)) for row in block]
+        p = [
+            sum(col[i - j] * p[j] for j in range(min(i, len(p) - 1) + 1))
+            for i in range(len(p) + 1)
+        ]
+    return p[::-1]
+
+
+def kernel_moduli(m):
+    return linalg._moduli(linalg._coefficient_bound(m))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices: sparse or dense, entries up to 2^300 in
+    size, with zero columns below the diagonal and singular ones drawn often."""
+    n = draw(st.integers(0, 8))
+    size = draw(st.sampled_from([3, 40, 140, 300]))
+    entry = st.integers(-(2**size), 2**size)
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    m = [
+        [draw(entry) if draw(st.floats(0, 1)) < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+    if n >= 3 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 3))
+        for row in m[k + 1:]:  # column k is zero below the diagonal
+            row[k] = 0
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        m[j] = [draw(st.integers(-3, 3)) * x for x in m[i]]  # rank drops
+    return m
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_kernel_equals_berkowitz(m):
+    assert linalg._charpoly_integer(m) == berkowitz(m)
+
+
+@pytest.mark.parametrize("bits, moduli_bits", [
+    (10, (61,)), (30, (127,)), (37, (61, 89)), (50, (89, 127)), (100, (521,)),
+    (200, (521, 607)),
+])
+def test_kernel_wide_coefficients_take_several_or_wide_moduli(bits, moduli_bits):
+    # diagonal entries +-2^bits meet the bound, and unit entries off the
+    # diagonal leave it unchanged: |det| is about 2^(4 bits), so every
+    # modulus of the set is needed
+    m = [[(-1) ** i * 2**bits if i == j else int(j == (i + 1) % 4) for j in range(4)]
+         for i in range(4)]
+    assert tuple(p.bit_length() for p in kernel_moduli(m)) == moduli_bits
+    assert linalg._charpoly_integer(m) == berkowitz(m)
+
+
+def test_moduli_are_the_first_set_over_twice_the_bound():
+    sets = linalg._MODULUS_SETS
+    products = [math.prod(s) for s in sets]
+    assert products == sorted(products)
+    assert all(s[0] != linalg._CHECK_PRIME for s in sets)
+    for bits in range(1, 2000, 7):
+        bound = 2**bits - 1
+        moduli = linalg._moduli(bound)
+        i = sets.index(moduli)
+        assert math.prod(moduli) > 2 * bound and (i == 0 or products[i - 1] <= 2 * bound)
+    with pytest.raises(ParameterError):
+        linalg._moduli(products[-1])
+
+
+def lucas_lehmer(e: int) -> bool:
+    m, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def test_moduli_are_mersenne_primes():
+    primes = set(linalg._SMALL_PRIMES + linalg._LARGE_PRIMES) | {linalg._CHECK_PRIME}
+    for p in primes:
+        e = p.bit_length()
+        assert p == (1 << e) - 1
+        if e <= 4423:  # Lucas-Lehmer beyond that takes seconds each
+            assert lucas_lehmer(e)
+    assert not lucas_lehmer(67)  # 2^67 - 1 = 193707721 * 761838257287
+
+
+# n = 38; its bound takes the moduli 2^61 - 1 and 2^107 - 1, and its
+# coefficients need both: they reach 121 bits
+WIDE = "CCEECECPEECPPPPP"
+
+
+def test_corrupt_residue_fails_the_point_certificate(monkeypatch):
+    m = [[(i * 7 + j * 3) % 11 - 5 for j in range(6)] for i in range(6)]
+    g = ring(WIDE, Rat(7, 3))
+    kernel = linalg._charpoly_mod
+    for index in (0, 3, 6):
+        def corrupt(m, p, index=index):
+            residues = kernel(m, p)
+            if p == linalg._SMALL_PRIMES[0]:
+                residues[index] = (residues[index] + 1) % p
+            return residues
+        monkeypatch.setattr(linalg, "_charpoly_mod", corrupt)
+        with pytest.raises(CertificateError, match="disagrees with det"):
+            linalg._charpoly_integer(m)
+        with pytest.raises(CertificateError):
+            charpoly_exact(g)
+
+
+def test_one_modulus_too_few_fails_the_point_certificate(monkeypatch):
+    m = [[x * 10**9 for x in row] for row in
+         [[2, 1, 0, 0, 3], [1, -4, 5, 0, 0], [0, 2, 7, 1, 0], [0, 0, 1, 9, 2], [6, 0, 0, 3, 1]]]
+    assert len(kernel_moduli(m)) == 2
+    g = ring(WIDE, Rat(7, 3))
+    moduli = linalg._moduli
+    for drop in (0, -1):
+        monkeypatch.setattr(linalg, "_moduli", lambda bound: tuple(
+            p for i, p in enumerate(moduli(bound)) if i != drop % len(moduli(bound))))
+        with pytest.raises(CertificateError, match="disagrees with det"):
+            linalg._charpoly_integer(m)
+        with pytest.raises(CertificateError):
+            charpoly_exact(g)
 
 
 # ---------------------------------------------------------------- eigenvalues
