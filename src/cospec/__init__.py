@@ -37,7 +37,6 @@ from .rationals import Rat
 from .transfer import (
     charpoly_via_transfer,
     short_part,
-    short_part_via_Y,
     verify_U_conjugation,
 )
 from .words import Word, canonical_form, cyclic_equivalent, parse_word, toggle
@@ -55,6 +54,6 @@ __all__ = [
     "Polynomial",
     "Rat",
     "charpoly_via_transfer",
-    "short_part", "short_part_via_Y", "verify_U_conjugation",
+    "short_part", "verify_U_conjugation",
     "Word", "canonical_form", "cyclic_equivalent", "parse_word", "toggle",
 ]

@@ -23,7 +23,7 @@ from .blowup import (
     simple_blowup_recipe,
     solve_uniform_multiplicities,
 )
-from .decomps import DEFAULT_BUDGET, charpoly_via_decompositions, long_cycle_closed_form
+from .decomps import DEFAULT_BUDGET, charpoly_via_decompositions
 from .errors import (
     BudgetError,
     CertificateError,
@@ -104,9 +104,10 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *,
         exact = exacts[0]
         entry["charpoly_exact"] = exact.to_json()
     if method in ("all", "transfer"):
-        transfers = [charpoly_via_transfer(x, k) for x in sides]
+        first, short = charpoly_via_transfer(w, k, with_short_part=True)
+        transfers = [first] + [charpoly_via_transfer(x, k) for x in sides[1:]]
         _compare(checks, "transfer", transfers, exact)
-        entry["short_part"] = (transfers[0] - long_cycle_closed_form(w.tau, w.ell, w.m, k)).to_json()
+        entry["short_part"] = short.to_json()
     # a trivial entry reads the oracle only through oracle_matches_exact
     if method in ("all", "oracle") and (len(sides) == 2 or exact is not None):
         try:

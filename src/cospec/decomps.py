@@ -154,7 +154,7 @@ def _decomposition(parts) -> Decomposition:
 
 def _polynomial(sums, common: int) -> Polynomial:
     """The u-coefficients sums[j] / P, shifted to t once."""
-    return Polynomial.from_u_coefficients([Rat(c, common) for c in sums])
+    return Polynomial.from_u_coefficients(sums, common)
 
 
 def enumerate_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET):
@@ -277,15 +277,21 @@ def long_terms_by_config(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> dict
     return {key: _polynomial(sums, common) for key, sums in grouped.items()}
 
 
-def long_cycle_closed_form(tau: int, ell: int, m: int, k) -> Polynomial:
-    """Closed form of the long-cycle part for a ring with counts (tau, ell, m)."""
+def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:
+    """The long-cycle part for a ring with counts (tau, ell, m) as the
+    monomial (c, j), meaning c * (t - 1)^j."""
     k = Rat(k)
     if tau < 3 or ell < 0 or m < 0 or ell + m > tau:
         raise ParameterError(f"invalid counts tau={tau}, ell={ell}, m={m}")
     if k <= 0:
         raise ParameterError(f"k must be positive, got {k}")
-    scalar = Rat((-1) ** (tau - 1)) / (Rat(2) ** (tau - 1) * (k + 1) ** (m + ell))
-    return Polynomial.t_minus_one_power(2 * (m + ell)).scale(scalar)
+    return Rat((-1) ** (tau - 1)) / (Rat(2) ** (tau - 1) * (k + 1) ** (m + ell)), 2 * (m + ell)
+
+
+def long_cycle_closed_form(tau: int, ell: int, m: int, k) -> Polynomial:
+    """Closed form of the long-cycle part for a ring with counts (tau, ell, m)."""
+    scalar, j = long_cycle_monomial(tau, ell, m, k)
+    return Polynomial.t_minus_one_power(j).scale(scalar)
 
 
 def long_cycle_multinomial_term(tau: int, ell: int, m: int, k, h: int, i: int, j: int) -> Polynomial:

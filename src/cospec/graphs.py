@@ -58,7 +58,8 @@ class WeightedGraph:
                 raise ShapeError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ShapeError(f"edge ({u},{v}) out of range for n={self.n}")
-            w = Rat(w)
+            if not isinstance(w, Rat):
+                w = Rat(w)
             if w <= 0:
                 raise ParameterError(f"edge ({u},{v}) has non-positive weight {w}")
             key = (u, v) if u < v else (v, u)
@@ -67,7 +68,16 @@ class WeightedGraph:
             self.weights[key] = w
             self.adj[u][v] = w
             self.adj[v][u] = w
-        self.degrees = [sum(self.adj[i].values(), Rat(0)) for i in range(self.n)]
+        # weights and degrees times the lcm of the weight denominators, as ints
+        scale = math.lcm(*(int(w.denominator) for w in self.weights.values()))
+        self.scaled_weights = {
+            key: int(w.numerator) * (scale // int(w.denominator)) for key, w in self.weights.items()
+        }
+        self.scaled_degrees = [0] * self.n
+        for (u, v), x in self.scaled_weights.items():
+            self.scaled_degrees[u] += x
+            self.scaled_degrees[v] += x
+        self.degrees = [Rat(d, scale) for d in self.scaled_degrees]
         # ring metadata (None for graphs not built by assemble_ring)
         self.word = word
         self.k = Rat(k) if k is not None else None
@@ -88,7 +98,7 @@ class WeightedGraph:
             yield u, v, self.weights[(u, v)]
 
     def has_isolated_vertex(self) -> bool:
-        return any(d == 0 for d in self.degrees)
+        return 0 in self.scaled_degrees
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -125,9 +135,10 @@ def assemble_ring(w: Word, k) -> WeightedGraph:
             next_id += 2
         else:
             unsigned.append(None)
+    gadgets = {kind: build_module_gadget(kind, k) for kind in set(w.letters)}
     edges = []
     for i, letter in enumerate(w):
-        gadget = build_module_gadget(letter, k)
+        gadget = gadgets[letter]
         labels = {"+": signed[i], "-": signed[(i + 1) % tau]}
         if unsigned[i] is not None:
             labels["a"], labels["b"] = unsigned[i]
@@ -136,20 +147,18 @@ def assemble_ring(w: Word, k) -> WeightedGraph:
     return WeightedGraph(next_id, edges, word=w, k=k, signed=signed, unsigned=unsigned)
 
 
-def laplacian_entry_squared(g: WeightedGraph, u: int, v: int):
-    """Exact rational w(u,v)^2 / (d_u d_v) for an edge; scaling-invariant."""
-    w = g.weight(u, v)
-    return w * w / (g.degrees[u] * g.degrees[v])
-
-
 def normalized_laplacian(g: WeightedGraph) -> np.ndarray:
-    """Dense symmetric L: 1 on the diagonal, -w(u,v)/sqrt(d_u d_v) on edges."""
+    """Dense symmetric L: 1 on the diagonal, -w(u,v)/sqrt(d_u d_v) on edges.
+
+    The entries come from the integer-scaled weights: W^2 / (D_u D_v) is an
+    int/int true division, rounded once, as float(Fraction) rounds it.
+    """
     if g.has_isolated_vertex():
         raise DegreeError("graph has an isolated vertex")
     L = np.eye(g.n)
-    for u, v, _ in g.edges():
-        entry = -math.sqrt(float(laplacian_entry_squared(g, u, v)))
-        L[u, v] = L[v, u] = entry
+    d = g.scaled_degrees
+    for (u, v), x in g.scaled_weights.items():
+        L[u, v] = L[v, u] = -math.sqrt(x * x / (d[u] * d[v]))
     return L
 
 

@@ -310,7 +310,7 @@ def charpoly_exact(g: WeightedGraph) -> Polynomial:
     det L = 0 and tr L = n.
     """
     coeffs, scale = _walk_charpoly(g, -1)
-    poly = Polynomial.from_u_coefficients(coeffs).scale(Rat(1, scale))
+    poly = Polynomial.from_u_coefficients(coeffs, scale)
     n = g.n
     if poly.coefficient(0) != 0 or poly.coefficient(n - 1) != -n:
         raise CertificateError(
@@ -323,7 +323,7 @@ def charpoly_exact(g: WeightedGraph) -> Polynomial:
 def charpoly_random_walk(g: WeightedGraph) -> Polynomial:
     """Exact characteristic polynomial of the transition matrix D^{-1}A."""
     coeffs, scale = _walk_charpoly(g, 1)
-    return Polynomial(coeffs).scale(Rat(1, scale))
+    return Polynomial([Rat(c, scale) for c in coeffs])
 
 
 def eigenvalues_numeric(g: WeightedGraph) -> np.ndarray:

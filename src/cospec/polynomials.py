@@ -15,7 +15,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Rat(c) for c in coeffs]
+        cs = [c if isinstance(c, Rat) else Rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -30,17 +30,18 @@ class Polynomial:
         return cls([(-1) ** (j - i) * math.comb(j, i) for i in range(j + 1)])
 
     @classmethod
-    def from_u_coefficients(cls, coeffs) -> "Polynomial":
-        """The polynomial sum_i coeffs[i] * (t - 1)^i, by a Taylor shift.
+    def from_u_coefficients(cls, coeffs, den=1) -> "Polynomial":
+        """The polynomial sum_i coeffs[i] * (t - 1)^i / den, by a Taylor shift.
 
         Pascal-triangle form of the binomial expansion: only additions,
-        so integer coefficients stay integers until the final conversion.
+        so integer coefficients stay integers until the one division by
+        den per coefficient.
         """
         a = list(coeffs)
         for i in range(len(a) - 1):
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] -= a[j + 1]
-        return cls(a)
+        return cls(a if den == 1 else [Rat(c, den) for c in a])
 
     @property
     def degree(self) -> int:

@@ -10,10 +10,16 @@ compresses everything to 2x2 blocks Y_*, and the matrix U intertwines
 Y_P with Y_C while commuting with Y_E, which forces trace invariance
 under toggling.
 
-The short part is computed symbolically in u = t - 1.  Every entry of
-u^4 Q X_kind and of u^4 Y_kind is a polynomial of degree <= 2 in
-v = u^2, so one product of polynomial matrices around the word gives
-u^{4 tau} tr(prod).  Dividing by u^{4 tau - n} and shifting from u to t
+The short part is computed symbolically in u = t - 1 on the 2x2 blocks:
+S has zero rows 2 and 3, so tr prod_i Q X_i = tr prod_i Y_i.  Every
+entry of u^4 Y_kind is a polynomial of degree <= 2 in v = u^2; scaled to
+integers, it is packed into one integer at v = 2^B (Kronecker
+substitution), so the product around the word is a 2x2 integer matrix
+product whose trace packs u^{4 tau} tr(prod).  The radix is proven wide
+enough: with |M| the largest row sum of the entries' coefficient
+1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
+chosen with 2^(B-1) above that, so balanced base-2^B digits read the
+coefficients back.  Dividing by u^{4 tau - n} and shifting from u to t
 gives (t - 1)^n tr(prod); the division must be exact and leave degree
 <= n, which certifies that (t - 1)^n clears every denominator.
 """
@@ -36,7 +42,7 @@ from .linalg import det_rational, mat_equal, mat_inv, mat_mul
 from .polynomials import Polynomial
 from .rationals import Rat
 from .words import Word
-from .decomps import long_cycle_closed_form
+from .decomps import long_cycle_monomial
 
 STATES = ("empty", "+", "-", "+/-")
 
@@ -113,64 +119,9 @@ def x_matrix(kind: str, k, t):
     return [[diag[i] if i == j else zero for j in range(4)] for i in range(4)]
 
 
-def y_block(kind: str, k, t):
-    """Derived 2x2 block: upper left of S R^{-1} X_kind R."""
-    full = _compressed(kind, k, t)
-    return [row[:2] for row in full[:2]]
-
-
 def _compressed(kind: str, k, t):
     r = r_matrix()
     return mat_mul(mat_mul(mat_mul(s_matrix(), mat_inv(r)), x_matrix(kind, k, t)), r)
-
-
-def y_block_reference(kind: str, k, t):
-    """Hard-coded closed forms of the 2x2 blocks, written out entry by
-    entry with u = t - 1.  Kept independent of y_block so the mechanical
-    derivation from S R^{-1} X R can be cross-checked against them.
-    """
-    k, t = _check_point(k, t)
-    u = t - 1
-    u2 = u * u
-    u4 = u2 * u2
-    k2 = k * k
-    kk1 = (k + 1) ** 2
-    if kind == "P":
-        diag = (16 * k2 * u4 + 32 * k * u4 - 8 * k2 * u2 + 16 * u4 - 8 * k * u2 + k2 - u2)
-        return [
-            [
-                diag / (12 * kk1 * u4),
-                (-8 * k2 * u4 - 16 * k * u4 - 2 * k2 * u2 - 8 * u4 - 2 * k * u2 + k2 - u2)
-                / (6 * kk1 * u4),
-            ],
-            [
-                (8 * k2 * u4 + 16 * k * u4 + 2 * k2 * u2 + 8 * u4 + 2 * k * u2 - k2 + u2)
-                / (24 * kk1 * u4),
-                (-4 * k2 * u4 - 8 * k * u4 - 4 * u4 - 4 * k2 * u2 - 4 * k * u2 - k2 + u2)
-                / (12 * kk1 * u4),
-            ],
-        ]
-    if kind == "C":
-        return [
-            [
-                (16 * k2 * u2 + 32 * k * u2 - 16 * k2 + 16 * u2 - 8 * k - 1)
-                / (12 * kk1 * u2),
-                (-8 * k2 * u2 - 16 * k * u2 + 8 * k2 - 8 * u2 - 2 * k - 1)
-                / (6 * kk1 * u2),
-            ],
-            [
-                (8 * k2 * u2 + 16 * k * u2 - 8 * k2 + 8 * u2 + 2 * k + 1)
-                / (24 * kk1 * u2),
-                (-4 * k2 * u2 - 8 * k * u2 + 4 * k2 - 4 * u2 - 4 * k + 1)
-                / (12 * kk1 * u2),
-            ],
-        ]
-    if kind == "E":
-        return [
-            [(16 * u2 - 1) / (12 * u2), (-8 * u2 - 1) / (6 * u2)],
-            [(8 * u2 + 1) / (24 * u2), (-4 * u2 + 1) / (12 * u2)],
-        ]
-    raise ParameterError(f"unknown module kind {kind!r}")
 
 
 def u_matrix(t):
@@ -185,75 +136,87 @@ def u_matrix(t):
     ]
 
 
-def _qx_table(kind: str, k):
-    """u^4 Q X_kind as a 4x4 matrix of coefficient triples in v = u^2."""
-    diag = _x_diagonal_v(kind, k)
-    zeros = (Rat(0),) * 3
-    # Q is 0/1: each entry either selects a column of the diagonal or is zero
-    return [[diag[j] if q else zeros for j, q in enumerate(row)] for row in q_matrix()]
-
-
-def _y_table(kind: str, k):
-    """u^4 Y_kind, the upper left block of S R^-1 (u^4 X_kind) R, as a 2x2
-    matrix of coefficient triples in v = u^2."""
+@functools.cache
+def _y_weights():
+    """(c, e) with integers c[i][j][s] = e (S R^-1)[i][s] R[s][j], so that
+    Y_kind[i][j] = sum_s c[i][j][s] X_kind[s][s] / e: X_kind is diagonal.
+    A constant, built on first use."""
     r = r_matrix()
     left = mat_mul(s_matrix(), mat_inv(r))
-    diag = _x_diagonal_v(kind, k)
-    by_power = [
-        mat_mul([[row[j] * diag[j][p] for j in range(4)] for row in left], r)
-        for p in range(3)
-    ]
-    return [[tuple(m[i][j] for m in by_power) for j in range(2)] for i in range(2)]
+    weights = [[[left[i][s] * r[s][j] for s in range(4)] for j in range(2)] for i in range(2)]
+    e = math.lcm(*(int(x.denominator) for row in weights for entry in row for x in entry))
+    return [[[int(x * e) for x in entry] for entry in row] for row in weights], e
 
 
 @functools.lru_cache(maxsize=64)
-def _integral_block(table, kind: str, k):
-    """(d, d * table(kind, k)) for the least common denominator d, entries as
-    ints in nested tuples: built once per (table, kind, k) and shared by
-    every caller, so it must stay immutable."""
-    entries = table(kind, k)
-    den = math.lcm(*(int(c.denominator) for row in entries for entry in row for c in entry))
-    return den, tuple(
-        tuple(tuple(int(c.numerator) * (den // int(c.denominator)) for c in entry) for entry in row)
-        for row in entries
-    )
+def _integral_block(kind: str, k):
+    """(d, d u^4 Y_kind, norm): u^4 Y_kind, the upper left block of
+    S R^-1 (u^4 X_kind) R, as a 2x2 matrix of integer coefficient triples
+    in v = u^2 over the least common denominator d, and norm the largest
+    row sum of the entries' coefficient 1-norms.  Built once per (kind, k)
+    in integers and shared by every caller, so it must stay immutable."""
+    diag = _x_diagonal_v(kind, k)
+    dx = math.lcm(*(int(c.denominator) for entry in diag for c in entry))
+    xs = [[int(c.numerator) * (dx // int(c.denominator)) for c in entry] for entry in diag]
+    weights, e = _y_weights()
+    entries = [
+        [[sum(c * x[p] for c, x in zip(ws, xs)) for p in range(3)] for ws in row]
+        for row in weights
+    ]
+    # dividing out the common factor leaves the least common denominator
+    g = math.gcd(e * dx, *(c for row in entries for entry in row for c in entry))
+    block = tuple(tuple(tuple(c // g for c in entry) for entry in row) for row in entries)
+    return e * dx // g, block, max(sum(abs(c) for entry in row for c in entry) for row in block)
 
 
-def _poly_mat_mul(a, b):
-    """Product of matrices whose entries are integer coefficient lists; all
-    entries of a share one length, and so do all entries of b."""
-    width = len(a[0][0]) + len(b[0][0]) - 1
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = [0] * width
-            for x, b_row in zip(row, b):
-                for q, y in enumerate(b_row[j]):
-                    if y:
-                        for p, xp in enumerate(x):
-                            if xp:
-                                acc[p + q] += xp * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+def _radix_bits(dim: int, norms) -> int:
+    """B with 2^(B-1) > dim * prod(norms), which bounds every coefficient of
+    the product's entries and trace (see the module docstring)."""
+    return (dim * math.prod(norms)).bit_length() + 1
 
 
-def _short_kernel(w: Word, k, table) -> Polynomial:
-    """(t-1)^n tr(prod_i M_{letter_i}), where table(kind, k) gives u^4 M_kind
-    as a matrix of coefficient triples in v = u^2.
+def _pack(block, bits: int):
+    """Each entry, an integer coefficient list in v, evaluated at v = 2^bits."""
+    return [[sum(c << (bits * p) for p, c in enumerate(entry)) for entry in row] for row in block]
 
-    The trace of the integer-scaled product is u^{4 tau} tr(prod) times the
-    scale.  Raises CertificateError unless it is u^{4 tau - n} times a
-    polynomial of degree <= n, i.e. unless (t-1)^n clears every denominator.
+
+def _packed_product(mats):
+    """Product of square integer matrices, left to right."""
+    prod = mats[0]
+    for m in mats[1:]:
+        cols = list(zip(*m))
+        prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in prod]
+    return prod
+
+
+def _balanced_digits(value: int, bits: int, count: int) -> list:
+    """The coefficients c_0 .. c_{count-1}, each |c_i| < 2^(bits-1), of
+    value = sum_i c_i 2^(bits i)."""
+    mask, half, digits = (1 << bits) - 1, 1 << (bits - 1), []
+    for _ in range(count):
+        d = value & mask
+        if d >= half:
+            d -= 1 << bits
+        digits.append(d)
+        value = (value - d) >> bits
+    return digits
+
+
+def _short_kernel(w: Word, k) -> tuple:
+    """(c, d) with (t-1)^n tr(prod_i Y_{letter_i}) = sum_i c[i] u^i / d.
+
+    The integer blocks d_kind u^4 Y_kind are packed at v = 2^B (B from
+    `_radix_bits`), so the product around the word is one 2x2 integer
+    matrix product; its trace, read back in balanced base-2^B digits, is
+    d u^{4 tau} tr(prod) with d = prod_i d_{letter_i}.  Raises
+    CertificateError unless that is u^{4 tau - n} times a polynomial of
+    degree <= n, i.e. unless (t-1)^n clears every denominator.
     """
-    blocks = {kind: _integral_block(table, kind, k) for kind in set(w.letters)}
-    scale, prod = 1, None
-    for letter in w:
-        den, block = blocks[letter]
-        scale *= den
-        prod = block if prod is None else _poly_mat_mul(prod, block)
-    trace_v = [sum(c) for c in zip(*(prod[i][i] for i in range(len(prod))))]
+    blocks = {kind: _integral_block(kind, k) for kind in set(w.letters)}
+    bits = _radix_bits(2, [blocks[letter][2] for letter in w])
+    packed = {kind: _pack(block, bits) for kind, (_, block, _) in blocks.items()}
+    prod = _packed_product([packed[letter] for letter in w])
+    trace_v = _balanced_digits(prod[0][0] + prod[1][1], bits, 2 * w.tau + 1)
     u_coeffs = [0] * (2 * len(trace_v))
     u_coeffs[::2] = trace_v
     n = w.n
@@ -263,30 +226,38 @@ def _short_kernel(w: Word, k, table) -> Polynomial:
             f"u^{4 * w.tau} tr(prod) for {w} at k={k} is not u^{low} times a "
             f"polynomial of degree <= {n}"
         )
-    return Polynomial.from_u_coefficients(u_coeffs[low:low + n + 1]).scale(Rat(1, scale))
+    return u_coeffs[low:low + n + 1], math.prod(blocks[letter][0] for letter in w)
 
 
 def short_part(w: Word, k) -> Polynomial:
     """(t-1)^n trace(Q X_{l_1} ... Q X_{l_tau}) as an exact polynomial.
 
     Equals the sum of decomposition terms over decompositions without a
-    long cycle.
+    long cycle.  Computed as (t-1)^n tr(Y_{l_1} ... Y_{l_tau}): Q = R S R^-1
+    and S has zero rows 2 and 3, so the two traces are equal.
     """
-    return _short_kernel(w, k, _qx_table)
+    return Polynomial.from_u_coefficients(*_short_kernel(w, k))
 
 
-def short_part_via_Y(w: Word, k) -> Polynomial:
-    """Same polynomial computed from the 2x2 compressed blocks."""
-    return _short_kernel(w, k, _y_table)
+def charpoly_via_transfer(w: Word, k, *, with_short_part: bool = False):
+    """Long-cycle closed form plus transfer-matrix short part, summed as
+    u-coefficients over one common denominator.
 
-
-def charpoly_via_transfer(w: Word, k) -> Polynomial:
-    """Long-cycle closed form plus transfer-matrix short part."""
-    poly = long_cycle_closed_form(w.tau, w.ell, w.m, k) + short_part(w, k)
+    With with_short_part, returns (charpoly, short part) from the one
+    kernel run.
+    """
+    short, scale = _short_kernel(w, k)
+    c, j = long_cycle_monomial(w.tau, w.ell, w.m, k)
+    den = math.lcm(scale, int(c.denominator))
+    coeffs = [x * (den // scale) for x in short]
+    coeffs[j] += int(c.numerator) * (den // int(c.denominator))
+    poly = Polynomial.from_u_coefficients(coeffs, den)
     if poly.degree != w.n or not poly.is_monic():
         raise CertificateError(
             f"transfer charpoly of {w} at k={k} is not monic of degree {w.n}"
         )
+    if with_short_part:
+        return poly, Polynomial.from_u_coefficients(short, scale)
     return poly
 
 

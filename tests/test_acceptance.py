@@ -29,10 +29,10 @@ from cospec.rationals import Rat
 from cospec.transfer import (
     charpoly_via_transfer,
     short_part,
-    short_part_via_Y,
     verify_U_conjugation,
 )
 from cospec.words import Word, all_words, canonical_form, canonical_words, parse_word, toggle
+from transfer_reference import short_part_via_qx
 
 K_SWEEP = (Rat(1), Rat(2), Rat(1, 2))
 
@@ -103,7 +103,7 @@ def test_criterion_4_transfer_matrix():
     for w in canonical_words(3, 6):
         for k in (Rat(1), Rat(2)):
             assert charpoly_via_transfer(w, k) == class_charpoly(w, k)
-            assert short_part(w, k) == short_part_via_Y(w, k)
+            assert short_part(w, k) == short_part_via_qx(w, k)
             cases += 1
     report(4, True, f"transfer == exact and 4x4 == 2x2 short part on {cases} cases")
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cospec.errors import DegreeError, FormatError, ParameterError, ShapeError
 from cospec.graphs import (
@@ -17,7 +17,7 @@ from cospec.graphs import (
     subgraph_after_symmetry,
 )
 from cospec.rationals import Rat
-from cospec.words import is_self_toggle, parse_word, toggle, toggle_classes
+from cospec.words import canonical_words, is_self_toggle, parse_word, toggle, toggle_classes
 
 words = st.text(alphabet="PCE", min_size=3, max_size=8).map(parse_word)
 ks = st.sampled_from([Rat(1), Rat(2), Rat(1, 2), Rat(7, 3)])
@@ -152,6 +152,41 @@ def test_random_walk_path_middle_row():
 def test_random_walk_rows_sum_to_one(w, k):
     for row in random_walk_matrix(assemble_ring(w, k)):
         assert sum(row) == 1
+
+
+def laplacian_reference(g):
+    """L from the rational formula: -sqrt(float(w^2 / (d_u d_v))) per edge."""
+    L = np.eye(g.n)
+    for u, v, w in g.edges():
+        L[u, v] = L[v, u] = -math.sqrt(float(w * w / (g.degrees[u] * g.degrees[v])))
+    return L
+
+
+@pytest.mark.parametrize("k", [Rat(1), Rat(7, 3), Rat(5, 7)])
+def test_laplacian_bit_identical_to_rational_formula_on_rings(k):
+    # one ring per class: rotations and reflections only relabel the graph
+    for w in canonical_words(3, 7):
+        g = assemble_ring(w, k)
+        assert np.array_equal(normalized_laplacian(g), laplacian_reference(g)), w
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Connected graphs (a spanning path plus extra edges) whose weights
+    have large, mostly coprime denominators."""
+    n = draw(st.integers(2, 8))
+    weight = st.builds(Rat, st.integers(1, 10**30), st.integers(10**15, 10**25))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] < p[1] - 1), max_size=n))
+    edges = [(v, v + 1) for v in range(n - 1)] + sorted(pairs)
+    return WeightedGraph(n, [(u, v, draw(weight)) for u, v in edges])
+
+
+@given(weighted_graphs())
+@settings(max_examples=100, deadline=None)
+def test_laplacian_bit_identical_to_rational_formula_on_random_graphs(g):
+    assert g.degrees == [sum(g.adj[v].values(), Rat(0)) for v in range(g.n)]
+    assert np.array_equal(normalized_laplacian(g), laplacian_reference(g))
 
 
 def test_laplacian_scaling_invariance():

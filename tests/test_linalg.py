@@ -54,6 +54,26 @@ def test_poly_arithmetic():
     assert (p - p) == Polynomial()
 
 
+@st.composite
+def u_coefficients_and_den(draw):
+    """Integer u-coefficients and a denominator that shares a factor with
+    them, or den = 1."""
+    shared = draw(st.integers(1, 10**6))
+    coeffs = draw(st.lists(st.integers(-10**30, 10**30).map(lambda c: c * shared), max_size=12))
+    den = draw(st.one_of(st.just(1), st.integers(1, 10**20).map(lambda d: d * shared)))
+    return coeffs, den
+
+
+@given(u_coefficients_and_den())
+@settings(max_examples=200, deadline=None)
+def test_from_u_coefficients_with_den_equals_shift_then_scale(case):
+    coeffs, den = case
+    expected = Polynomial()
+    for i, c in enumerate(coeffs):
+        expected = expected + Polynomial.t_minus_one_power(i).scale(c)
+    assert Polynomial.from_u_coefficients(coeffs, den) == expected.scale(Rat(1, den))
+
+
 def test_t_minus_one_power():
     assert Polynomial.t_minus_one_power(2) == poly(1, -2, 1)
     assert Polynomial.t_minus_one_power(0) == poly(1)

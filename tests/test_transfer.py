@@ -20,14 +20,12 @@ from cospec.transfer import (
     charpoly_via_transfer,
     q_matrix,
     short_part,
-    short_part_via_Y,
     u_matrix,
     verify_U_conjugation,
     x_matrix,
-    y_block,
-    y_block_reference,
 )
-from cospec.words import parse_word, toggle
+from cospec.words import canonical_words, parse_word, toggle
+from transfer_reference import poly_mat_mul, short_part_via_qx, y_block, y_block_reference
 
 words = st.text(alphabet="PCE", min_size=3, max_size=6).map(parse_word)
 sample_ks = [Rat(1), Rat(2), Rat(1, 2), Rat(7, 3)]
@@ -127,7 +125,14 @@ def test_short_part_eee():
 def test_short_part_via_y_agrees():
     for word, k in [("EEE", Rat(1)), ("PCE", Rat(2)), ("PPP", Rat(1, 2))]:
         w = parse_word(word)
-        assert short_part(w, k) == short_part_via_Y(w, k)
+        assert short_part(w, k) == short_part_via_qx(w, k)
+
+
+@pytest.mark.parametrize("k", [Rat(1), Rat(7, 3), Rat(5, 7)])
+def test_short_part_matches_qx_reference_up_to_tau_8(k):
+    # the packed 2x2 kernel against the schoolbook 4x4 Q X product
+    for w in canonical_words(3, 8):
+        assert short_part(w, k) == short_part_via_qx(w, k), w
 
 
 def test_block_reduction_at_sample_point():
@@ -151,12 +156,61 @@ def trace_of_product(mats):
 def test_short_part_matches_pointwise_products(w, k):
     # the kernel works symbolically in u; these references multiply the
     # blocks at one rational t and never see u
-    via_qx, via_y = short_part(w, k), short_part_via_Y(w, k)
+    via_qx, via_y = short_part_via_qx(w, k), short_part(w, k)
     for t in (Rat(7, 2), Rat(-1, 3)):
         qx = trace_of_product([mat_mul(q_matrix(), x_matrix(l, k, t)) for l in w])
         y = trace_of_product([y_block_reference(l, k, t) for l in w])
         assert qx == y
         assert via_qx(t) == via_y(t) == (t - 1) ** w.n * qx
+
+
+def norm(m):
+    return max(sum(abs(c) for entry in row for c in entry) for row in m)
+
+
+def packed_product(mats, bits=None):
+    """The product of integer polynomial matrices by the route's packing:
+    every entry and the trace read back, and the radix used."""
+    if bits is None:
+        bits = transfer._radix_bits(len(mats[0]), [norm(m) for m in mats])
+    prod = transfer._packed_product([transfer._pack(m, bits) for m in mats])
+    width = sum(len(m[0][0]) - 1 for m in mats) + 1
+    entries = [[transfer._balanced_digits(x, bits, width) for x in row] for row in prod]
+    trace = transfer._balanced_digits(sum(prod[i][i] for i in range(len(prod))), bits, width)
+    return entries, trace, bits
+
+
+@st.composite
+def poly_matrix_lists(draw):
+    dim = draw(st.sampled_from([1, 2, 4]))
+    length = draw(st.integers(1, 3))
+    top = 2 ** draw(st.sampled_from([1, 8, 64, 200]))
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([-top, 0, top]))
+    entry = st.one_of(st.just([0] * length), st.lists(coeff, min_size=length, max_size=length))
+    matrix = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    return draw(st.lists(matrix, min_size=1, max_size=5))
+
+
+@given(poly_matrix_lists())
+@settings(max_examples=150, deadline=None)
+def test_packed_product_equals_schoolbook(mats):
+    expected = mats[0]
+    for m in mats[1:]:
+        expected = poly_mat_mul(expected, m)
+    entries, trace, _ = packed_product(mats)
+    assert entries == expected
+    assert trace == [sum(c) for c in zip(*(expected[i][i] for i in range(len(expected))))]
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_product_reads_coefficients_at_the_bound(count, sign):
+    # a 1x1 monomial product reaches the bound 1 * |c|^count exactly
+    c = sign * 2**40
+    entries, trace, bits = packed_product([[[[c]]]] * count)
+    assert entries == [[[c**count]]] and trace == [c**count]
+    if c**count > 0:  # one bit fewer misreads it
+        assert packed_product([[[[c]]]] * count, bits - 1)[1] != [c**count]
 
 
 @pytest.fixture
@@ -181,12 +235,12 @@ def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch, fres
 def test_blocks_built_once_per_table_kind_and_k(capsys, fresh_blocks):
     k = Rat(5, 7)
     ws = [parse_word(s) for s in ("PCE", "PPCCE", "EEE", "CCCPEP")]
-    polys = [(short_part(w, k), short_part_via_Y(w, k)) for w in ws]
+    polys = [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws]
     # blocks served from the cache give the same polynomials
-    assert [(short_part(w, k), short_part_via_Y(w, k)) for w in ws] == polys
-    assert transfer._integral_block.cache_info().misses == 2 * 3
-    assert all(p == q for p, q in polys)
-    den, block = transfer._integral_block(transfer._qx_table, "P", k)
+    assert [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws] == polys
+    assert transfer._integral_block.cache_info().misses == 3
+    assert all(p == short_part_via_qx(w, k) for w, (p, _) in zip(ws, polys))
+    den, block, norm = transfer._integral_block("P", k)
     assert isinstance(block, tuple) and all(isinstance(row, tuple) for row in block)
     # a one-k scan builds each of the three kinds' blocks once
     transfer._integral_block.cache_clear()
@@ -196,9 +250,10 @@ def test_blocks_built_once_per_table_kind_and_k(capsys, fresh_blocks):
 
 
 def test_charpoly_via_transfer_postcondition_raises(monkeypatch):
+    # a long part of full degree n makes the sum non-monic
     monkeypatch.setattr(
-        "cospec.transfer.long_cycle_closed_form",
-        lambda tau, ell, m, k: Polynomial.t_minus_one_power(tau + 2 * (ell + m)),
+        "cospec.transfer.long_cycle_monomial",
+        lambda tau, ell, m, k: (Rat(1), tau + 2 * (ell + m)),
     )
     with pytest.raises(CertificateError):
         charpoly_via_transfer(parse_word("PCE"), 1)
