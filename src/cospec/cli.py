@@ -1,6 +1,7 @@
 """Command-line verification workflows.
 
-Structured JSON goes to stdout, a short human summary to stderr.
+One compact JSON line goes to stdout (`python -m json.tool` pretty-prints
+it), a short human summary to stderr.
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error,
 3 enumeration budget exceeded (for `scan`: a pair was skipped, none failed).
 """
@@ -8,6 +9,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -54,8 +56,7 @@ DEFAULT_SCAN_KS = ("1/1", "2/1", "1/2")
 
 
 def _emit(payload: dict, summary: str) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, default=str) + "\n")
     print(summary, file=sys.stderr)
 
 
@@ -331,6 +332,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
     return EXIT_PASS if agree else EXIT_CHECK_FAILED
 
 
+@functools.cache  # built on first use; parsing leaves it unchanged for the next call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cospec",

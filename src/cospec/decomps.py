@@ -69,17 +69,16 @@ class Decomposition:
 
 
 def _scale(g: WeightedGraph) -> tuple:
-    """Integer neighbour lists [(u, W_uv)] and degrees D_v, all scaled by L.
+    """The graph's integer neighbour lists [(u, W_uv)] and degrees D_v, scaled by L.
 
     L is the least common multiple of the weight denominators.  A vertex of
     degree 0 is never covered, so its factor cancels; D_v = 1 keeps P nonzero.
     """
-    scale = math.lcm(*(int(w.denominator) for w in g.weights.values()))
-    nbrs = [
-        [(u, int(w.numerator) * (scale // int(w.denominator))) for u, w in g.adj[v].items()]
-        for v in range(g.n)
-    ]
-    return nbrs, [sum(w for _, w in row) or 1 for row in nbrs]
+    nbrs = [[] for _ in range(g.n)]
+    for (u, v), w in g.scaled_weights.items():  # edge order, as in g.adj
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    return nbrs, [d or 1 for d in g.scaled_degrees]
 
 
 def _walk(g: WeightedGraph, budget: int, leaf) -> int:
@@ -152,11 +151,6 @@ def _decomposition(parts) -> Decomposition:
     return Decomposition(tuple(edges), tuple(cycles))
 
 
-def _polynomial(sums, common: int) -> Polynomial:
-    """The u-coefficients sums[j] / P, shifted to t once."""
-    return Polynomial.from_u_coefficients(sums, common)
-
-
 def enumerate_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET):
     """Yield every decomposition of g exactly once, empty one included.
 
@@ -192,7 +186,7 @@ def charpoly_via_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET) 
     def add(j, x, parts):
         sums[j] += x
 
-    return _polynomial(sums, _walk(g, budget, add))
+    return Polynomial.from_u_coefficients(sums, _walk(g, budget, add))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +268,7 @@ def long_terms_by_config(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> dict
             grouped.setdefault((cls.h, cls.i, cls.j), [0] * (g.n + 1))[j] += x
 
     common = _walk(g, budget, add)
-    return {key: _polynomial(sums, common) for key, sums in grouped.items()}
+    return {key: Polynomial.from_u_coefficients(s, common) for key, s in grouped.items()}
 
 
 def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:

@@ -283,18 +283,18 @@ def _walk_charpoly(g: WeightedGraph, sign: int):
     """det(xI - sign * D^{-1}A) as (integer coefficients, scale): the
     polynomial is sum_i coeffs[i] x^i / scale.
 
-    With c the least common denominator of W = D^{-1}A, built from the
-    adjacency rows, the kernel gives det(yI - sign cW) =
-    c^n det((y/c)I - sign W), so the coefficient of x^i is b_i c^i / c^n.
+    With c the least common denominator of the entries W_uv / D_u of D^{-1}A
+    (the graph's scaled integers), the kernel gives det(yI - sign cD^{-1}A) =
+    c^n det((y/c)I - sign D^{-1}A), so the coefficient of x^i is b_i c^i / c^n.
     """
     if g.has_isolated_vertex():
         raise DegreeError("graph has an isolated vertex")
-    walk = [{j: w / d for j, w in adj.items()} for adj, d in zip(g.adj, g.degrees)]
-    c = math.lcm(*(int(x.denominator) for row in walk for x in row.values()))
+    degree = g.scaled_degrees
+    entries = [(u, v, w) for (a, b), w in g.scaled_weights.items() for u, v in ((a, b), (b, a))]
+    c = math.lcm(*(degree[u] // math.gcd(w, degree[u]) for u, _, w in entries))
     m = [[0] * g.n for _ in range(g.n)]
-    for row, entries in zip(m, walk):
-        for j, x in entries.items():
-            row[j] = sign * int(x.numerator) * (c // int(x.denominator))
+    for u, v, w in entries:
+        m[u][v] = sign * w * c // degree[u]
     b = _charpoly_integer(m)
     return [bi * c**i for i, bi in enumerate(b)], c**g.n
 

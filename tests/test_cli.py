@@ -323,6 +323,75 @@ def test_charpoly_methods_agree(capsys):
     assert payload["coefficients"]["exact"][0] == "0/1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--word", "PCE", "--k", "2"],
+        ["scan", "--tau-max", "3", "--k", "1,7/3"],
+        ["charpoly", "--word", "PCEP", "--k", "3/5"],
+        ["identities", "--k", "1", "--t", "3"],
+        ["spectrum", "--word", "EEE"],
+        ["blowup", "--word", "EEEPCC", "--k", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_is_one_json_line_of_the_payload(capsys, monkeypatch, argv):
+    emitted = []
+    emit = cli._emit
+
+    def spy(payload, summary):
+        emitted.append(payload)
+        emit(payload, summary)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == emitted[0]
+
+
+def _without_timings(value):
+    """A payload with its wall-clock `seconds` fields dropped."""
+    if isinstance(value, dict):
+        return {k: _without_timings(v) for k, v in value.items() if k != "seconds"}
+    if isinstance(value, list):
+        return [_without_timings(v) for v in value]
+    return value
+
+
+def _outcome(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    out = captured.out
+    if code in (0, 1) and argv[-1] != "--help":
+        out = _without_timings(json.loads(out))
+    return code, out, captured.err
+
+
+def test_cached_parser_is_reused_without_leaking_values(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    sequence = [
+        ["scan", "--tau-max", "3", "--k", "2/3", "--method", "transfer"],
+        ["verify", "--word", "PCE", "--method", "bogus"],
+        ["verify", "--help"],
+        ["verify", "--word", "PCE"],
+    ]
+    alone = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        alone.append(_outcome(capsys, argv))
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    in_turn = [_outcome(capsys, argv) for argv in sequence]
+    assert cli.build_parser() is parser
+    assert in_turn == alone
+    assert [code for code, *_ in in_turn] == [0, 2, 0, 0]
+    # the last call ran on its own defaults, not the scan's --k and --method
+    verify = in_turn[-1][1]["result"]
+    assert verify["k"] == "1/1"
+    assert {"exact_equal", "transfer_equal", "oracle_equal"} <= set(verify["checks"])
+
+
 # (usual values, malformed or out-of-domain values) for each option
 OPTION_VALUES = {
     "--word": (st.text(alphabet="PCE", min_size=3, max_size=5),
