@@ -35,9 +35,9 @@ from .linalg import charpoly_exact, eigenvalues_numeric
 from .polynomials import Polynomial
 from .rationals import Rat
 from .transfer import (
+    certify_identities,
     charpoly_via_transfer,
     short_part,
-    verify_U_conjugation,
 )
 from .words import Word, canonical_form, cyclic_equivalent, parse_word, toggle
 
@@ -53,7 +53,6 @@ __all__ = [
     "charpoly_exact", "eigenvalues_numeric",
     "Polynomial",
     "Rat",
-    "charpoly_via_transfer",
-    "short_part", "verify_U_conjugation",
+    "certify_identities", "charpoly_via_transfer", "short_part",
     "Word", "canonical_form", "cyclic_equivalent", "parse_word", "toggle",
 ]

@@ -46,17 +46,9 @@ class OutputError(CospecError, OSError):
     """An output file could not be written."""
 
 
-class PoleError(CospecError, ValueError):
-    """Evaluation requested at an excluded point (t = 1)."""
-
-
 class IdentityCheckError(CospecError, AssertionError):
     """An exact matrix identity that must hold failed to hold."""
 
 
 class RecipeError(CospecError, ValueError):
     """Simple-graph blowup recipe hit an obstruction; message names it."""
-
-
-class InvertibilityWarning(UserWarning):
-    """The toggle-symmetry matrix is singular at this evaluation point."""

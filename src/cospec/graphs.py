@@ -119,10 +119,9 @@ class WeightedGraph:
 
 
 def assemble_ring(w: Word, k) -> WeightedGraph:
-    """Assemble G(W): tau gadgets joined in cyclic order at signed vertices."""
+    """Assemble G(W): tau gadgets joined in cyclic order at signed vertices.
+    `build_module_gadget` rejects k <= 0."""
     k = Rat(k)
-    if k <= 0:
-        raise ParameterError(f"module parameter k must be positive, got {k}")
     tau = w.tau
     signed = []
     unsigned = []

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CertificateError, DegreeError, NumericalError, ParameterError, ShapeError
 from .graphs import WeightedGraph, normalized_laplacian
 from .polynomials import Polynomial
-from .rationals import Rat, bit_size
+from .rationals import Rat
 
 # ---------------------------------------------------------------------------
 # small dense rational matrices (lists of lists of Rat)
@@ -55,49 +55,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_equal(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def det_rational(matrix) -> Rat:
-    """Determinant by exact Gaussian elimination.
-
-    Pivots are chosen by minimal numerator+denominator bit length to
-    keep intermediate rationals small.
-    """
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    det = Rat(1)
-    for col in range(n):
-        pivot_row = None
-        best = None
-        for r in range(col, n):
-            x = m[r][col]
-            if x != 0:
-                size = bit_size(x)
-                if best is None or size < best:
-                    best = size
-                    pivot_row = r
-        if pivot_row is None:
-            return Rat(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            if factor == 0:
-                continue
-            factor = factor / pivot
-            row, prow = m[r], m[col]
-            for c in range(col + 1, n):
-                if prow[c] != 0:
-                    row[c] -= factor * prow[c]
-            row[col] = Rat(0)
-    return det
 
 
 def mat_inv(matrix):

@@ -32,10 +32,5 @@ def rat_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def bit_size(q) -> int:
-    """Combined bit length of numerator and denominator (pivot heuristic)."""
-    return int(q.numerator).bit_length() + int(q.denominator).bit_length()
-
-
 def is_integral(q) -> bool:
     return Rat(q).denominator == 1

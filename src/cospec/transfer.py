@@ -8,7 +8,10 @@ matrix Q says which states may follow which; the diagonal weight
 matrices X_P, X_C, X_E carry the local contributions.  Conjugating by R
 compresses everything to 2x2 blocks Y_*, and the matrix U intertwines
 Y_P with Y_C while commuting with Y_E, which forces trace invariance
-under toggling.
+under toggling.  X_TABLE holds u^4 X_kind as integer polynomials in k and
+v = u^2; the kernel evaluates it at one k, and `certify_identities` proves
+the identities from it as polynomials in (k, v), so for every k > 0 and
+t not in {0, 1, 2} at once.
 
 The short part is computed symbolically in u = t - 1 on the 2x2 blocks:
 S has zero rows 2 and 3, so tr prod_i Q X_i = tr prod_i Y_i.  Every
@@ -28,17 +31,9 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass
 
-from .errors import (
-    CertificateError,
-    InvertibilityWarning,
-    ParameterError,
-    IdentityCheckError,
-    PoleError,
-)
-from .linalg import det_rational, mat_equal, mat_inv, mat_mul
+from .errors import CertificateError, IdentityCheckError, ParameterError
+from .linalg import mat_inv, mat_mul
 from .polynomials import Polynomial
 from .rationals import Rat
 from .words import Word
@@ -82,57 +77,30 @@ def _positive(k):
     return k
 
 
-def _check_point(k, t):
-    t = Rat(t)
-    if t == 1:
-        raise PoleError("t = 1 is a pole of the weight matrices")
-    return _positive(k), t
+# u^4 X_kind times 4 (k+1)^2, one entry per state (empty, +, -, +/-): the
+# integer coefficients in k, constant term first, of v^0, v^1 and v^2.
+X_TABLE = {
+    "P": (((), (), (4, 8, 4)), ((), (0, -2, -2), ()), ((), (0, -2, -2), ()),
+          ((0, 0, 1), (-1,), ())),
+    "C": (((), (0, 0, -4), (4, 8, 4)), ((), (0, -2), ()), ((), (0, -2), ()),
+          ((), (-1,), ())),
+    "E": (((), (), (4, 8, 4)), ((), (), ()), ((), (), ()), ((), (-1, -2, -1), ())),
+}
+
+# U = [[20v - 2, -32v - 4], [8v + 1, -20v + 2]]: coefficients of v^0, v^1.
+U_TABLE = (((-2, 20), (-4, -32)), ((1, 8), (2, -20)))
 
 
 def _x_diagonal_v(kind: str, k):
     """Diagonal of u^4 X_kind, one coefficient triple (c0, c1, c2) in
-    v = u^2 per state."""
+    v = u^2 per state: X_TABLE evaluated at k."""
     k = _positive(k)
-    zero, one = Rat(0), Rat(1)
-    if kind == "P":
-        side = -k / (2 * k + 2)
-        sq = (2 * k + 2) ** 2
-        corner = (k * k / sq, -1 / sq, zero)
-        return [(zero, zero, one), (zero, side, zero), (zero, side, zero), corner]
-    if kind == "C":
-        kk1 = (k + 1) ** 2
-        side = -k / (2 * kk1)
-        empty = (zero, -k * k / kk1, one)
-        return [empty, (zero, side, zero), (zero, side, zero), (zero, -1 / (4 * kk1), zero)]
-    if kind == "E":
-        return [(zero, zero, one), (zero,) * 3, (zero,) * 3, (zero, Rat(-1, 4), zero)]
-    raise ParameterError(f"unknown module kind {kind!r}")
-
-
-def x_matrix(kind: str, k, t):
-    """Diagonal local-contribution matrix of a module kind at (k, t)."""
-    k, t = _check_point(k, t)
-    v = (t - 1) ** 2
-    v2 = v * v
-    diag = [(c0 + c1 * v + c2 * v2) / v2 for c0, c1, c2 in _x_diagonal_v(kind, k)]
-    zero = Rat(0)
-    return [[diag[i] if i == j else zero for j in range(4)] for i in range(4)]
-
-
-def _compressed(kind: str, k, t):
-    r = r_matrix()
-    return mat_mul(mat_mul(mat_mul(s_matrix(), mat_inv(r)), x_matrix(kind, k, t)), r)
-
-
-def u_matrix(t):
-    """The toggle-symmetry matrix; invertible exactly for t not in {0, 1, 2}."""
-    t = Rat(t)
-    if t == 1:
-        raise PoleError("t = 1 is excluded")
-    u2 = (t - 1) ** 2
+    if kind not in X_TABLE:
+        raise ParameterError(f"unknown module kind {kind!r}")
+    den = 4 * (k + 1) ** 2
     return [
-        [20 * u2 - 2, -32 * u2 - 4],
-        [8 * u2 + 1, -20 * u2 + 2],
+        tuple(sum(c * k**i for i, c in enumerate(ks)) / den for ks in entry)
+        for entry in X_TABLE[kind]
     ]
 
 
@@ -261,53 +229,77 @@ def charpoly_via_transfer(w: Word, k, *, with_short_part: bool = False):
     return poly
 
 
-@dataclass
-class UConjugationReport:
-    """Outcome of the exact toggle-symmetry identities at one point."""
-
-    k: Rat
-    t: Rat
-    swap_p_to_c: bool  # U Y_P = Y_C U
-    swap_c_to_p: bool  # U Y_C = Y_P U
-    commutes_with_e: bool  # U Y_E = Y_E U
-    invertible: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.swap_p_to_c and self.swap_c_to_p and self.commutes_with_e
+# Polynomials in (k, v) with integer coefficients: {(i, j): c} for c k^i v^j.
 
 
-def verify_U_conjugation(k, t) -> UConjugationReport:
-    """Check Q = R S R^-1, that S R^-1 X_kind R has a zero lower right
-    block for every kind, the three U identities and U's invertibility,
-    all exactly.  A failed identity raises IdentityCheckError."""
-    k, t = _check_point(k, t)
+def _padd(*polys) -> dict:
+    out = {}
+    for p in polys:
+        for key, c in p.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    return _padd(*({(i + p, j + q): x * y} for (i, j), x in a.items() for (p, q), y in b.items()))
+
+
+def _pmat_mul(a, b):
+    return [[_padd(*(_pmul(x, row[j]) for x, row in zip(arow, b))) for j in range(len(b[0]))]
+            for arow in a]
+
+
+def _constant(matrix):
+    return [[{(0, 0): c} if c else {} for c in row] for row in matrix]
+
+
+def _y_poly_block(kind: str):
+    """e 4(k+1)^2 u^4 Y_kind, e from `_y_weights`, as a 2x2 matrix of
+    integer polynomials in (k, v), read from X_TABLE."""
+    xs = [{(i, j): c for j, ks in enumerate(entry) for i, c in enumerate(ks) if c}
+          for entry in X_TABLE[kind]]
+    weights, _ = _y_weights()
+    return [[_padd(*({key: w * c for key, c in x.items()} for w, x in zip(ws, xs)))
+             for ws in row] for row in weights]
+
+
+def certify_identities() -> list:
+    """Prove the identities behind the toggle symmetry for every k > 0 and
+    t not in {0, 1, 2}.
+
+    Q = R S R^-1 and the zero rows 2 and 3 of S (which make
+    tr prod Q X = tr prod Y) are constant.  The blocks Y_kind are integer
+    polynomials in (k, v), v = (t-1)^2, over the common denominator
+    e 4(k+1)^2 v^2, which is nonzero for k > 0 and t != 1; so each U
+    identity, checked as an identity of polynomials, holds at every such
+    point.  det U = -144 v (v - 1) vanishes exactly at t in {0, 1, 2}.
+    Returns one entry per identity: its name, the largest degrees in k and
+    in v of its two sides, and whether it holds.  Raises IdentityCheckError
+    naming every identity that fails.
+    """
     R, S = r_matrix(), s_matrix()
-    if not mat_equal(q_matrix(), mat_mul(mat_mul(R, S), mat_inv(R))):
-        raise IdentityCheckError(f"Q != R S R^-1 at t={t}")
-    blocks = []
-    for kind in "PCE":
-        full = _compressed(kind, k, t)
-        lower_right = [row[2:] for row in full[2:]]
-        if any(entry != 0 for row in lower_right for entry in row):
-            raise IdentityCheckError(
-                f"lower right block of S R^-1 X_{kind} R is not zero: {lower_right}"
-            )
-        blocks.append([row[:2] for row in full[:2]])
-    U = u_matrix(t)
-    yp, yc, ye = blocks
-    report = UConjugationReport(
-        k=k,
-        t=t,
-        swap_p_to_c=mat_equal(mat_mul(U, yp), mat_mul(yc, U)),
-        swap_c_to_p=mat_equal(mat_mul(U, yc), mat_mul(yp, U)),
-        commutes_with_e=mat_equal(mat_mul(U, ye), mat_mul(ye, U)),
-        invertible=det_rational(U) != 0,
-    )
-    if not report.invertible:
-        warnings.warn(
-            f"U is singular at t={t} (excluded point)", InvertibilityWarning
-        )
-    if not report.all_hold:
-        raise IdentityCheckError(f"U conjugation identity failed at k={k}, t={t}")
-    return report
+    yp, yc, ye = (_y_poly_block(kind) for kind in "PCE")
+    u = [[{(0, j): c for j, c in enumerate(entry) if c} for entry in row] for row in U_TABLE]
+    minus = {(0, 0): -1}
+    det_u = _padd(_pmul(u[0][0], u[1][1]), _pmul(minus, _pmul(u[0][1], u[1][0])))
+    sides = {
+        "Q = R S R^-1": (_constant(q_matrix()), _constant(mat_mul(mat_mul(R, S), mat_inv(R)))),
+        "S rows 2-3 = 0": (_constant(S[2:]), [[{}] * 4] * 2),
+        "U Y_P = Y_C U": (_pmat_mul(u, yp), _pmat_mul(yc, u)),
+        "U Y_C = Y_P U": (_pmat_mul(u, yc), _pmat_mul(yp, u)),
+        "U Y_E = Y_E U": (_pmat_mul(u, ye), _pmat_mul(ye, u)),
+        "det U = -144 v (v - 1)": ([[det_u]], [[{(0, 2): -144, (0, 1): 144}]]),
+    }
+    entries = []
+    for name, (lhs, rhs) in sides.items():
+        keys = [key for m in (lhs, rhs) for row in m for p in row for key in p]
+        entries.append({
+            "identity": name,
+            "degree_k": max((i for i, _ in keys), default=0),
+            "degree_v": max((j for _, j in keys), default=0),
+            "holds": lhs == rhs,
+        })
+    failed = [e["identity"] for e in entries if not e["holds"]]
+    if failed:
+        raise IdentityCheckError(f"identities fail as polynomials in (k, v): {'; '.join(failed)}")
+    return entries

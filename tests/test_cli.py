@@ -62,8 +62,6 @@ def test_verify_bad_k(capsys):
         ["export", "--word", "PCE", "--k", " "],
         ["spectrum", "--word", "PCE", "--k", ""],
         ["scan", "--tau-max", "3", "--k", ","],
-        ["identities", "--k", ""],
-        ["identities", "--t", ","],
         ["verify", "--word", ""],
         ["verify", "--word", "PCE", "--k", "1,2", "--method", "exact"],
         ["charpoly", "--word", "PCE", "--k", "1,2"],
@@ -75,7 +73,7 @@ def test_verify_bad_k(capsys):
     ],
     ids=["k-zero-denominator", "tol-nan", "out-missing-dir", "verify-k-empty",
          "charpoly-k-blank", "blowup-k-empty", "export-k-blank", "spectrum-k-empty",
-         "scan-k-comma", "identities-k-empty", "identities-t-comma", "word-empty",
+         "scan-k-comma", "word-empty",
          "verify-k-list", "charpoly-k-list", "blowup-k-list", "export-k-list",
          "spectrum-k-list", "budget-negative", "budget-zero"],
 )
@@ -92,9 +90,12 @@ def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
         ["spectrum", "--word", "PCE", "--out", "x"],
         ["export", "--word", "PCE", "--tol", "5", "--budget", "3"],
         ["identities", "--budget", "3"],
+        ["identities", "--k", "1"],
+        ["identities", "--t", "3"],
         ["charpoly", "--word", "PCE", "--tol", "1"],
     ],
-    ids=["spectrum-out", "export-tol-budget", "identities-budget", "charpoly-tol"],
+    ids=["spectrum-out", "export-tol-budget", "identities-budget", "identities-k", "identities-t",
+         "charpoly-tol"],
 )
 def test_options_a_command_does_not_read_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -254,16 +255,18 @@ def test_scan_bad_tau(capsys):
 
 
 def test_identities_default_points(capsys):
-    code, payload, _ = run(capsys, "identities", "--k", "1,7/3", "--t", "3,-1")
-    assert code == 0
-    assert payload["pass"] is True
-    assert len(payload["results"]) == 4
-
-
-def test_identities_pole(capsys):
-    code, _, err = run(capsys, "identities", "--k", "1", "--t", "1")
-    assert code == 2
-    assert "excluded" in err
+    code, payload, err = run(capsys, "identities")
+    assert code == 0 and "PASS" in err
+    assert payload["pass"] is True and payload["domain"] == "k > 0, t not in {0, 1, 2}"
+    assert {e["identity"]: (e["degree_k"], e["degree_v"], e["holds"])
+            for e in payload["identities"]} == {
+        "Q = R S R^-1": (0, 0, True),
+        "S rows 2-3 = 0": (0, 0, True),
+        "U Y_P = Y_C U": (2, 3, True),
+        "U Y_C = Y_P U": (2, 3, True),
+        "U Y_E = Y_E U": (2, 3, True),
+        "det U = -144 v (v - 1)": (0, 2, True),
+    }
 
 
 def test_blowup_json_output(capsys, tmp_path):
@@ -329,7 +332,7 @@ def test_charpoly_methods_agree(capsys):
         ["verify", "--word", "PCE", "--k", "2"],
         ["scan", "--tau-max", "3", "--k", "1,7/3"],
         ["charpoly", "--word", "PCEP", "--k", "3/5"],
-        ["identities", "--k", "1", "--t", "3"],
+        ["identities"],
         ["spectrum", "--word", "EEE"],
         ["blowup", "--word", "EEEPCC", "--k", "2"],
     ],
@@ -398,8 +401,6 @@ OPTION_VALUES = {
                st.text(alphabet="PCEX", max_size=5)),
     "--k": (st.sampled_from(["1", "2", "1/2", "7/3", "1,2"]),
             st.sampled_from(["0", "-1", "1/0", "", ",", "x"])),
-    "--t": (st.sampled_from(["3", "7/2", "-1", "3,4"]),
-            st.sampled_from(["0", "1", "2", ",", "x"])),
     "--method": (st.sampled_from(["all", "exact", "transfer", "oracle"]), st.just("bogus")),
     "--format": (st.sampled_from(["json", "dot", "csv"]), st.just("xml")),
     "--budget": (st.sampled_from(["10", "100000"]), st.sampled_from(["0", "-1", "x"])),
@@ -412,7 +413,7 @@ COMMAND_OPTIONS = {
     "verify": ["--word", "--k", "--method", "--budget", "--tol"],
     "scan": ["--tau-max", "--k", "--method", "--budget", "--tol"],
     "blowup": ["--word", "--k", "--format", "--tol", "--out", "--scale"],
-    "identities": ["--k", "--t"],
+    "identities": [],
     "export": ["--word", "--k", "--format", "--out"],
     "spectrum": ["--word", "--k"],
     "charpoly": ["--word", "--k", "--method", "--budget"],

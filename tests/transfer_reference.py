@@ -1,18 +1,20 @@
 """Schoolbook references for the transfer route.
 
-The route multiplies packed integers around the 2x2 blocks Y; these
-helpers keep the older, independent forms: the 4x4 table u^4 Q X_kind, a
-product of matrices whose entries are integer coefficient lists, and the
-blocks Y at one point, derived and written out by hand.
+The route multiplies packed integers around the 2x2 blocks Y, and the
+identities are proven as polynomials in (k, v); these helpers keep the
+older, independent forms: the 4x4 table u^4 Q X_kind, a product of
+matrices whose entries are integer coefficient lists, and the matrices X,
+Y and U at one point, derived and written out by hand.
 """
 
 import functools
 import math
 
 from cospec.errors import ParameterError
+from cospec.linalg import mat_inv, mat_mul
 from cospec.polynomials import Polynomial
 from cospec.rationals import Rat
-from cospec.transfer import _check_point, _compressed, _x_diagonal_v, q_matrix
+from cospec.transfer import _x_diagonal_v, q_matrix, r_matrix, s_matrix
 
 
 def qx_table(kind, k):
@@ -67,10 +69,24 @@ def short_part_via_qx(w, k) -> Polynomial:
     return Polynomial.from_u_coefficients(u_coeffs[low:low + w.n + 1]).scale(Rat(1, scale))
 
 
+def x_matrix(kind: str, k, t):
+    """Diagonal local-contribution matrix of a module kind at (k, t)."""
+    v = (Rat(t) - 1) ** 2
+    diag = [(c0 + c1 * v + c2 * v * v) / (v * v) for c0, c1, c2 in _x_diagonal_v(kind, k)]
+    return [[diag[i] if i == j else Rat(0) for j in range(4)] for i in range(4)]
+
+
 def y_block(kind: str, k, t):
     """Derived 2x2 block: upper left of S R^{-1} X_kind R."""
-    full = _compressed(kind, k, t)
+    r = r_matrix()
+    full = mat_mul(mat_mul(mat_mul(s_matrix(), mat_inv(r)), x_matrix(kind, k, t)), r)
     return [row[:2] for row in full[:2]]
+
+
+def u_matrix(t):
+    """The toggle-symmetry matrix U at one t, written out by hand."""
+    v = (Rat(t) - 1) ** 2
+    return [[20 * v - 2, -32 * v - 4], [8 * v + 1, -20 * v + 2]]
 
 
 def y_block_reference(kind: str, k, t):
@@ -78,7 +94,7 @@ def y_block_reference(kind: str, k, t):
     entry with u = t - 1.  Kept independent of y_block so the mechanical
     derivation from S R^{-1} X R can be cross-checked against them.
     """
-    k, t = _check_point(k, t)
+    k, t = Rat(k), Rat(t)
     u = t - 1
     u2 = u * u
     u4 = u2 * u2
