@@ -25,7 +25,7 @@ from .blowup import (
     simple_blowup_recipe,
     solve_uniform_multiplicities,
 )
-from .decomps import DEFAULT_BUDGET, charpoly_via_decompositions
+from .decomps import DEFAULT_BUDGET, oracle_u
 from .errors import (
     BudgetError,
     CertificateError,
@@ -41,9 +41,10 @@ from .graphs import (
     non_isomorphism_witness,
     subgraph_after_symmetry,
 )
-from .linalg import charpoly_exact, eigenvalues_numeric
+from .linalg import eigenvalues_numeric, exact_u
+from .polynomials import t_json
 from .rationals import BACKEND, parse_rat, rat_str
-from .transfer import certify_identities, charpoly_via_transfer
+from .transfer import certify_identities, transfer_u
 from .words import Word, is_self_toggle, parse_word, toggle, toggle_classes
 
 EXIT_PASS = 0
@@ -64,13 +65,14 @@ def _eig_gap(g1, g2) -> float:
     return float(np.max(np.abs(e1 - e2)))
 
 
-def _compare(checks: dict, route: str, polys: list, exact) -> None:
-    """Record a route's checks: its polynomials on the two sides agree, and
-    on G(w) it matches the exact route (when that ran)."""
-    if len(polys) == 2:
-        checks[f"{route}_equal"] = polys[0] == polys[1]
+def _compare(checks: dict, route: str, pairs: list, exact) -> None:
+    """Record a route's checks: its polynomials, as (coeffs, den) pairs in
+    lowest terms, agree on the two sides, and on G(w) it matches the exact
+    route (when that ran)."""
+    if len(pairs) == 2:
+        checks[f"{route}_equal"] = pairs[0] == pairs[1]
     if exact is not None:
-        checks[f"{route}_matches_exact"] = polys[0] == exact
+        checks[f"{route}_matches_exact"] = pairs[0] == exact
 
 
 def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *,
@@ -99,19 +101,18 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *,
     checks = {}
     exact = None
     if method in ("all", "exact"):
-        exacts = [charpoly_exact(g) for g in graphs]
+        exacts = [exact_u(g) for g in graphs]
         _compare(checks, "exact", exacts, None)
         exact = exacts[0]
-        entry["charpoly_exact"] = exact.to_json()
+        entry["charpoly_exact"] = t_json(*exact)
     if method in ("all", "transfer"):
-        first, short = charpoly_via_transfer(w, k, with_short_part=True)
-        transfers = [first] + [charpoly_via_transfer(x, k) for x in sides[1:]]
-        _compare(checks, "transfer", transfers, exact)
-        entry["short_part"] = short.to_json()
+        transfers = [transfer_u(x, k) for x in sides]
+        _compare(checks, "transfer", [charpoly for charpoly, _ in transfers], exact)
+        entry["short_part"] = t_json(*transfers[0][1])
     # a trivial entry reads the oracle only through oracle_matches_exact
     if method in ("all", "oracle") and (len(sides) == 2 or exact is not None):
         try:
-            oracles = [charpoly_via_decompositions(g, budget) for g in graphs]
+            oracles = [oracle_u(g, budget) for g in graphs]
         except BudgetError as exc:
             if method == "oracle":
                 raise
@@ -145,7 +146,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    ks = [parse_rat(s) for s in _values(args.k, "--k")]
+    # one k per value, in first-seen order: "1" and "1/1" are one k
+    ks = list(dict.fromkeys(parse_rat(s) for s in _values(args.k, "--k")))
     entries = []
     failures = skipped = 0
     for w in toggle_classes(3, args.tau_max):
@@ -294,14 +296,14 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     k = parse_rat(args.k)
     g = assemble_ring(w, k)
-    polys = {}
+    pairs = {}
     if args.method in ("all", "exact"):
-        polys["exact"] = charpoly_exact(g)
+        pairs["exact"] = exact_u(g)
     if args.method in ("all", "transfer"):
-        polys["transfer"] = charpoly_via_transfer(w, k)
+        pairs["transfer"] = transfer_u(w, k)[0]
     if args.method in ("all", "oracle"):
-        polys["oracle"] = charpoly_via_decompositions(g, args.budget)
-    vals = list(polys.values())
+        pairs["oracle"] = oracle_u(g, args.budget)
+    vals = list(pairs.values())
     agree = all(vals[0] == p for p in vals[1:])
     payload = {
         "command": "charpoly",
@@ -310,10 +312,10 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
         "word": str(w),
         "k": rat_str(k),
         "n": g.n,
-        "coefficients": {name: p.to_json() for name, p in polys.items()},
+        "coefficients": {name: t_json(*pair) for name, pair in pairs.items()},
         "methods_agree": agree,
     }
-    _emit(payload, f"charpoly of G({w}) by {sorted(polys)}: {'agree' if agree else 'DISAGREE'}")
+    _emit(payload, f"charpoly of G({w}) by {sorted(pairs)}: {'agree' if agree else 'DISAGREE'}")
     return EXIT_PASS if agree else EXIT_CHECK_FAILED
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, ParameterError, ShapeError
 from .graphs import WeightedGraph
-from .polynomials import Polynomial
+from .polynomials import Polynomial, lowest_terms
 from .rationals import Rat
 
 MAX_VERTICES = 30
@@ -179,14 +179,20 @@ def decomposition_term(d: Decomposition, g: WeightedGraph) -> tuple:
     return g.n - len(covered), scalar
 
 
-def charpoly_via_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Polynomial:
-    """Sum of decomposition terms; equals the exact characteristic polynomial."""
+def oracle_u(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> tuple:
+    """Sum of decomposition terms as (coeffs, den) in lowest terms:
+    sum_i coeffs[i] u^i / den, u = t - 1."""
     sums = [0] * (g.n + 1)
 
     def add(j, x, parts):
         sums[j] += x
 
-    return Polynomial.from_u_coefficients(sums, _walk(g, budget, add))
+    return lowest_terms(sums, _walk(g, budget, add))
+
+
+def charpoly_via_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Polynomial:
+    """Sum of decomposition terms; equals the exact characteristic polynomial."""
+    return Polynomial.from_u_coefficients(*oracle_u(g, budget))
 
 
 # ---------------------------------------------------------------------------

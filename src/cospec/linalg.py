@@ -8,15 +8,18 @@ straight from the adjacency rows; one Taylor shift turns u into t.
 
 The integer charpoly det(xI - M) is multi-modular.  Hadamard's bound on
 the principal minors bounds every coefficient by
-B = prod_i (2 + isqrt(|row i|^2)).  The moduli are Mersenne primes
-2^e - 1 whose product exceeds 2B: one or two with e in {61, 89, 107, 127},
-or, for wider bounds, those from 2^521 - 1 up.  Modulo each, M is reduced
-to upper Hessenberg form and the Hessenberg recurrence gives the charpoly;
-CRT with symmetric residues rebuilds the integers.  A point certificate
-checks the result: det(x0 I - M) by Gaussian elimination modulo
-2^31 - 1, a prime outside every modulus set, must equal the rebuilt
-polynomial at x0, or CertificateError is raised.  The kernel sees only M,
-never the ring structure, so the exact route stays an independent
+B = prod_i (2 + isqrt(|row i|^2)).  The modulus is the first prime of a
+ladder above 2B: the Mersenne primes 2^61 - 1 to 2^127 - 1, then Proth
+primes h 2^s + 1 of 160 to 448 bits; so one pass serves every bound below
+2^447.  Wider bounds take the Mersenne primes from 2^521 - 1 up, as many
+as needed.  Modulo each, M is reduced to upper Hessenberg form and the
+Hessenberg recurrence gives the charpoly; CRT with symmetric residues
+rebuilds the integers.  A point certificate checks the result:
+det(x0 I - M) by Gaussian elimination modulo 2^31 - 1, a prime outside
+every modulus set, must equal the rebuilt polynomial at x0, or
+CertificateError is raised.  `exact_u` hands the result on as integer
+u-coefficients over one denominator in lowest terms.  The kernel sees only
+M, never the ring structure, so the exact route stays an independent
 reference for the other two.
 """
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import CertificateError, DegreeError, NumericalError, ParameterError, ShapeError
 from .graphs import WeightedGraph, normalized_laplacian
-from .polynomials import Polynomial
+from .polynomials import Polynomial, lowest_terms
 from .rationals import Rat
 
 # ---------------------------------------------------------------------------
@@ -79,23 +82,25 @@ def mat_inv(matrix):
 # characteristic polynomials
 
 
-# Moduli for the multi-modular kernel, all Mersenne primes 2^e - 1 (each
-# proven prime by the Lucas-Lehmer test).  The kernel uses the first set
-# below whose product exceeds twice the coefficient bound.  A pass modulo
-# a prime of at most 127 bits costs far less than one modulo 2^521 - 1,
-# so one or two of those come first, smallest product first: at n = 38
-# (bound 2^154) the kernel took 5.9 ms with 2^61 - 1 and 2^107 - 1 against
-# 8.8 ms with 2^521 - 1 alone (median of 6 runs over 40 graphs).  Wider
-# bounds take the Mersenne primes from 2^521 - 1 up, as many as needed.
+# Moduli for the multi-modular kernel.  A pass modulo one prime of a few
+# hundred bits costs less than two passes modulo smaller primes and a CRT
+# step, so every bound below 2^447 takes one prime: the first of the ladder
+# above twice the bound.  The ladder is the Mersenne primes 2^e - 1 up to
+# 2^127 - 1 (each proven prime by the Lucas-Lehmer test), then Proth primes
+# h 2^s + 1 with h < 2^s, each proven prime by Proth's theorem with the
+# witness a stored beside it: a^((N-1)/2) = -1 modulo N.  Wider bounds take
+# the Mersenne primes from 2^521 - 1 up, as many as needed, and CRT.
 _SMALL_PRIMES = tuple((1 << e) - 1 for e in (61, 89, 107, 127))
+_PROTH_PRIMES = (  # (h, s, a): N = h 2^s + 1 of 160, 192, 256, 320, 384 and 448 bits
+    (32931, 144, 5), (32791, 176, 3), (32875, 240, 3),
+    (33087, 304, 5), (32871, 368, 5), (33121, 432, 3),
+)
 _LARGE_PRIMES = tuple(
     (1 << e) - 1 for e in (521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
 )
-_MODULUS_SETS = sorted(
-    [(p,) for p in _SMALL_PRIMES]
-    + [(p, q) for i, p in enumerate(_SMALL_PRIMES) for q in _SMALL_PRIMES[i + 1:]],
-    key=math.prod,
-) + [_LARGE_PRIMES[:i] for i in range(1, len(_LARGE_PRIMES) + 1)]
+_MODULUS_SETS = [(p,) for p in _SMALL_PRIMES] + [
+    ((h << s) + 1,) for h, s, _ in _PROTH_PRIMES
+] + [_LARGE_PRIMES[:i] for i in range(1, len(_LARGE_PRIMES) + 1)]
 
 # The point certificate: det(x0 I - m) by Gaussian elimination modulo the
 # Mersenne prime 2^31 - 1, which is in no modulus set.
@@ -256,25 +261,33 @@ def _walk_charpoly(g: WeightedGraph, sign: int):
     return [bi * c**i for i, bi in enumerate(b)], c**g.n
 
 
-def charpoly_exact(g: WeightedGraph) -> Polynomial:
-    """Exact characteristic polynomial of the normalized Laplacian of g.
+def exact_u(g: WeightedGraph) -> tuple:
+    """det(tI - L) of g as (coeffs, den) in lowest terms: the polynomial is
+    sum_i coeffs[i] u^i / den with u = t - 1.
 
-    L is similar to I - D^{-1}A, so det(tI - L) = det(uI + D^{-1}A) with
-    u = t - 1: one multi-modular integer charpoly in u, then one Taylor
-    shift to t.  The result is monic of degree n by construction; the
-    postcondition checks the two facts of every loop-free graph without
-    isolated vertices that the arithmetic could still get wrong, namely
-    det L = 0 and tr L = n.
+    L is similar to I - D^{-1}A, so det(tI - L) = det(uI + D^{-1}A): one
+    multi-modular integer charpoly in u.  The result is monic of degree n
+    by construction; the postcondition checks, in integers, the two facts
+    of every loop-free graph without isolated vertices that the arithmetic
+    could still get wrong: det L = 0 (sum_i (-1)^i coeffs[i] = 0) and
+    tr L = n (coeffs[n-1] - n coeffs[n] = -n den).
     """
-    coeffs, scale = _walk_charpoly(g, -1)
-    poly = Polynomial.from_u_coefficients(coeffs, scale)
+    coeffs, den = lowest_terms(*_walk_charpoly(g, -1))
     n = g.n
-    if poly.coefficient(0) != 0 or poly.coefficient(n - 1) != -n:
+    at_zero = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
+    trace = coeffs[n - 1] - n * coeffs[n]
+    if at_zero != 0 or trace != -n * den:
         raise CertificateError(
-            f"characteristic polynomial of L has constant term {poly.coefficient(0)} "
-            f"and t^{n - 1} coefficient {poly.coefficient(n - 1)}, expected 0 and {-n}"
+            f"characteristic polynomial of L has constant term {at_zero}/{den} "
+            f"and t^{n - 1} coefficient {trace}/{den}, expected 0 and {-n}"
         )
-    return poly
+    return coeffs, den
+
+
+def charpoly_exact(g: WeightedGraph) -> Polynomial:
+    """Exact characteristic polynomial of the normalized Laplacian of g
+    (`exact_u` shifted from u to t)."""
+    return Polynomial.from_u_coefficients(*exact_u(g))
 
 
 def charpoly_random_walk(g: WeightedGraph) -> Polynomial:

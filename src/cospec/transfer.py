@@ -34,7 +34,7 @@ import math
 
 from .errors import CertificateError, IdentityCheckError, ParameterError
 from .linalg import mat_inv, mat_mul
-from .polynomials import Polynomial
+from .polynomials import Polynomial, lowest_terms
 from .rationals import Rat
 from .words import Word
 from .decomps import long_cycle_monomial
@@ -207,26 +207,31 @@ def short_part(w: Word, k) -> Polynomial:
     return Polynomial.from_u_coefficients(*_short_kernel(w, k))
 
 
-def charpoly_via_transfer(w: Word, k, *, with_short_part: bool = False):
-    """Long-cycle closed form plus transfer-matrix short part, summed as
-    u-coefficients over one common denominator.
+def transfer_u(w: Word, k) -> tuple:
+    """(charpoly, short part) of G(w) from one kernel run, each as
+    (coeffs, den) in lowest terms: sum_i coeffs[i] u^i / den, u = t - 1.
 
-    With with_short_part, returns (charpoly, short part) from the one
-    kernel run.
+    The charpoly is the kernel's short part plus the long-cycle monomial,
+    summed over one common denominator; it must be monic of degree n
+    (coeffs[n] = den), or CertificateError is raised.
     """
     short, scale = _short_kernel(w, k)
     c, j = long_cycle_monomial(w.tau, w.ell, w.m, k)
     den = math.lcm(scale, int(c.denominator))
     coeffs = [x * (den // scale) for x in short]
     coeffs[j] += int(c.numerator) * (den // int(c.denominator))
-    poly = Polynomial.from_u_coefficients(coeffs, den)
-    if poly.degree != w.n or not poly.is_monic():
+    coeffs, den = lowest_terms(coeffs, den)
+    if len(coeffs) != w.n + 1 or coeffs[-1] != den:
         raise CertificateError(
             f"transfer charpoly of {w} at k={k} is not monic of degree {w.n}"
         )
-    if with_short_part:
-        return poly, Polynomial.from_u_coefficients(short, scale)
-    return poly
+    return (coeffs, den), lowest_terms(short, scale)
+
+
+def charpoly_via_transfer(w: Word, k) -> Polynomial:
+    """Long-cycle closed form plus transfer-matrix short part (`transfer_u`
+    shifted from u to t)."""
+    return Polynomial.from_u_coefficients(*transfer_u(w, k)[0])
 
 
 # Polynomials in (k, v) with integer coefficients: {(i, j): c} for c k^i v^j.

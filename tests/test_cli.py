@@ -125,6 +125,14 @@ def test_scan_tau3(capsys):
             assert entry["edge_delta"] == 0
 
 
+def test_scan_runs_each_k_value_once(capsys):
+    code, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "2,1,1/1,4/2",
+                           "--method", "exact")
+    assert code == 0
+    assert payload["k"] == ["2/1", "1/1"]
+    assert payload["summary"]["pairs_checked"] == 12 and len(payload["entries"]) == 12
+
+
 def test_scan_with_skipped_pairs_exits_3(capsys):
     code, payload, err = run(
         capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "oracle", "--budget", "5"
@@ -140,8 +148,8 @@ def test_scan_with_skipped_pairs_exits_3(capsys):
 def test_scan_runs_the_oracle_on_a_trivial_entry_only_when_a_check_reads_it(
         capsys, monkeypatch, method, calls):
     seen = []
-    oracle = cli.charpoly_via_decompositions
-    monkeypatch.setattr(cli, "charpoly_via_decompositions",
+    oracle = cli.oracle_u
+    monkeypatch.setattr(cli, "oracle_u",
                         lambda g, budget: seen.append(g.word) or oracle(g, budget))
     code, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", method)
     assert code == 0

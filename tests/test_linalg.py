@@ -15,7 +15,7 @@ from cospec.linalg import (
     mat_inv,
     mat_mul,
 )
-from cospec.polynomials import Polynomial
+from cospec.polynomials import Polynomial, lowest_terms, t_json
 from cospec.rationals import Rat
 from cospec.words import parse_word
 
@@ -71,6 +71,29 @@ def test_from_u_coefficients_with_den_equals_shift_then_scale(case):
     for i, c in enumerate(coeffs):
         expected = expected + Polynomial.t_minus_one_power(i).scale(c)
     assert Polynomial.from_u_coefficients(coeffs, den) == expected.scale(Rat(1, den))
+
+
+@st.composite
+def u_pairs(draw):
+    """Integer u-coefficients, zero ones drawn often, with trailing zeros,
+    over a nonzero denominator of either sign."""
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30)), max_size=10))
+    coeffs += [0] * draw(st.integers(0, 3))
+    return coeffs, draw(st.integers(-10**20, 10**20).filter(bool))
+
+
+@given(u_pairs(), u_pairs(), st.integers(-10**6, 10**6).filter(bool), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_integer_hand_off_matches_polynomial(case, other, factor, zeros):
+    coeffs, den = case
+    poly = Polynomial.from_u_coefficients(coeffs, den)
+    assert t_json(*lowest_terms(coeffs, den)) == poly.to_json()
+    # the same polynomial scaled top and bottom, and an unrelated one
+    scaled = ([c * factor for c in coeffs] + [0] * zeros, den * factor)
+    for c, d in (scaled, other):
+        assert (lowest_terms(c, d) == lowest_terms(coeffs, den)) == (
+            Polynomial.from_u_coefficients(c, d) == poly)
+    assert lowest_terms(*scaled) == lowest_terms(coeffs, den)
 
 
 def test_t_minus_one_power():
@@ -164,6 +187,19 @@ def test_charpoly_postcondition_raises(monkeypatch):
         monkeypatch.setattr(linalg, "_charpoly_integer", lambda m: corrupt(kernel(m)))
         with pytest.raises(CertificateError):
             charpoly_exact(ring("EEE"))
+    # u-coefficients 0 and 2 of EEE moved by -1 and +1: det L stays 0, tr L does not
+    monkeypatch.setattr(linalg, "_charpoly_integer", kernel)
+    walk = linalg._walk_charpoly
+
+    def trace_off(g, sign):
+        coeffs, scale = walk(g, sign)
+        coeffs[0] -= 1
+        coeffs[2] += 1
+        return coeffs, scale
+
+    monkeypatch.setattr(linalg, "_walk_charpoly", trace_off)
+    with pytest.raises(CertificateError, match="t\\^2 coefficient"):
+        charpoly_exact(ring("EEE"))
 
 
 @given(words, st.sampled_from([Rat(1), Rat(2), Rat(1, 2)]))
@@ -286,17 +322,26 @@ def test_kernel_equals_berkowitz(m):
     assert linalg._charpoly_integer(m) == berkowitz(m)
 
 
+def wide_diagonal(bits):
+    """Diagonal entries +-2^bits meet the bound, and unit entries off the
+    diagonal leave it unchanged: |det| is about 2^(4 bits)."""
+    return [[(-1) ** i * 2**bits if i == j else int(j == (i + 1) % 4) for j in range(4)]
+            for i in range(4)]
+
+
 @pytest.mark.parametrize("bits, moduli_bits", [
-    (10, (61,)), (30, (127,)), (37, (61, 89)), (50, (89, 127)), (100, (521,)),
-    (200, (521, 607)),
+    (10, (61,)), (30, (127,)), (37, (160,)), (50, (256,)), (100, (448,)), (200, (521, 607)),
+    (18, (89,)), (23, (107,)), (40, (192,)), (70, (320,)), (85, (384,)), (115, (521,)),
+    (300, (521, 607, 1279)),
 ])
 def test_kernel_wide_coefficients_take_several_or_wide_moduli(bits, moduli_bits):
-    # diagonal entries +-2^bits meet the bound, and unit entries off the
-    # diagonal leave it unchanged: |det| is about 2^(4 bits), so every
-    # modulus of the set is needed
-    m = [[(-1) ** i * 2**bits if i == j else int(j == (i + 1) % 4) for j in range(4)]
-         for i in range(4)]
-    assert tuple(p.bit_length() for p in kernel_moduli(m)) == moduli_bits
+    # one rung of the ladder per bound below 2^447; past it, |det| (about
+    # 2^(4 bits)) is too wide for the set less its last prime
+    m = wide_diagonal(bits)
+    moduli = kernel_moduli(m)
+    assert tuple(p.bit_length() for p in moduli) == moduli_bits
+    if len(moduli) > 1:
+        assert 2 * abs(berkowitz(m)[0]) > math.prod(moduli[:-1])
     assert linalg._charpoly_integer(m) == berkowitz(m)
 
 
@@ -304,12 +349,16 @@ def test_moduli_are_the_first_set_over_twice_the_bound():
     sets = linalg._MODULUS_SETS
     products = [math.prod(s) for s in sets]
     assert products == sorted(products)
-    assert all(s[0] != linalg._CHECK_PRIME for s in sets)
+    assert all(linalg._CHECK_PRIME not in s for s in sets)
+    # the ladder: one prime per set up to 448 bits, then Mersenne sets with CRT
+    ladder = [s[0].bit_length() for s in sets if len(s) == 1 and s[0].bit_length() <= 448]
+    assert ladder == [61, 89, 107, 127, 160, 192, 256, 320, 384, 448]
     for bits in range(1, 2000, 7):
         bound = 2**bits - 1
         moduli = linalg._moduli(bound)
         i = sets.index(moduli)
         assert math.prod(moduli) > 2 * bound and (i == 0 or products[i - 1] <= 2 * bound)
+        assert len(moduli) == 1 or bits > 447
     with pytest.raises(ParameterError):
         linalg._moduli(products[-1])
 
@@ -319,6 +368,13 @@ def lucas_lehmer(e: int) -> bool:
     for _ in range(e - 2):
         s = (s * s - 2) % m
     return s == 0
+
+
+def proth(h: int, s: int, a: int) -> bool:
+    """Proth's theorem: N = h 2^s + 1 with 0 < h < 2^s is prime if
+    a^((N-1)/2) = -1 modulo N for some a; for a composite N no a passes."""
+    n = (h << s) + 1
+    return 0 < h < 1 << s and pow(a, (n - 1) // 2, n) == n - 1
 
 
 def test_moduli_are_mersenne_primes():
@@ -331,9 +387,21 @@ def test_moduli_are_mersenne_primes():
     assert not lucas_lehmer(67)  # 2^67 - 1 = 193707721 * 761838257287
 
 
-# n = 38; its bound takes the moduli 2^61 - 1 and 2^107 - 1, and its
-# coefficients need both: they reach 121 bits
+def test_proth_moduli_are_proven_primes():
+    ladder = {s[0] for s in linalg._MODULUS_SETS if len(s) == 1}
+    for h, s, a in linalg._PROTH_PRIMES:
+        assert proth(h, s, a) and (h << s) + 1 in ladder
+        # the entry with h moved to the next h' making h' 2^s + 1 a multiple of 3 fails
+        composite = next(x for x in range(h + 1, h + 4) if ((x << s) + 1) % 3 == 0)
+        assert not proth(composite, s, a)
+
+
+# n = 38; its bound, 2^154, takes the 160-bit Proth prime, and its
+# coefficients reach 121 bits
 WIDE = "CCEECECPEECPPPPP"
+# n = 30; its bound takes the 160-bit Proth prime, and its coefficients
+# reach 131 bits, past what 2^127 - 1 can hold
+WIDER = "CPEECCCPCPCE"
 
 
 def test_corrupt_residue_fails_the_point_certificate(monkeypatch):
@@ -342,30 +410,41 @@ def test_corrupt_residue_fails_the_point_certificate(monkeypatch):
     kernel = linalg._charpoly_mod
     for index in (0, 3, 6):
         def corrupt(m, p, index=index):
+            # only modulo the first prime of the set, so a CRT sees it once
             residues = kernel(m, p)
-            if p == linalg._SMALL_PRIMES[0]:
-                residues[index] = (residues[index] + 1) % p
+            if p == kernel_moduli(m)[0]:
+                i = index % len(residues)
+                residues[i] = (residues[i] + 1) % p
             return residues
         monkeypatch.setattr(linalg, "_charpoly_mod", corrupt)
-        with pytest.raises(CertificateError, match="disagrees with det"):
-            linalg._charpoly_integer(m)
+        for matrix in (m, wide_diagonal(200)):
+            with pytest.raises(CertificateError, match="disagrees with det"):
+                linalg._charpoly_integer(matrix)
         with pytest.raises(CertificateError):
             charpoly_exact(g)
 
 
 def test_one_modulus_too_few_fails_the_point_certificate(monkeypatch):
-    m = [[x * 10**9 for x in row] for row in
-         [[2, 1, 0, 0, 3], [1, -4, 5, 0, 0], [0, 2, 7, 1, 0], [0, 0, 1, 9, 2], [6, 0, 0, 3, 1]]]
-    assert len(kernel_moduli(m)) == 2
-    g = ring(WIDE, Rat(7, 3))
+    # one step down the list of sets, or a multi-prime set less one prime,
+    # cannot hold these coefficients
+    sets = linalg._MODULUS_SETS
     moduli = linalg._moduli
-    for drop in (0, -1):
-        monkeypatch.setattr(linalg, "_moduli", lambda bound: tuple(
-            p for i, p in enumerate(moduli(bound)) if i != drop % len(moduli(bound))))
+    single, multi = wide_diagonal(37), wide_diagonal(200)
+    g = ring(WIDER, Rat(13, 9))
+    assert len(kernel_moduli(single)) == 1 and len(kernel_moduli(multi)) == 2
+
+    def step_down(s):
+        return sets[sets.index(s) - 1]
+
+    for smaller in (lambda s: s[1:], lambda s: s[:-1], step_down):
+        monkeypatch.setattr(linalg, "_moduli", lambda bound: smaller(moduli(bound)))
         with pytest.raises(CertificateError, match="disagrees with det"):
-            linalg._charpoly_integer(m)
-        with pytest.raises(CertificateError):
-            charpoly_exact(g)
+            linalg._charpoly_integer(multi)
+    # step_down is still in place: a single prime one rung too small
+    with pytest.raises(CertificateError, match="disagrees with det"):
+        linalg._charpoly_integer(single)
+    with pytest.raises(CertificateError):
+        charpoly_exact(g)
 
 
 # ---------------------------------------------------------------- eigenvalues
