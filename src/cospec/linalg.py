@@ -11,7 +11,7 @@ the principal minors bounds every coefficient by
 B = prod_i (2 + isqrt(|row i|^2)).  The modulus is the first prime of a
 ladder above 2B: the Mersenne primes 2^61 - 1 to 2^127 - 1, then Proth
 primes h 2^s + 1 of 160 to 448 bits; so one pass serves every bound below
-2^447.  Wider bounds take the Mersenne primes from 2^521 - 1 up, as many
+2^446.  Wider bounds take the Mersenne primes from 2^521 - 1 up, as many
 as needed.  Modulo each, M is reduced to upper Hessenberg form and the
 Hessenberg recurrence gives the charpoly; CRT with symmetric residues
 rebuilds the integers.  A point certificate checks the result:
@@ -82,14 +82,25 @@ def mat_inv(matrix):
 # characteristic polynomials
 
 
-# Moduli for the multi-modular kernel.  A pass modulo one prime of a few
-# hundred bits costs less than two passes modulo smaller primes and a CRT
-# step, so every bound below 2^447 takes one prime: the first of the ladder
-# above twice the bound.  The ladder is the Mersenne primes 2^e - 1 up to
-# 2^127 - 1 (each proven prime by the Lucas-Lehmer test), then Proth primes
-# h 2^s + 1 with h < 2^s, each proven prime by Proth's theorem with the
-# witness a stored beside it: a^((N-1)/2) = -1 modulo N.  Wider bounds take
-# the Mersenne primes from 2^521 - 1 up, as many as needed, and CRT.
+# Moduli for the multi-modular kernel.  Every bound B below 2^446 takes one
+# prime, the first of the ladder above 2B; the top rung is about 2^447.02,
+# so bounds from 2^446 on may need 2^521 - 1.  The ladder is the Mersenne
+# primes 2^e - 1 up to 2^127 - 1 (each proven prime by the Lucas-Lehmer
+# test), then Proth primes h 2^s + 1 with h < 2^s, each proven prime by
+# Proth's theorem with the witness a stored beside it: a^((N-1)/2) = -1
+# modulo N.  Wider bounds take the Mersenne primes from 2^521 - 1 up, as
+# many as needed, and CRT.  The Proth rungs serve only bounds of 2^126 and
+# more (rings of about 32 vertices and more at k = 7/3).  Mersenne primes
+# alone would serve those bounds by two passes modulo primes of at most 127
+# bits and a CRT step (bounds up to 2^233), or by one pass modulo
+# 2^521 - 1, and take longer: per rung, on 6 ring graphs at k = 7/3 spread
+# over its bounds, _charpoly_integer took (ms, mean of per-graph medians of
+# 5 runs, CPython 3.11):
+#   rung (bits)          160     192     256     320     384     448
+#   graph bounds (bits) 129-154 166-190 194-254 255-308 320-381 384-446
+#   Mersenne sets        5.9    11.1    27.4    51.8    73.3   119.1
+#   ladder               3.9     7.7    16.1    30.9    50.1    93.8
+# and no graph took longer with the ladder (worst ratio 0.80, at 448 bits).
 _SMALL_PRIMES = tuple((1 << e) - 1 for e in (61, 89, 107, 127))
 _PROTH_PRIMES = (  # (h, s, a): N = h 2^s + 1 of 160, 192, 256, 320, 384 and 448 bits
     (32931, 144, 5), (32791, 176, 3), (32875, 240, 3),

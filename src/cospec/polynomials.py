@@ -3,8 +3,7 @@ integer hand-off of the three charpoly routes.
 
 Each route gives its polynomial as u-coefficients over one denominator,
 u = t - 1, as integers in lowest terms (`lowest_terms`): two such pairs
-are equal exactly when the polynomials are.  `t_json` shifts a pair to t
-and renders it, with no rational per coefficient.
+are equal exactly when the polynomials are.
 """
 
 from __future__ import annotations
@@ -14,17 +13,6 @@ import math
 from .rationals import Rat, rat_str
 
 _ZERO = Rat(0)
-
-
-def _taylor_shift(coeffs) -> list:
-    """The t-coefficients of sum_i coeffs[i] (t - 1)^i, in the
-    Pascal-triangle form of the binomial expansion: only additions, so
-    integers stay integers."""
-    a = list(coeffs)
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] -= a[j + 1]
-    return a
 
 
 def lowest_terms(coeffs, den) -> tuple:
@@ -37,16 +25,6 @@ def lowest_terms(coeffs, den) -> tuple:
     if den < 0:
         g = -g
     return tuple(c // g for c in cs), den // g
-
-
-def t_json(coeffs, den) -> list:
-    """Polynomial.from_u_coefficients(coeffs, den).to_json() for a pair in
-    lowest terms: one Taylor shift in integers, then "p/q" per coefficient."""
-    out = []
-    for a in _taylor_shift(coeffs):
-        g = math.gcd(a, den)
-        out.append(f"{a // g}/{den // g}")
-    return out
 
 
 class Polynomial:
@@ -71,10 +49,16 @@ class Polynomial:
 
     @classmethod
     def from_u_coefficients(cls, coeffs, den=1) -> "Polynomial":
-        """The polynomial sum_i coeffs[i] * (t - 1)^i / den, by a Taylor
-        shift: integer coefficients stay integers until the one division by
-        den per coefficient."""
-        a = _taylor_shift(coeffs)
+        """The polynomial sum_i coeffs[i] * (t - 1)^i / den, by a Taylor shift.
+
+        Pascal-triangle form of the binomial expansion: only additions,
+        so integer coefficients stay integers until the one division by
+        den per coefficient.
+        """
+        a = list(coeffs)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] -= a[j + 1]
         return cls(a if den == 1 else [Rat(c, den) for c in a])
 
     @property
