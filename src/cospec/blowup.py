@@ -105,12 +105,6 @@ def _split_chains(g: WeightedGraph, chains):
     return WeightedGraph(next_id, edges), old_to_new
 
 
-def split_e_chain(g: WeightedGraph, chain) -> WeightedGraph:
-    """Split one chain of equal-integer-weight edges into parallel paths."""
-    new_graph, _ = _split_chains(g, [tuple(chain)])
-    return new_graph
-
-
 def is_simple(g: WeightedGraph) -> bool:
     """True iff every edge weight is exactly 1."""
     return all(w == 1 for _, _, w in g.edges())

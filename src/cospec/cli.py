@@ -231,11 +231,11 @@ def cmd_blowup(args: argparse.Namespace) -> int:
         b1, b2 = pair
         specs = {"recipe": "scale-then-blowup", "scale": rat_str(scale)}
     gap = _eig_gap(b1, b2)
-    ok = is_simple(b1) and is_simple(b2) and gap <= args.tol
+    simple = [is_simple(b1), is_simple(b2)]
+    ok = all(simple) and gap <= args.tol
     if args.out:
         for name, g in (("blowup_1", b1), ("blowup_2", b2)):
-            ext = {"json": "json", "dot": "dot", "csv": "csv"}[args.format]
-            _write_or_print(export_graph(g, args.format), f"{args.out}/{name}.{ext}")
+            _write_or_print(export_graph(g, args.format), f"{args.out}/{name}.{args.format}")
     payload = {
         "command": "blowup",
         "version": __version__,
@@ -244,7 +244,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
         "k": rat_str(k),
         "spec": specs,
         "n": [b1.n, b2.n],
-        "simple": [is_simple(b1), is_simple(b2)],
+        "simple": simple,
         "eigenvalue_gap": gap,
         "pass": ok,
     }

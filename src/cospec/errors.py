@@ -38,8 +38,11 @@ class NumericalError(CospecError, RuntimeError):
 
 
 class CertificateError(CospecError, ArithmeticError):
-    """A computed polynomial failed a property its construction guarantees
-    (divisibility by a power of t - 1, degree, monicity)."""
+    """A computed polynomial failed a check its construction guarantees:
+    the exact route's point certificate (the rebuilt charpoly against a
+    determinant at one point modulo a separate prime) or its det L = 0 and
+    tr L = n checks, and the transfer route's divisibility by a power of
+    t - 1, degree bound and monicity."""
 
 
 class OutputError(CospecError, OSError):

@@ -1,4 +1,5 @@
-"""Exact rational matrix arithmetic and the baseline spectral computations.
+"""The exact route: the characteristic polynomial from the matrix alone,
+and the numeric spectrum.
 
 The characteristic polynomial of the normalized Laplacian is computed
 without any floating point: L is similar to I - D^{-1}A, so
@@ -29,58 +30,10 @@ import math
 
 import numpy as np
 
-from .errors import CertificateError, DegreeError, NumericalError, ParameterError, ShapeError
+from .errors import CertificateError, DegreeError, NumericalError, ParameterError
 from .graphs import WeightedGraph, normalized_laplacian
 from .polynomials import Polynomial, lowest_terms
 from .rationals import Rat
-
-# ---------------------------------------------------------------------------
-# small dense rational matrices (lists of lists of Rat)
-
-
-def mat_identity(n: int):
-    return [[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    if len(a[0]) != m:
-        raise ShapeError("matrix dimensions do not match")
-    zero = Rat(0)
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(p):
-            acc = zero
-            for t in range(m):
-                acc += ai[t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_inv(matrix):
-    """Exact inverse via Gauss-Jordan; raises ShapeError if singular."""
-    n = len(matrix)
-    m = [list(row) + ident_row for row, ident_row in zip(matrix, mat_identity(n))]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            raise ShapeError("matrix is singular")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [x / pivot for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomials
-
 
 # Moduli for the multi-modular kernel.  Every bound B below 2^446 takes one
 # prime, the first of the ladder above 2B; the top rung is about 2^447.02,

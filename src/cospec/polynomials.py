@@ -1,9 +1,11 @@
-"""Dense polynomials in t with exact rational coefficients, and the
-integer hand-off of the three charpoly routes.
+"""The integer hand-off of the three charpoly routes, and the exact
+polynomials in t they are printed and returned as.
 
 Each route gives its polynomial as u-coefficients over one denominator,
 u = t - 1, as integers in lowest terms (`lowest_terms`): two such pairs
-are equal exactly when the polynomials are.
+are equal exactly when the polynomials are.  `Polynomial` holds only what
+the routes and the JSON read: the Taylor shift from u to t, degree,
+coefficients, monicity, equality and rendering; it has no arithmetic.
 """
 
 from __future__ import annotations
@@ -39,15 +41,6 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def t_minus_one_power(cls, j: int) -> "Polynomial":
-        """(t - 1)^j, from the binomial theorem."""
-        return cls([(-1) ** (j - i) * math.comb(j, i) for i in range(j + 1)])
-
-    @classmethod
     def from_u_coefficients(cls, coeffs, den=1) -> "Polynomial":
         """The polynomial sum_i coeffs[i] * (t - 1)^i / den, by a Taylor shift.
 
@@ -71,44 +64,6 @@ class Polynomial:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, t):
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * Rat(t) + c
-        return acc
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        c = Rat(c)
-        return Polynomial([a * c for a in self.coeffs])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs

@@ -9,9 +9,13 @@ matrices X_P, X_C, X_E carry the local contributions.  Conjugating by R
 compresses everything to 2x2 blocks Y_*, and the matrix U intertwines
 Y_P with Y_C while commuting with Y_E, which forces trace invariance
 under toggling.  X_TABLE holds u^4 X_kind as integer polynomials in k and
-v = u^2; the kernel evaluates it at one k, and `certify_identities` proves
-the identities from it as polynomials in (k, v), so for every k > 0 and
-t not in {0, 1, 2} at once.
+v = u^2, and the blocks Y_kind built from it are integer polynomials in
+(k, v) too (`_y_poly_block`).  `certify_identities` proves the identities
+on those blocks as polynomials, so for every k > 0 and t not in {0, 1, 2}
+at once, and the kernel evaluates the very same blocks at one k.  The
+route needs nothing from the other two: it carries its own small exact
+matrix products and inverse, and the long-cycle part as a closed-form
+monomial.
 
 The short part is computed symbolically in u = t - 1 on the 2x2 blocks:
 S has zero rows 2 and 3, so tr prod_i Q X_i = tr prod_i Y_i.  Every
@@ -32,14 +36,46 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import CertificateError, IdentityCheckError, ParameterError
-from .linalg import mat_inv, mat_mul
+from .errors import CertificateError, IdentityCheckError, ParameterError, ShapeError
 from .polynomials import Polynomial, lowest_terms
 from .rationals import Rat
 from .words import Word
-from .decomps import long_cycle_monomial
 
-STATES = ("empty", "+", "-", "+/-")
+
+def mat_mul(a, b):
+    n, m, p = len(a), len(b), len(b[0])
+    if len(a[0]) != m:
+        raise ShapeError("matrix dimensions do not match")
+    zero = Rat(0)
+    out = []
+    for i in range(n):
+        row = []
+        ai = a[i]
+        for j in range(p):
+            acc = zero
+            for t in range(m):
+                acc += ai[t] * b[t][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def mat_inv(matrix):
+    """Exact inverse via Gauss-Jordan; raises ShapeError if singular."""
+    n = len(matrix)
+    m = [list(row) + [Rat(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            raise ShapeError("matrix is singular")
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        pivot = m[col][col]
+        m[col] = [x / pivot for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
 
 
 def q_matrix():
@@ -70,13 +106,6 @@ def s_matrix():
     return m
 
 
-def _positive(k):
-    k = Rat(k)
-    if k <= 0:
-        raise ParameterError(f"k must be positive, got {k}")
-    return k
-
-
 # u^4 X_kind times 4 (k+1)^2, one entry per state (empty, +, -, +/-): the
 # integer coefficients in k, constant term first, of v^0, v^1 and v^2.
 X_TABLE = {
@@ -89,19 +118,6 @@ X_TABLE = {
 
 # U = [[20v - 2, -32v - 4], [8v + 1, -20v + 2]]: coefficients of v^0, v^1.
 U_TABLE = (((-2, 20), (-4, -32)), ((1, 8), (2, -20)))
-
-
-def _x_diagonal_v(kind: str, k):
-    """Diagonal of u^4 X_kind, one coefficient triple (c0, c1, c2) in
-    v = u^2 per state: X_TABLE evaluated at k."""
-    k = _positive(k)
-    if kind not in X_TABLE:
-        raise ParameterError(f"unknown module kind {kind!r}")
-    den = 4 * (k + 1) ** 2
-    return [
-        tuple(sum(c * k**i for i, c in enumerate(ks)) / den for ks in entry)
-        for entry in X_TABLE[kind]
-    ]
 
 
 @functools.cache
@@ -118,23 +134,28 @@ def _y_weights():
 
 @functools.lru_cache(maxsize=64)
 def _integral_block(kind: str, k):
-    """(d, d u^4 Y_kind, norm): u^4 Y_kind, the upper left block of
-    S R^-1 (u^4 X_kind) R, as a 2x2 matrix of integer coefficient triples
-    in v = u^2 over the least common denominator d, and norm the largest
-    row sum of the entries' coefficient 1-norms.  Built once per (kind, k)
-    in integers and shared by every caller, so it must stay immutable."""
-    diag = _x_diagonal_v(kind, k)
-    dx = math.lcm(*(int(c.denominator) for entry in diag for c in entry))
-    xs = [[int(c.numerator) * (dx // int(c.denominator)) for c in entry] for entry in diag]
-    weights, e = _y_weights()
-    entries = [
-        [[sum(c * x[p] for c, x in zip(ws, xs)) for p in range(3)] for ws in row]
-        for row in weights
-    ]
-    # dividing out the common factor leaves the least common denominator
-    g = math.gcd(e * dx, *(c for row in entries for entry in row for c in entry))
+    """(d, d u^4 Y_kind, norm): u^4 Y_kind at k as a 2x2 matrix of integer
+    coefficient triples in v = u^2 over the least common denominator d, and
+    norm the largest row sum of the entries' coefficient 1-norms.
+
+    It is `_y_poly_block(kind)`, the block `certify_identities` proves,
+    evaluated at k = p/q: times q^D, D = max(2, its degree in k), every
+    entry is an integer polynomial in v over 4 e (p+q)^2 q^(D-2), and the
+    common factor is divided out.  Built once per (kind, k) and shared by
+    every caller, so it must stay immutable."""
+    k = Rat(k)
+    if k <= 0:
+        raise ParameterError(f"k must be positive, got {k}")
+    p, q = int(k.numerator), int(k.denominator)
+    poly = _y_poly_block(kind)
+    deg = max([2] + [i for row in poly for entry in row for i, _ in entry])
+    entries = [[[sum(c * p**i * q ** (deg - i) for (i, j), c in entry.items() if j == v)
+                 for v in range(3)] for entry in row] for row in poly]
+    _, e = _y_weights()
+    den = 4 * e * (p + q) ** 2 * q ** (deg - 2)
+    g = math.gcd(den, *(c for row in entries for entry in row for c in entry))
     block = tuple(tuple(tuple(c // g for c in entry) for entry in row) for row in entries)
-    return e * dx // g, block, max(sum(abs(c) for entry in row for c in entry) for row in block)
+    return den // g, block, max(sum(abs(c) for entry in row for c in entry) for row in block)
 
 
 def _radix_bits(dim: int, norms) -> int:
@@ -205,6 +226,17 @@ def short_part(w: Word, k) -> Polynomial:
     and S has zero rows 2 and 3, so the two traces are equal.
     """
     return Polynomial.from_u_coefficients(*_short_kernel(w, k))
+
+
+def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:
+    """The long-cycle part for a ring with counts (tau, ell, m) as the
+    monomial (c, j), meaning c * (t - 1)^j."""
+    k = Rat(k)
+    if tau < 3 or ell < 0 or m < 0 or ell + m > tau:
+        raise ParameterError(f"invalid counts tau={tau}, ell={ell}, m={m}")
+    if k <= 0:
+        raise ParameterError(f"k must be positive, got {k}")
+    return Rat((-1) ** (tau - 1)) / (Rat(2) ** (tau - 1) * (k + 1) ** (m + ell)), 2 * (m + ell)
 
 
 def transfer_u(w: Word, k) -> tuple:

@@ -2,7 +2,8 @@
 
 A word indexes one graph of the family; toggling swaps the roles of P
 and C.  Words are stored linearly; the cyclic symmetry is handled by
-cyclic_equivalent / canonical_form.
+canonical_form, the least spelling among all rotations and reflected
+rotations, which names a class.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ def _variants(w: Word):
     for s in (w.letters, w.letters[::-1]):
         for i in range(len(s)):
             yield s[i:] + s[:i]
-
-
-def cyclic_equivalent(a: Word, b: Word) -> bool:
-    """True iff b is a rotation or reflected rotation of a."""
-    return a.tau == b.tau and b.letters in set(_variants(a))
 
 
 def canonical_form(w: Word) -> Word:

@@ -7,13 +7,13 @@ from cospec.blowup import (
     scale_weights,
     simple_blowup_recipe,
     solve_uniform_multiplicities,
-    split_e_chain,
 )
 from cospec.errors import ParameterError, RecipeError, ShapeError
 from cospec.graphs import WeightedGraph, assemble_ring, normalized_laplacian
 from cospec.linalg import eigenvalues_numeric
 from cospec.rationals import Rat
 from cospec.words import parse_word
+from blowup_reference import split_e_chain
 
 
 def ring(word, k=1):

@@ -2,9 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospec import decomps
-from cospec.decomps import (
+from cospec.decomps import charpoly_via_decompositions
+from cospec.errors import BudgetError, ParameterError
+from cospec.graphs import WeightedGraph, assemble_ring
+from cospec.linalg import charpoly_exact
+from cospec.rationals import Rat
+from cospec.words import parse_word
+from decomps_reference import (
     Decomposition,
-    charpoly_via_decompositions,
+    _decomposition,
     classify_long,
     decomposition_term,
     enumerate_decompositions,
@@ -13,12 +19,7 @@ from cospec.decomps import (
     long_part_bruteforce,
     long_terms_by_config,
 )
-from cospec.errors import BudgetError, ParameterError
-from cospec.graphs import WeightedGraph, assemble_ring
-from cospec.linalg import charpoly_exact
-from cospec.polynomials import Polynomial
-from cospec.rationals import Rat
-from cospec.words import parse_word
+from polynomial_reference import Polynomial
 
 small_words = st.text(alphabet="PCE", min_size=3, max_size=4).map(parse_word)
 ks = st.sampled_from([Rat(1), Rat(2), Rat(1, 2)])
@@ -132,7 +133,7 @@ def walk_terms(g):
     leaves = []
     common = decomps._walk(
         g, decomps.DEFAULT_BUDGET,
-        lambda j, x, parts: leaves.append((decomps._decomposition(parts), j, x)),
+        lambda j, x, parts: leaves.append((_decomposition(parts), j, x)),
     )
     return [(d, j, Rat(x, common)) for d, j, x in leaves]
 

@@ -1,0 +1,55 @@
+"""The package's shape: independent routes, no test code in `src/`, and a
+public surface that works as documented."""
+
+import ast
+import re
+from pathlib import Path
+
+import cospec
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cospec"
+ROUTES = {"linalg", "decomps", "transfer"}
+
+
+def imported_modules(path: Path) -> set:
+    """Every module a source file imports, relative imports resolved
+    inside the package (`from . import x` names `cospec.x`)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("cospec." if node.level else "") + (node.module or "")
+            if node.module:
+                names.add(base)
+            else:
+                names.update(f"cospec.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_routes_import_none_of_each_other():
+    for route in ROUTES:
+        imports = imported_modules(PACKAGE / f"{route}.py")
+        others = {f"cospec.{r}" for r in ROUTES - {route}}
+        assert not imports & others, (route, sorted(imports & others))
+
+
+def test_package_imports_no_test_code():
+    for path in PACKAGE.glob("*.py"):
+        for name in imported_modules(path):
+            parts = name.split(".")
+            assert "tests" not in parts and not parts[-1].endswith("_reference"), (path.name, name)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(cospec.__all__)) == len(cospec.__all__)
+    for name in cospec.__all__:
+        assert getattr(cospec, name) is not None, name
+
+
+def test_readme_python_usage_runs():
+    readme = (ROOT / "README.md").read_text()
+    usage = readme[readme.index("## Usage"):]
+    block = re.search(r"```python\n(.*?)```", usage, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -5,15 +5,16 @@ from cospec import transfer
 from cospec.cli import main
 from cospec.errors import CertificateError, IdentityCheckError, ParameterError
 from cospec.graphs import assemble_ring
-from cospec.linalg import charpoly_exact, mat_mul
-from cospec.polynomials import Polynomial
+from cospec.linalg import charpoly_exact
 from cospec.rationals import Rat
-from cospec.transfer import certify_identities, charpoly_via_transfer, q_matrix, short_part
+from cospec.transfer import certify_identities, charpoly_via_transfer, mat_mul, q_matrix, short_part
 from cospec.words import canonical_words, parse_word, toggle
+from polynomial_reference import Polynomial
 from transfer_reference import (
     poly_mat_mul,
     short_part_via_qx,
     u_matrix,
+    x_diagonal_v,
     x_matrix,
     y_block,
     y_block_reference,
@@ -74,7 +75,7 @@ def test_x_table_matches_closed_forms():
             "E": [(zero, zero, one), (zero,) * 3, (zero,) * 3, (zero, Rat(-1, 4), zero)],
         }
         for kind, diag in expected.items():
-            assert transfer._x_diagonal_v(kind, k) == diag, (kind, k)
+            assert x_diagonal_v(kind, k) == diag, (kind, k)
 
 
 def det2(m):
@@ -215,7 +216,7 @@ def trace_of_product(mats):
 def test_short_part_matches_pointwise_products(w, k):
     # the kernel works symbolically in u; these references multiply the
     # blocks at one rational t and never see u
-    via_qx, via_y = short_part_via_qx(w, k), short_part(w, k)
+    via_qx, via_y = short_part_via_qx(w, k), Polynomial(short_part(w, k).coeffs)
     for t in (Rat(7, 2), Rat(-1, 3)):
         qx = trace_of_product([mat_mul(q_matrix(), x_matrix(l, k, t)) for l in w])
         y = trace_of_product([y_block_reference(l, k, t) for l in w])
@@ -283,12 +284,39 @@ def fresh_blocks():
 
 def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch, fresh_blocks):
     # u^4 X = constant means X ~ u^-4: (t-1)^n cannot clear tau such factors
-    one, zero = Rat(1), Rat(0)
-    monkeypatch.setattr(
-        "cospec.transfer._x_diagonal_v", lambda kind, k: [(one, zero, zero)] * 4
-    )
+    for kind in "PCE":  # 4(k+1)^2 u^4 X = 4(k+1)^2 in every state
+        monkeypatch.setitem(transfer.X_TABLE, kind, (((4, 8, 4), (), ()),) * 4)
     with pytest.raises(CertificateError):
         short_part(parse_word("PCE"), 1)
+
+
+@pytest.mark.parametrize(
+    "kind,state,power,value,word",
+    [
+        ("P", 1, 1, (0, -2, -3), "PPP"),  # P's "+" entry: -2k^2 v -> -3k^2 v
+        ("C", 0, 1, (0, 0, -3), "CCC"),  # C's empty entry: -4k^2 v -> -3k^2 v
+        ("E", 3, 1, (-1, -2, -2), "EEE"),  # E's "+/-" entry: -k^2 v -> -2k^2 v
+    ],
+)
+def test_one_table_coefficient_fails_the_proof_and_the_kernel(
+    capsys, monkeypatch, fresh_blocks, kind, state, power, value, word
+):
+    # the kernel multiplies the blocks the proof reads: a wrong table entry
+    # fails both, the kernel against the exact route
+    argv = ["verify", "--word", word, "--k", "2", "--method", "all"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    entry = list(transfer.X_TABLE[kind][state])
+    entry[power] = value
+    table = list(transfer.X_TABLE[kind])
+    table[state] = tuple(entry)
+    monkeypatch.setitem(transfer.X_TABLE, kind, tuple(table))
+    transfer._integral_block.cache_clear()
+    with pytest.raises(IdentityCheckError):
+        certify_identities()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert ('"transfer_matches_exact": false' in out) or err.startswith("error: ")
 
 
 def test_blocks_built_once_per_table_kind_and_k(capsys, fresh_blocks):

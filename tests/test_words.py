@@ -8,12 +8,12 @@ from cospec.words import (
     all_words,
     canonical_form,
     canonical_words,
-    cyclic_equivalent,
     is_self_toggle,
     parse_word,
     toggle,
     toggle_classes,
 )
+from words_reference import cyclic_equivalent
 
 words = st.text(alphabet="PCE", min_size=3, max_size=10).map(Word)
 

@@ -1,8 +1,9 @@
 """Schoolbook references for the transfer route.
 
-The route multiplies packed integers around the 2x2 blocks Y, and the
-identities are proven as polynomials in (k, v); these helpers keep the
-older, independent forms: the 4x4 table u^4 Q X_kind, a product of
+The route multiplies packed integers around the 2x2 blocks Y, which it
+evaluates at one k from the (k, v) polynomials that the identities are
+proven on; these helpers keep the older, independent forms: X_TABLE
+evaluated at one k in rationals, the 4x4 table u^4 Q X_kind, a product of
 matrices whose entries are integer coefficient lists, and the matrices X,
 Y and U at one point, derived and written out by hand.
 """
@@ -11,15 +12,30 @@ import functools
 import math
 
 from cospec.errors import ParameterError
-from cospec.linalg import mat_inv, mat_mul
-from cospec.polynomials import Polynomial
 from cospec.rationals import Rat
-from cospec.transfer import _x_diagonal_v, q_matrix, r_matrix, s_matrix
+from cospec.transfer import X_TABLE, mat_inv, mat_mul, q_matrix, r_matrix, s_matrix
+from polynomial_reference import Polynomial
+
+
+def x_diagonal_v(kind: str, k):
+    """Diagonal of u^4 X_kind, one coefficient triple (c0, c1, c2) in
+    v = u^2 per state: X_TABLE evaluated at k in rationals.  The kernel
+    reads the table through the (k, v) blocks instead."""
+    k = Rat(k)
+    if k <= 0:
+        raise ParameterError(f"k must be positive, got {k}")
+    if kind not in X_TABLE:
+        raise ParameterError(f"unknown module kind {kind!r}")
+    den = 4 * (k + 1) ** 2
+    return [
+        tuple(sum(c * k**i for i, c in enumerate(ks)) / den for ks in entry)
+        for entry in X_TABLE[kind]
+    ]
 
 
 def qx_table(kind, k):
     """u^4 Q X_kind as a 4x4 matrix of coefficient triples in v = u^2."""
-    diag = _x_diagonal_v(kind, k)
+    diag = x_diagonal_v(kind, k)
     zeros = (Rat(0),) * 3
     # Q is 0/1: each entry either selects a column of the diagonal or is zero
     return [[diag[j] if q else zeros for j, q in enumerate(row)] for row in q_matrix()]
@@ -72,7 +88,7 @@ def short_part_via_qx(w, k) -> Polynomial:
 def x_matrix(kind: str, k, t):
     """Diagonal local-contribution matrix of a module kind at (k, t)."""
     v = (Rat(t) - 1) ** 2
-    diag = [(c0 + c1 * v + c2 * v * v) / (v * v) for c0, c1, c2 in _x_diagonal_v(kind, k)]
+    diag = [(c0 + c1 * v + c2 * v * v) / (v * v) for c0, c1, c2 in x_diagonal_v(kind, k)]
     return [[diag[i] if i == j else Rat(0) for j in range(4)] for i in range(4)]
 
 
