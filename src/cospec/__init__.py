@@ -6,7 +6,7 @@ the normalized Laplacian, plus blowups into simple cospectral pairs.
 __version__ = "0.1.0"
 
 from .blowup import blow_up, is_simple, scale_weights, simple_blowup_recipe
-from .decomps import charpoly_via_decompositions
+from .decomps import oracle_u
 from .graphs import (
     ModuleGadget,
     WeightedGraph,
@@ -17,21 +17,19 @@ from .graphs import (
     random_walk_matrix,
     subgraph_after_symmetry,
 )
-from .linalg import charpoly_exact, eigenvalues_numeric
-from .polynomials import Polynomial
+from .linalg import eigenvalues_numeric, exact_u
 from .rationals import Rat
-from .transfer import certify_identities, charpoly_via_transfer, short_part
+from .transfer import certify_identities, transfer_u
 from .words import Word, canonical_form, parse_word, toggle
 
 __all__ = [
     "blow_up", "is_simple", "scale_weights", "simple_blowup_recipe",
-    "charpoly_via_decompositions",
+    "oracle_u",
     "ModuleGadget", "WeightedGraph", "assemble_ring", "build_module_gadget",
     "export_graph", "normalized_laplacian", "random_walk_matrix",
     "subgraph_after_symmetry",
-    "charpoly_exact", "eigenvalues_numeric",
-    "Polynomial",
+    "eigenvalues_numeric", "exact_u",
     "Rat",
-    "certify_identities", "charpoly_via_transfer", "short_part",
+    "certify_identities", "transfer_u",
     "Word", "canonical_form", "parse_word", "toggle",
 ]

@@ -9,6 +9,20 @@ from .graphs import WeightedGraph, assemble_ring
 from .rationals import Rat, is_integral
 from .words import Word, toggle
 
+# Limits on a blown-up graph, checked from its counts before any edge is
+# built.  A unit-weight blowup has one edge per unit of weight (about 2 k^2
+# for PCC at k): `blowup --word PCC --k 355`, just under 2^18 edges, peaks
+# at about 230 MB on CPython 3.11, and at n = 4096 the dense eigensolve
+# alone takes 128 MiB per matrix.
+MAX_BLOWUP_VERTICES = 4096
+MAX_BLOWUP_EDGES = 1 << 18
+
+
+def _check_size(n: int, edges: int) -> None:
+    if n > MAX_BLOWUP_VERTICES or edges > MAX_BLOWUP_EDGES:
+        raise RecipeError(f"the blowup would have {n} vertices and {edges} edges, over the "
+                          f"limits of {MAX_BLOWUP_VERTICES} vertices and {MAX_BLOWUP_EDGES} edges")
+
 
 def scale_weights(g: WeightedGraph, c) -> WeightedGraph:
     """Multiply every edge weight by c > 0; normalized Laplacian unchanged."""
@@ -27,7 +41,7 @@ def blow_up(g: WeightedGraph, multiplicity: dict) -> WeightedGraph:
 
     An edge {u, v} of weight w becomes a complete bipartite graph with
     every weight w / (r_u r_v).  Vertices absent from the map keep
-    multiplicity 1.
+    multiplicity 1.  Raises RecipeError past the size limits above.
     """
     reps = []
     offsets = []
@@ -39,6 +53,7 @@ def blow_up(g: WeightedGraph, multiplicity: dict) -> WeightedGraph:
         offsets.append(total)
         reps.append(r)
         total += r
+    _check_size(total, sum(reps[u] * reps[v] for u, v, _ in g.edges()))
     edges = []
     for u, v, w in g.edges():
         shared = w / (reps[u] * reps[v])
@@ -58,6 +73,7 @@ def _split_chains(g: WeightedGraph, chains):
     """
     interior = set()
     removed_edges = set()
+    new_vertices = new_edges = 0
     for chain in chains:
         if len(chain) < 3:
             raise ShapeError("chain must contain at least two edges")
@@ -73,12 +89,15 @@ def _split_chains(g: WeightedGraph, chains):
         (w,) = ws
         if not is_integral(w) or w < 2:
             raise ParameterError(f"chain weight must be an integer >= 2, got {w}")
+        new_vertices += int(w) * (len(chain) - 2)
+        new_edges += int(w) * (len(chain) - 1)
         for x in chain[1:-1]:
             if x in interior:
                 raise ShapeError("chains must be vertex-disjoint")
             if len(g.adj[x]) != 2:
                 raise ShapeError(f"interior chain vertex {x} has extra edges")
             interior.add(x)
+    _check_size(g.n - len(interior) + new_vertices, g.edge_count - len(removed_edges) + new_edges)
 
     old_to_new = {}
     next_id = 0

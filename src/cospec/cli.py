@@ -42,7 +42,7 @@ from .graphs import (
     subgraph_after_symmetry,
 )
 from .linalg import eigenvalues_numeric, exact_u
-from .polynomials import Polynomial
+from .polynomials import t_json
 from .rationals import BACKEND, parse_rat, rat_str
 from .transfer import certify_identities, transfer_u
 from .words import Word, is_self_toggle, parse_word, toggle, toggle_classes
@@ -104,11 +104,11 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *,
         exacts = [exact_u(g) for g in graphs]
         _compare(checks, "exact", exacts, None)
         exact = exacts[0]
-        entry["charpoly_exact"] = Polynomial.from_u_coefficients(*exact).to_json()
+        entry["charpoly_exact"] = t_json(*exact)
     if method in ("all", "transfer"):
         transfers = [transfer_u(x, k) for x in sides]
         _compare(checks, "transfer", [charpoly for charpoly, _ in transfers], exact)
-        entry["short_part"] = Polynomial.from_u_coefficients(*transfers[0][1]).to_json()
+        entry["short_part"] = t_json(*transfers[0][1])
     # a trivial entry reads the oracle only through oracle_matches_exact
     if method in ("all", "oracle") and (len(sides) == 2 or exact is not None):
         try:
@@ -312,9 +312,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
         "word": str(w),
         "k": rat_str(k),
         "n": g.n,
-        "coefficients": {
-            name: Polynomial.from_u_coefficients(*pair).to_json() for name, pair in pairs.items()
-        },
+        "coefficients": {name: t_json(*pair) for name, pair in pairs.items()},
         "methods_agree": agree,
     }
     _emit(payload, f"charpoly of G({w}) by {sorted(pairs)}: {'agree' if agree else 'DISAGREE'}")

@@ -15,9 +15,8 @@ the weight denominators, leaves it unchanged.  Over the common
 denominator P = prod_v D_v of the scaled degrees D_v = L d_v, the term
 is x / P with the integer x = (-1)^e 2^s prod W prod_{v not in V(D)} D_v
 and W = L w.  One recursive walk enumerates the decompositions and builds x
-as it descends; a sum is one integer per power of u, divided by P once
-per coefficient and shifted to t once at the end (the same convention as
-the exact and transfer routes).
+as it descends; a sum is one integer per power of u over P, in lowest
+terms (the same (coeffs, den) form as the exact and transfer routes).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 
 from .errors import BudgetError
 from .graphs import WeightedGraph
-from .polynomials import Polynomial, lowest_terms
+from .polynomials import lowest_terms
 
 MAX_VERTICES = 30
 DEFAULT_BUDGET = 10_000_000
@@ -119,7 +118,3 @@ def oracle_u(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> tuple:
 
     return lowest_terms(sums, _walk(g, budget, add))
 
-
-def charpoly_via_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> Polynomial:
-    """Sum of decomposition terms; equals the exact characteristic polynomial."""
-    return Polynomial.from_u_coefficients(*oracle_u(g, budget))

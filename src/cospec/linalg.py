@@ -5,7 +5,7 @@ The characteristic polynomial of the normalized Laplacian is computed
 without any floating point: L is similar to I - D^{-1}A, so
 det(tI - L) = det(uI + D^{-1}A) with u = t - 1.  Scaling D^{-1}A by the
 least common denominator c of its entries gives an integer matrix M, built
-straight from the adjacency rows; one Taylor shift turns u into t.
+straight from the adjacency rows; the polynomial stays in u.
 
 The integer charpoly det(xI - M) is multi-modular.  Hadamard's bound on
 the principal minors bounds every coefficient by
@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import CertificateError, DegreeError, NumericalError, ParameterError
 from .graphs import WeightedGraph, normalized_laplacian
-from .polynomials import Polynomial, lowest_terms
-from .rationals import Rat
+from .polynomials import lowest_terms
 
 # Moduli for the multi-modular kernel.  Every bound B below 2^446 takes one
 # prime, the first of the ladder above 2B; the top rung is about 2^447.02,
@@ -205,13 +204,13 @@ def _charpoly_integer(m) -> list:
     return coeffs
 
 
-def _walk_charpoly(g: WeightedGraph, sign: int):
-    """det(xI - sign * D^{-1}A) as (integer coefficients, scale): the
-    polynomial is sum_i coeffs[i] x^i / scale.
+def _walk_charpoly(g: WeightedGraph):
+    """det(uI + D^{-1}A) as (integer coefficients, scale): the polynomial
+    is sum_i coeffs[i] u^i / scale.
 
     With c the least common denominator of the entries W_uv / D_u of D^{-1}A
-    (the graph's scaled integers), the kernel gives det(yI - sign cD^{-1}A) =
-    c^n det((y/c)I - sign D^{-1}A), so the coefficient of x^i is b_i c^i / c^n.
+    (the graph's scaled integers), the kernel gives det(yI + cD^{-1}A) =
+    c^n det((y/c)I + D^{-1}A), so the coefficient of u^i is b_i c^i / c^n.
     """
     if g.has_isolated_vertex():
         raise DegreeError("graph has an isolated vertex")
@@ -220,7 +219,7 @@ def _walk_charpoly(g: WeightedGraph, sign: int):
     c = math.lcm(*(degree[u] // math.gcd(w, degree[u]) for u, _, w in entries))
     m = [[0] * g.n for _ in range(g.n)]
     for u, v, w in entries:
-        m[u][v] = sign * w * c // degree[u]
+        m[u][v] = -w * c // degree[u]
     b = _charpoly_integer(m)
     return [bi * c**i for i, bi in enumerate(b)], c**g.n
 
@@ -236,7 +235,7 @@ def exact_u(g: WeightedGraph) -> tuple:
     could still get wrong: det L = 0 (sum_i (-1)^i coeffs[i] = 0) and
     tr L = n (coeffs[n-1] - n coeffs[n] = -n den).
     """
-    coeffs, den = lowest_terms(*_walk_charpoly(g, -1))
+    coeffs, den = lowest_terms(*_walk_charpoly(g))
     n = g.n
     at_zero = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
     trace = coeffs[n - 1] - n * coeffs[n]
@@ -246,18 +245,6 @@ def exact_u(g: WeightedGraph) -> tuple:
             f"and t^{n - 1} coefficient {trace}/{den}, expected 0 and {-n}"
         )
     return coeffs, den
-
-
-def charpoly_exact(g: WeightedGraph) -> Polynomial:
-    """Exact characteristic polynomial of the normalized Laplacian of g
-    (`exact_u` shifted from u to t)."""
-    return Polynomial.from_u_coefficients(*exact_u(g))
-
-
-def charpoly_random_walk(g: WeightedGraph) -> Polynomial:
-    """Exact characteristic polynomial of the transition matrix D^{-1}A."""
-    coeffs, scale = _walk_charpoly(g, 1)
-    return Polynomial([Rat(c, scale) for c in coeffs])
 
 
 def eigenvalues_numeric(g: WeightedGraph) -> np.ndarray:

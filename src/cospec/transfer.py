@@ -26,9 +26,9 @@ product whose trace packs u^{4 tau} tr(prod).  The radix is proven wide
 enough: with |M| the largest row sum of the entries' coefficient
 1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
 chosen with 2^(B-1) above that, so balanced base-2^B digits read the
-coefficients back.  Dividing by u^{4 tau - n} and shifting from u to t
-gives (t - 1)^n tr(prod); the division must be exact and leave degree
-<= n, which certifies that (t - 1)^n clears every denominator.
+coefficients back.  Dividing by u^{4 tau - n} gives (t - 1)^n tr(prod)
+in u; the division must be exact and leave degree <= n, which certifies
+that (t - 1)^n clears every denominator.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import functools
 import math
 
 from .errors import CertificateError, IdentityCheckError, ParameterError, ShapeError
-from .polynomials import Polynomial, lowest_terms
+from .polynomials import lowest_terms
 from .rationals import Rat
 from .words import Word
 
@@ -218,16 +218,6 @@ def _short_kernel(w: Word, k) -> tuple:
     return u_coeffs[low:low + n + 1], math.prod(blocks[letter][0] for letter in w)
 
 
-def short_part(w: Word, k) -> Polynomial:
-    """(t-1)^n trace(Q X_{l_1} ... Q X_{l_tau}) as an exact polynomial.
-
-    Equals the sum of decomposition terms over decompositions without a
-    long cycle.  Computed as (t-1)^n tr(Y_{l_1} ... Y_{l_tau}): Q = R S R^-1
-    and S has zero rows 2 and 3, so the two traces are equal.
-    """
-    return Polynomial.from_u_coefficients(*_short_kernel(w, k))
-
-
 def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:
     """The long-cycle part for a ring with counts (tau, ell, m) as the
     monomial (c, j), meaning c * (t - 1)^j."""
@@ -258,12 +248,6 @@ def transfer_u(w: Word, k) -> tuple:
             f"transfer charpoly of {w} at k={k} is not monic of degree {w.n}"
         )
     return (coeffs, den), lowest_terms(short, scale)
-
-
-def charpoly_via_transfer(w: Word, k) -> Polynomial:
-    """Long-cycle closed form plus transfer-matrix short part (`transfer_u`
-    shifted from u to t)."""
-    return Polynomial.from_u_coefficients(*transfer_u(w, k)[0])
 
 
 # Polynomials in (k, v) with integer coefficients: {(i, j): c} for c k^i v^j.

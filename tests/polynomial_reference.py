@@ -1,23 +1,44 @@
-"""Polynomial arithmetic for the tests.
+"""Exact polynomials in t for the tests, and the routes' pairs as such.
 
-`cospec.polynomials.Polynomial` holds only what the routes and the JSON
-read.  This subclass adds the exact arithmetic the references and the
-tests build expected values with; it compares equal to the package's
-polynomials coefficient by coefficient.
+`cospec` keeps every polynomial as integer u-coefficients over one
+denominator, u = t - 1, and prints t only in its JSON (`t_json`).
+`Polynomial` holds exact rational coefficients in t, with the arithmetic
+the references and the tests build expected values with; the wrappers
+below shift each route's (coeffs, den) pair into it.
 """
 
 import math
 
-from cospec import polynomials
-from cospec.rationals import Rat
+from cospec import decomps, linalg, transfer
+from cospec.rationals import Rat, rat_str
 
 _ZERO = Rat(0)
 
 
-class Polynomial(polynomials.Polynomial):
-    """A `cospec` polynomial with +, -, *, scaling and evaluation."""
+class Polynomial:
+    """Immutable dense polynomial; coeffs[i] is the coefficient of t^i."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [c if isinstance(c, Rat) else Rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def from_u_coefficients(cls, coeffs, den=1) -> "Polynomial":
+        """The polynomial sum_i coeffs[i] * (t - 1)^i / den, by a Taylor shift.
+
+        Pascal-triangle form of the binomial expansion: only additions,
+        so integer coefficients stay integers until the one division by
+        den per coefficient.
+        """
+        a = list(coeffs)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] -= a[j + 1]
+        return cls(a if den == 1 else [Rat(c, den) for c in a])
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
@@ -27,6 +48,39 @@ class Polynomial(polynomials.Polynomial):
     def t_minus_one_power(cls, j: int) -> "Polynomial":
         """(t - 1)^j, from the binomial theorem."""
         return cls([(-1) ** (j - i) * math.comb(j, i) for i in range(j + 1)])
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def coefficient(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
+
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def to_json(self) -> list:
+        """Coefficients as "p/q" strings, constant term first."""
+        return [rat_str(c) for c in self.coeffs]
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "Polynomial(0)"
+        terms = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            mono = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
+            terms.append(f"({c})*{mono}" if i else f"({c})")
+        return "Polynomial(" + " + ".join(terms) + ")"
 
     def __call__(self, t):
         acc = _ZERO
@@ -47,10 +101,10 @@ class Polynomial(polynomials.Polynomial):
         return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-Polynomial(other.coeffs))
+        return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, polynomials.Polynomial):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
@@ -65,3 +119,33 @@ class Polynomial(polynomials.Polynomial):
     def scale(self, c) -> "Polynomial":
         c = Rat(c)
         return Polynomial([a * c for a in self.coeffs])
+
+
+def charpoly_exact(g) -> Polynomial:
+    """The exact route's characteristic polynomial of L, in t."""
+    return Polynomial.from_u_coefficients(*linalg.exact_u(g))
+
+
+def charpoly_random_walk(g) -> Polynomial:
+    """det(xI - D^{-1}A), in x.
+
+    `exact_u` gives det(uI + D^{-1}A); at u = -x that is
+    (-1)^n det(xI - D^{-1}A), so coefficient i changes sign by (-1)^(n+i).
+    """
+    coeffs, den = linalg.exact_u(g)
+    return Polynomial([Rat((-1) ** (g.n + i) * c, den) for i, c in enumerate(coeffs)])
+
+
+def charpoly_via_decompositions(g, budget: int = decomps.DEFAULT_BUDGET) -> Polynomial:
+    """The oracle's sum of decomposition terms, in t."""
+    return Polynomial.from_u_coefficients(*decomps.oracle_u(g, budget))
+
+
+def charpoly_via_transfer(w, k) -> Polynomial:
+    """The transfer route's characteristic polynomial, in t."""
+    return Polynomial.from_u_coefficients(*transfer.transfer_u(w, k)[0])
+
+
+def short_part(w, k) -> Polynomial:
+    """(t-1)^n tr(Q X_{l_1} ... Q X_{l_tau}), the transfer route's short part, in t."""
+    return Polynomial.from_u_coefficients(*transfer.transfer_u(w, k)[1])

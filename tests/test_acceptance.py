@@ -10,23 +10,28 @@ from functools import lru_cache
 import numpy as np
 
 from cospec.blowup import blow_up, is_simple, scale_weights, simple_blowup_recipe
-from cospec.decomps import charpoly_via_decompositions
 from cospec.graphs import (
     WeightedGraph,
     assemble_ring,
     normalized_laplacian,
     subgraph_after_symmetry,
 )
-from cospec.linalg import charpoly_exact, eigenvalues_numeric
-from cospec.polynomials import Polynomial
+from cospec.linalg import eigenvalues_numeric
 from cospec.rationals import Rat
-from cospec.transfer import certify_identities, charpoly_via_transfer, short_part
+from cospec.transfer import certify_identities
 from cospec.words import Word, all_words, canonical_form, canonical_words, parse_word, toggle
 from decomps_reference import (
     long_cycle_closed_form,
     long_cycle_multinomial_term,
     long_part_bruteforce,
     long_terms_by_config,
+)
+from polynomial_reference import (
+    Polynomial,
+    charpoly_exact,
+    charpoly_via_decompositions,
+    charpoly_via_transfer,
+    short_part,
 )
 from transfer_reference import short_part_via_qx
 

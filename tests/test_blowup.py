@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cospec import blowup
 from cospec.blowup import (
     blow_up,
     is_simple,
@@ -185,6 +186,25 @@ def test_solver_scaled_ecc():
     g2 = scale_weights(ring("EPP", 1), 2)
     b2 = blow_up(g2, solve_uniform_multiplicities(g2))
     assert is_simple(b2) and spectra_match(b, b2)
+
+
+# ---------------------------------------------------------------- size limits
+
+
+@pytest.mark.parametrize("build", [
+    lambda: blow_up(ring("CCC", 2), {v: 3 for v in range(0, 9, 2)}),
+    lambda: split_e_chain(WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 3)]), [0, 1, 2, 3]),
+])
+def test_size_limits_count_the_graph_before_building_it(monkeypatch, build):
+    g = build()
+    monkeypatch.setattr(blowup, "MAX_BLOWUP_VERTICES", g.n)
+    monkeypatch.setattr(blowup, "MAX_BLOWUP_EDGES", g.edge_count)
+    assert build().edge_count == g.edge_count
+    for name, limit in (("MAX_BLOWUP_VERTICES", g.n), ("MAX_BLOWUP_EDGES", g.edge_count)):
+        monkeypatch.setattr(blowup, name, limit - 1)
+        with pytest.raises(RecipeError, match=f"{g.n} vertices and {g.edge_count} edges"):
+            build()
+        monkeypatch.setattr(blowup, name, limit)
 
 
 def test_solver_no_solution():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from cospec import cli
 from cospec.cli import main
 from cospec.graphs import assemble_ring
-from cospec.linalg import charpoly_exact
 from cospec.rationals import Rat
 from cospec.words import canonical_form, canonical_words, is_self_toggle, parse_word, toggle
+from polynomial_reference import charpoly_exact
 
 
 def run(capsys, *args):
@@ -310,6 +311,15 @@ def test_blowup_obstruction(capsys):
     code, _, err = run(capsys, "blowup", "--word", "ECC", "--k", "1")
     assert code == 2
     assert "lone edge" in err or "parallel paths" in err
+
+
+def test_blowup_too_large_exits_2_before_building(capsys):
+    # PCC at k = 100000 would blow up into about 2 * 10^10 unit edges
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "blowup", "--word", "PCC", "--k", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and "edges" in err
 
 
 def test_export_csv(capsys):

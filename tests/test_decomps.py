@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospec import decomps
-from cospec.decomps import charpoly_via_decompositions
 from cospec.errors import BudgetError, ParameterError
 from cospec.graphs import WeightedGraph, assemble_ring
-from cospec.linalg import charpoly_exact
 from cospec.rationals import Rat
 from cospec.words import parse_word
 from decomps_reference import (
@@ -19,7 +17,7 @@ from decomps_reference import (
     long_part_bruteforce,
     long_terms_by_config,
 )
-from polynomial_reference import Polynomial
+from polynomial_reference import Polynomial, charpoly_exact, charpoly_via_decompositions
 
 small_words = st.text(alphabet="PCE", min_size=3, max_size=4).map(parse_word)
 ks = st.sampled_from([Rat(1), Rat(2), Rat(1, 2)])

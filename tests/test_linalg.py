@@ -2,22 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cospec import linalg
-from cospec.decomps import charpoly_via_decompositions
+from cospec.decomps import oracle_u
 from cospec.errors import CertificateError, DegreeError, ParameterError
 from cospec.graphs import WeightedGraph, assemble_ring, random_walk_matrix
-from cospec.linalg import (
+from cospec.linalg import eigenvalues_numeric, exact_u
+from cospec.polynomials import lowest_terms, t_json
+from cospec.rationals import Rat
+from cospec.transfer import mat_inv, mat_mul, transfer_u
+from cospec.words import parse_word
+from polynomial_reference import (
+    Polynomial,
     charpoly_exact,
     charpoly_random_walk,
-    eigenvalues_numeric,
+    charpoly_via_decompositions,
 )
-from cospec.polynomials import lowest_terms
-from cospec.rationals import Rat
-from cospec.transfer import mat_inv, mat_mul
-from cospec.words import parse_word
-from polynomial_reference import Polynomial
 
 words = st.text(alphabet="PCE", min_size=3, max_size=6).map(parse_word)
 
@@ -93,6 +94,36 @@ def test_integer_hand_off_matches_polynomial(case, other, factor, zeros):
         assert (lowest_terms(c, d) == lowest_terms(coeffs, den)) == (
             Polynomial.from_u_coefficients(c, d) == poly)
     assert lowest_terms(*scaled) == lowest_terms(coeffs, den)
+
+
+@st.composite
+def lowest_pairs(draw):
+    """Pairs from `lowest_terms`: zero, small negative and 200- to 260-bit
+    coefficients over a den that shares a factor with some of them."""
+    shared = draw(st.integers(1, 10**6))
+    coeffs = draw(st.lists(st.one_of(
+        st.just(0),
+        st.integers(-10**6, 10**6).map(lambda c: c * shared),
+        st.integers(2**200, 2**260).flatmap(lambda c: st.sampled_from([c, -c])),
+    ), max_size=12))
+    return lowest_terms(coeffs, draw(st.integers(1, 10**20)) * shared)
+
+
+@given(lowest_pairs())
+@example(((), 1))  # the zero polynomial
+@example(((5,), 3))  # a constant
+@example(((-3 * 2**201, 7, -6, 2**250), 6))  # den shares 2 and 3 with some coefficients
+@settings(max_examples=200, deadline=None)
+def test_t_json_matches_the_reference_rendering(pair):
+    assert lowest_terms(*pair) == pair
+    assert t_json(*pair) == Polynomial.from_u_coefficients(*pair).to_json()
+
+
+@pytest.mark.parametrize("word", ["PCE", "PPCE", "CCEE"])
+def test_routes_hand_off_one_pair(word):
+    w, k = parse_word(word), Rat(7, 3)
+    g = assemble_ring(w, k)
+    assert exact_u(g) == transfer_u(w, k)[0] == oracle_u(g)
 
 
 def test_t_minus_one_power():
@@ -190,8 +221,8 @@ def test_charpoly_postcondition_raises(monkeypatch):
     monkeypatch.setattr(linalg, "_charpoly_integer", kernel)
     walk = linalg._walk_charpoly
 
-    def trace_off(g, sign):
-        coeffs, scale = walk(g, sign)
+    def trace_off(g):
+        coeffs, scale = walk(g)
         coeffs[0] -= 1
         coeffs[2] += 1
         return coeffs, scale
@@ -251,7 +282,7 @@ def test_charpolys_match_determinants_on_random_graphs(g):
     # the kernel scales W = D^-1 A to integers; the references eliminate
     # over the rationals at single points
     walk = random_walk_matrix(g)
-    p, q = Polynomial(charpoly_exact(g).coeffs), Polynomial(charpoly_random_walk(g).coeffs)
+    p, q = charpoly_exact(g), charpoly_random_walk(g)
     for x in (Rat(7, 2), Rat(-5, 3)):
         assert p(x) == det_rational(shifted(walk, x - 1, 1))
         assert q(x) == det_rational(shifted(walk, x, -1))

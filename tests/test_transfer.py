@@ -5,11 +5,10 @@ from cospec import transfer
 from cospec.cli import main
 from cospec.errors import CertificateError, IdentityCheckError, ParameterError
 from cospec.graphs import assemble_ring
-from cospec.linalg import charpoly_exact
 from cospec.rationals import Rat
-from cospec.transfer import certify_identities, charpoly_via_transfer, mat_mul, q_matrix, short_part
+from cospec.transfer import certify_identities, mat_mul, q_matrix
 from cospec.words import canonical_words, parse_word, toggle
-from polynomial_reference import Polynomial
+from polynomial_reference import Polynomial, charpoly_exact, charpoly_via_transfer, short_part
 from transfer_reference import (
     poly_mat_mul,
     short_part_via_qx,
@@ -216,7 +215,7 @@ def trace_of_product(mats):
 def test_short_part_matches_pointwise_products(w, k):
     # the kernel works symbolically in u; these references multiply the
     # blocks at one rational t and never see u
-    via_qx, via_y = short_part_via_qx(w, k), Polynomial(short_part(w, k).coeffs)
+    via_qx, via_y = short_part_via_qx(w, k), short_part(w, k)
     for t in (Rat(7, 2), Rat(-1, 3)):
         qx = trace_of_product([mat_mul(q_matrix(), x_matrix(l, k, t)) for l in w])
         y = trace_of_product([y_block_reference(l, k, t) for l in w])
