@@ -1,12 +1,15 @@
 """From weighted graphs to simple graphs: scaling, independent-set
-blowups, and splitting chains of edge modules into parallel paths.
+blowups, and splitting chains of edge modules into parallel paths, all on
+a graph's integer weights W over its scale s (W / s is integral iff s | W).
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import ParameterError, RecipeError, ShapeError
 from .graphs import WeightedGraph, assemble_ring
-from .rationals import Rat, is_integral
+from .rationals import Rat
 from .words import Word, toggle
 
 # Limits on a blown-up graph, checked from its counts before any edge is
@@ -31,7 +34,8 @@ def scale_weights(g: WeightedGraph, c) -> WeightedGraph:
         raise ParameterError(f"scale factor must be positive, got {c}")
     return WeightedGraph(
         g.n,
-        [(u, v, w * c) for u, v, w in g.edges()],
+        [(u, v, x * c.numerator) for (u, v), x in g.scaled_weights.items()],
+        scale=g.scale * c.denominator,
         word=g.word, k=g.k, signed=g.signed, unsigned=g.unsigned,
     )
 
@@ -53,14 +57,16 @@ def blow_up(g: WeightedGraph, multiplicity: dict) -> WeightedGraph:
         offsets.append(total)
         reps.append(r)
         total += r
-    _check_size(total, sum(reps[u] * reps[v] for u, v, _ in g.edges()))
+    _check_size(total, sum(reps[u] * reps[v] for u, v in g.scaled_weights))
+    # w / (r_u r_v) = W (c / (r_u r_v)) / (s c) with c the lcm of the r_u r_v
+    c = math.lcm(*(reps[u] * reps[v] for u, v in g.scaled_weights))
     edges = []
-    for u, v, w in g.edges():
-        shared = w / (reps[u] * reps[v])
+    for (u, v), x in g.scaled_weights.items():
+        shared = x * (c // (reps[u] * reps[v]))
         for i in range(reps[u]):
             for j in range(reps[v]):
                 edges.append((offsets[u] + i, offsets[v] + j, shared))
-    return WeightedGraph(total, edges)
+    return WeightedGraph(total, edges, scale=g.scale * c)
 
 
 def _split_chains(g: WeightedGraph, chains):
@@ -71,6 +77,7 @@ def _split_chains(g: WeightedGraph, chains):
     whose edges all carry one equal integer weight >= 2 and whose
     interior vertices have no other incident edges.
     """
+    s = g.scale
     interior = set()
     removed_edges = set()
     new_vertices = new_edges = 0
@@ -79,22 +86,22 @@ def _split_chains(g: WeightedGraph, chains):
             raise ShapeError("chain must contain at least two edges")
         ws = set()
         for x, y in zip(chain, chain[1:]):
-            w = g.weight(x, y)
-            if w is None:
+            key = (x, y) if x < y else (y, x)
+            if key not in g.scaled_weights:
                 raise ShapeError(f"chain step ({x},{y}) is not an edge")
-            ws.add(w)
-            removed_edges.add((x, y) if x < y else (y, x))
+            ws.add(g.scaled_weights[key])
+            removed_edges.add(key)
         if len(ws) != 1:
-            raise ShapeError(f"chain edges carry unequal weights {sorted(map(str, ws))}")
+            raise ShapeError(f"chain edges carry unequal weights {sorted(str(Rat(w, s)) for w in ws)}")
         (w,) = ws
-        if not is_integral(w) or w < 2:
-            raise ParameterError(f"chain weight must be an integer >= 2, got {w}")
-        new_vertices += int(w) * (len(chain) - 2)
-        new_edges += int(w) * (len(chain) - 1)
+        if w % s or w < 2 * s:
+            raise ParameterError(f"chain weight must be an integer >= 2, got {Rat(w, s)}")
+        new_vertices += w // s * (len(chain) - 2)
+        new_edges += w // s * (len(chain) - 1)
         for x in chain[1:-1]:
             if x in interior:
                 raise ShapeError("chains must be vertex-disjoint")
-            if len(g.adj[x]) != 2:
+            if len(g.scaled_adj[x]) != 2:
                 raise ShapeError(f"interior chain vertex {x} has extra edges")
             interior.add(x)
     _check_size(g.n - len(interior) + new_vertices, g.edge_count - len(removed_edges) + new_edges)
@@ -106,27 +113,26 @@ def _split_chains(g: WeightedGraph, chains):
             old_to_new[v] = next_id
             next_id += 1
     edges = [
-        (old_to_new[u], old_to_new[v], w)
-        for u, v, w in g.edges()
+        (old_to_new[u], old_to_new[v], x)
+        for (u, v), x in g.scaled_weights.items()
         if (u, v) not in removed_edges
     ]
     for chain in chains:
-        copies = int(g.weight(chain[0], chain[1]))
         a, b = old_to_new[chain[0]], old_to_new[chain[-1]]
         hops = len(chain) - 1
-        for _ in range(copies):
+        for _ in range(g.scaled_adj[chain[0]][chain[1]] // s):
             prev = a
             for _step in range(hops - 1):
-                edges.append((prev, next_id, Rat(1)))
+                edges.append((prev, next_id, s))
                 prev = next_id
                 next_id += 1
-            edges.append((prev, b, Rat(1)))
-    return WeightedGraph(next_id, edges), old_to_new
+            edges.append((prev, b, s))
+    return WeightedGraph(next_id, edges, scale=s), old_to_new
 
 
 def is_simple(g: WeightedGraph) -> bool:
     """True iff every edge weight is exactly 1."""
-    return all(w == 1 for _, _, w in g.edges())
+    return all(x == g.scale for x in g.scaled_weights.values())
 
 
 def _edge_module_runs(w: Word):
@@ -196,28 +202,27 @@ def simple_blowup_recipe(w: Word, k: int):
 def solve_uniform_multiplicities(g: WeightedGraph):
     """Multiplicities making every blown edge weight exactly 1, or None.
 
-    Solves r_u * r_v = w(u, v) over positive integers by propagation
-    from each divisor choice at vertex 0 (the graph must be connected).
+    Solves r_u * r_v = w(u, v) over positive integers by propagation from
+    each choice of r_0, the divisors of the gcd of vertex 0's weights in
+    increasing order (the graph must be connected).
     """
     if g.n == 0:
         return {}
     if not g.is_connected():
         raise ShapeError("graph must be connected")
-    for u, v, w in g.edges():
-        if not is_integral(w):
-            return None
-    anchor_weights = [int(w) for w in g.adj[0].values()]
-    bound = min(anchor_weights)
-    for r0 in range(1, bound + 1):
-        if any(w % r0 for w in anchor_weights):
-            continue
+    s = g.scale
+    if any(x % s for x in g.scaled_weights.values()):
+        return None
+    m = math.gcd(*g.scaled_adj[0].values()) // s
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    for r0 in small + [m // d for d in reversed(small) if d * d != m]:
         reps = {0: r0}
         stack = [0]
         ok = True
         while stack and ok:
             u = stack.pop()
-            for v, w in g.adj[u].items():
-                need, rem = divmod(int(w), reps[u])
+            for v, x in g.scaled_adj[u].items():
+                need, rem = divmod(x // s, reps[u])
                 if rem or need < 1:
                     ok = False
                     break
@@ -228,8 +233,6 @@ def solve_uniform_multiplicities(g: WeightedGraph):
                 else:
                     reps[v] = need
                     stack.append(v)
-        if ok and all(
-            reps[u] * reps[v] == int(w) for u, v, w in g.edges()
-        ):
+        if ok and all(reps[u] * reps[v] * s == x for (u, v), x in g.scaled_weights.items()):
             return reps
     return None

@@ -38,7 +38,7 @@ def _scale(g: WeightedGraph) -> tuple:
     degree 0 is never covered, so its factor cancels; D_v = 1 keeps P nonzero.
     """
     nbrs = [[] for _ in range(g.n)]
-    for (u, v), w in g.scaled_weights.items():  # edge order, as in g.adj
+    for (u, v), w in g.scaled_weights.items():  # edge order, as in g.scaled_adj
         nbrs[u].append((v, w))
         nbrs[v].append((u, w))
     return nbrs, [d or 1 for d in g.scaled_degrees]

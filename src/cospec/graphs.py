@@ -46,56 +46,59 @@ def build_module_gadget(kind: str, k) -> ModuleGadget:
 
 
 class WeightedGraph:
-    """Undirected graph with positive rational edge weights, no loops."""
+    """Undirected graph with positive rational edge weights, no loops, held
+    as integers over one denominator `scale`, the lcm of the weight
+    denominators: edge {u, v} weighs scaled_weights[(u, v)] / scale (u < v)
+    = scaled_adj[u][v] / scale, and v has degree scaled_degrees[v] / scale.
 
-    def __init__(self, n: int, edges, *, word: Optional[Word] = None, k=None,
-                 signed=None, unsigned=None):
+    Each w in `edges` is a positive rational (anything Fraction takes), or,
+    with `scale` given, an int for the weight w / scale (common factors of
+    scale and the w's cancel, so both ways build one integer form).
+    """
+
+    def __init__(self, n: int, edges, *, scale: Optional[int] = None,
+                 word: Optional[Word] = None, k=None, signed=None, unsigned=None):
+        if scale is None:
+            edges = [(u, v, Rat(w)) for u, v, w in edges]
+            scale = math.lcm(*(w.denominator for _, _, w in edges))
+            edges = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
+        edges = list(edges)
+        common = math.gcd(scale, *(x for _, _, x in edges))
         self.n = int(n)
-        self.weights: dict = {}
-        self.adj = [dict() for _ in range(self.n)]
-        for u, v, w in edges:
+        self.scale = scale // common
+        self.scaled_weights: dict = {}
+        self.scaled_adj = [dict() for _ in range(self.n)]
+        self.scaled_degrees = [0] * self.n
+        for u, v, x in edges:
+            x //= common
             if u == v:
                 raise ShapeError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ShapeError(f"edge ({u},{v}) out of range for n={self.n}")
-            if not isinstance(w, Rat):
-                w = Rat(w)
-            if w <= 0:
-                raise ParameterError(f"edge ({u},{v}) has non-positive weight {w}")
+            if x <= 0:
+                raise ParameterError(f"edge ({u},{v}) has non-positive weight {Rat(x, self.scale)}")
             key = (u, v) if u < v else (v, u)
-            if key in self.weights:
+            if key in self.scaled_weights:
                 raise ShapeError(f"duplicate edge {key}")
-            self.weights[key] = w
-            self.adj[u][v] = w
-            self.adj[v][u] = w
-        # weights and degrees times the lcm of the weight denominators, as ints
-        scale = math.lcm(*(int(w.denominator) for w in self.weights.values()))
-        self.scaled_weights = {
-            key: int(w.numerator) * (scale // int(w.denominator)) for key, w in self.weights.items()
-        }
-        self.scaled_degrees = [0] * self.n
-        for (u, v), x in self.scaled_weights.items():
+            self.scaled_weights[key] = self.scaled_adj[u][v] = self.scaled_adj[v][u] = x
             self.scaled_degrees[u] += x
             self.scaled_degrees[v] += x
-        self.degrees = [Rat(d, scale) for d in self.scaled_degrees]
         # ring metadata (None for graphs not built by assemble_ring)
-        self.word = word
-        self.k = Rat(k) if k is not None else None
-        self.signed = list(signed) if signed is not None else None
-        self.unsigned = list(unsigned) if unsigned is not None else None
+        self.word, self.k, self.signed, self.unsigned = word, k, signed, unsigned
 
     @property
     def edge_count(self) -> int:
-        return len(self.weights)
+        return len(self.scaled_weights)
 
     def weight(self, u: int, v: int):
-        key = (u, v) if u < v else (v, u)
-        return self.weights.get(key)
+        """The rational weight of edge {u, v}, or None if it is no edge."""
+        x = self.scaled_weights.get((u, v) if u < v else (v, u))
+        return None if x is None else Rat(x, self.scale)
 
     def edges(self):
-        """Edges as (u, v, w) with u < v, sorted."""
-        for (u, v) in sorted(self.weights):
-            yield u, v, self.weights[(u, v)]
+        """Edges as (u, v, w) with u < v and w rational, sorted."""
+        for (u, v) in sorted(self.scaled_weights):
+            yield u, v, Rat(self.scaled_weights[(u, v)], self.scale)
 
     def has_isolated_vertex(self) -> bool:
         return 0 in self.scaled_degrees
@@ -107,7 +110,7 @@ class WeightedGraph:
         stack = [0]
         while stack:
             u = stack.pop()
-            for v in self.adj[u]:
+            for v in self.scaled_adj[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -120,30 +123,25 @@ class WeightedGraph:
 
 def assemble_ring(w: Word, k) -> WeightedGraph:
     """Assemble G(W): tau gadgets joined in cyclic order at signed vertices.
-    `build_module_gadget` rejects k <= 0."""
+    `build_module_gadget` rejects k <= 0.  The gadgets' few distinct weights
+    become integers over their common denominator once per call."""
     k = Rat(k)
-    tau = w.tau
-    signed = []
-    unsigned = []
-    next_id = 0
-    for letter in w:
-        signed.append(next_id)
-        next_id += 1
-        if letter in "PC":
-            unsigned.append((next_id, next_id + 1))
-            next_id += 2
-        else:
-            unsigned.append(None)
-    gadgets = {kind: build_module_gadget(kind, k) for kind in set(w.letters)}
-    edges = []
+    gadgets = [build_module_gadget(kind, k) for kind in sorted(set(w.letters))]
+    scale = math.lcm(*(x.denominator for g in gadgets for *_, x in g.edges))
+    local = {g.kind: [(a, b, x.numerator * (scale // x.denominator)) for a, b, x in g.edges]
+             for g in gadgets}
+    signed, unsigned, edges, n = [], [], [], 0
     for i, letter in enumerate(w):
-        gadget = gadgets[letter]
-        labels = {"+": signed[i], "-": signed[(i + 1) % tau]}
-        if unsigned[i] is not None:
-            labels["a"], labels["b"] = unsigned[i]
-        for x, y, weight in gadget.edges:
-            edges.append((labels[x], labels[y], weight))
-    return WeightedGraph(next_id, edges, word=w, k=k, signed=signed, unsigned=unsigned)
+        pair = (n + 1, n + 2) if letter in "PC" else None
+        signed.append(n)
+        unsigned.append(pair)
+        n += 1 if pair is None else 3
+        # the "-" pole is the next module's signed vertex
+        labels = {"+": signed[i], "-": n if i + 1 < w.tau else 0}
+        if pair is not None:
+            labels["a"], labels["b"] = pair
+        edges += [(labels[a], labels[b], x) for a, b, x in local[letter]]
+    return WeightedGraph(n, edges, scale=scale, word=w, k=k, signed=signed, unsigned=unsigned)
 
 
 def normalized_laplacian(g: WeightedGraph) -> np.ndarray:
@@ -165,11 +163,8 @@ def random_walk_matrix(g: WeightedGraph):
     """Row-stochastic transition matrix D^{-1}A as exact rationals."""
     if g.has_isolated_vertex():
         raise DegreeError("graph has an isolated vertex")
-    zero = Rat(0)
-    return [
-        [g.adj[i].get(j, zero) / g.degrees[i] for j in range(g.n)]
-        for i in range(g.n)
-    ]
+    return [[Rat(g.scaled_adj[i].get(j, 0), g.scaled_degrees[i]) for j in range(g.n)]
+            for i in range(g.n)]
 
 
 def _alignment_map(g1: WeightedGraph, g2: WeightedGraph, offset: int, reverse: bool):
@@ -203,15 +198,19 @@ def subgraph_after_symmetry(g1: WeightedGraph, g2: WeightedGraph) -> bool:
         raise ShapeError(f"ring lengths differ: {g1.word.tau} vs {g2.word.tau}")
     if g1.edge_count > g2.edge_count:
         return False
+    # both graphs' integer weights over one denominator, g2's in both orientations
+    scale = math.lcm(g1.scale, g2.scale)
+    edges1 = [(u, v, x * (scale // g1.scale)) for (u, v), x in g1.scaled_weights.items()]
+    weights2 = {}
+    for (u, v), x in g2.scaled_weights.items():
+        weights2[u, v] = weights2[v, u] = x * (scale // g2.scale)
     tau = g1.word.tau
     for reverse in (False, True):
         for offset in range(tau):
             mapping = _alignment_map(g1, g2, offset, reverse)
             if mapping is None:
                 continue
-            if all(
-                g2.weight(mapping[u], mapping[v]) == w for u, v, w in g1.edges()
-            ):
+            if all(weights2.get((mapping[u], mapping[v])) == x for u, v, x in edges1):
                 return True
     return False
 
@@ -233,9 +232,13 @@ def _wl_separates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     with its weighted degree, and each round its colour becomes its old
     colour plus the sorted (weight, colour) pairs of its neighbours.  Colours
     are interned in one table, so equal colours mean equal refinement
-    histories; True iff the histograms differ at some round."""
+    histories; True iff the histograms differ at some round.  Weights and
+    degrees are the graphs' integers over their common scale."""
+    scale = math.lcm(g1.scale, g2.scale)
+    multipliers = [scale // g.scale for g in (g1, g2)]
     table: dict = {}
-    colours = [[table.setdefault(d, len(table)) for d in g.degrees] for g in (g1, g2)]
+    colours = [[table.setdefault(d * m, len(table)) for d in g.scaled_degrees]
+               for g, m in zip((g1, g2), multipliers)]
     for _ in range(max(g1.n, g2.n)):
         if sorted(colours[0]) != sorted(colours[1]):
             return True
@@ -243,11 +246,12 @@ def _wl_separates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
         colours = [
             [
                 table.setdefault(
-                    (c[v], tuple(sorted((w, c[u]) for u, w in g.adj[v].items()))), len(table)
+                    (c[v], tuple(sorted((x * m, c[u]) for u, x in g.scaled_adj[v].items()))),
+                    len(table),
                 )
                 for v in range(g.n)
             ]
-            for g, c in zip((g1, g2), colours)
+            for g, m, c in zip((g1, g2), multipliers, colours)
         ]
         if len(set(colours[0])) == classes:
             break

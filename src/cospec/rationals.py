@@ -1,21 +1,16 @@
-"""Exact rational arithmetic helpers.
+"""Exact rationals at the package's edges.
 
-gmpy2.mpq is used when available (much faster for the big verification
-sweeps); fractions.Fraction is a drop-in fallback.  Both expose
-.numerator/.denominator and interoperate with ints, which is all the
-rest of the code relies on.
+Graphs and routes work in integers; `Rat`, which is `fractions.Fraction`,
+parses `--k` and `--scale` and renders weights and k in the output.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
+
 from .errors import ParameterError
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
-
-BACKEND = f"{Rat.__module__}.{Rat.__name__}"  # "gmpy2.mpq" or "fractions.Fraction"
+BACKEND = "fractions.Fraction"
 
 
 def parse_rat(text: str) -> Rat:
@@ -27,10 +22,5 @@ def parse_rat(text: str) -> Rat:
 
 
 def rat_str(q) -> str:
-    """Render a rational as "p/q" (denominator always present)."""
-    q = Rat(q)
+    """Render an int or a Fraction as "p/q" (denominator always present)."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def is_integral(q) -> bool:
-    return Rat(q).denominator == 1

@@ -84,7 +84,7 @@ def decomposition_term(d: Decomposition, g: WeightedGraph) -> tuple:
     for (u, v) in d.edges:  # isolated edges use their edge twice
         scalar *= g.weight(u, v)
     for v in covered:
-        scalar /= g.degrees[v]
+        scalar /= Rat(g.scaled_degrees[v], g.scale)
     return g.n - len(covered), scalar
 
 

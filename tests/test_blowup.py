@@ -86,7 +86,8 @@ def test_blowup_degree_division():
     for v in range(g.n):
         r = mult.get(v, 1)
         for copy in range(r):
-            assert b.degrees[offsets[v] + copy] == g.degrees[v] / r
+            assert Rat(b.scaled_degrees[offsets[v] + copy], b.scale) == Rat(
+                g.scaled_degrees[v], g.scale) / r
 
 
 def test_pure_blowup_spectrum_is_original_plus_ones():
@@ -107,14 +108,14 @@ def test_split_chain_parallel_paths():
     s = split_e_chain(g, [0, 1, 2, 3])
     assert s.n == 2 + 2 * 2
     assert is_simple(s)
-    assert s.degrees[0] == 2 and s.degrees[1] == 2
+    assert Rat(s.scaled_degrees[0], s.scale) == 2 and Rat(s.scaled_degrees[1], s.scale) == 2
 
 
 def test_split_chain_preserves_endpoint_degrees():
     g = ring("EEEPCC", 1)
     chain = [g.signed[0], g.signed[1], g.signed[2], g.signed[3]]
     s = split_e_chain(g, chain)
-    assert s.degrees[0] == g.degrees[g.signed[0]]
+    assert Rat(s.scaled_degrees[0], s.scale) == Rat(g.scaled_degrees[g.signed[0]], g.scale)
 
 
 def test_split_single_edge_chain_rejected():
@@ -205,6 +206,14 @@ def test_size_limits_count_the_graph_before_building_it(monkeypatch, build):
         with pytest.raises(RecipeError, match=f"{g.n} vertices and {g.edge_count} edges"):
             build()
         monkeypatch.setattr(blowup, name, limit)
+
+
+def test_solver_takes_the_least_r0():
+    # every divisor of 36 solves the path; r0 = 1 fails on the 4-cycle, 2 works
+    assert solve_uniform_multiplicities(WeightedGraph(3, [(0, 1, 36), (1, 2, 36)])) == {
+        0: 1, 1: 36, 2: 1}
+    cycle = WeightedGraph(4, [(0, 1, 6), (1, 2, 3), (2, 3, 2), (0, 3, 4)])
+    assert solve_uniform_multiplicities(cycle) == {0: 2, 1: 3, 2: 1, 3: 2}
 
 
 def test_solver_no_solution():

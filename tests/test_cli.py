@@ -322,6 +322,17 @@ def test_blowup_too_large_exits_2_before_building(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "edges" in err
 
 
+def test_blowup_large_scale_exits_2_at_once(capsys):
+    # the multiplicity search tries only the divisors of vertex 0's weights,
+    # not every r0 up to the scale
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "blowup", "--word", "ECC", "--k", "1",
+                             "--scale", "10000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and "multiplicities" in err
+
+
 def test_export_csv(capsys):
     code = main(["export", "--word", "EEE", "--k", "1", "--format", "csv"])
     out = capsys.readouterr().out

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospec import graphs
 from cospec.errors import DegreeError, FormatError, ParameterError, ShapeError
 from cospec.graphs import (
+    ModuleGadget,
     WeightedGraph,
     assemble_ring,
     build_module_gadget,
@@ -25,6 +27,15 @@ ks = st.sampled_from([Rat(1), Rat(2), Rat(1, 2), Rat(7, 3)])
 
 def ring(word, k=1):
     return assemble_ring(parse_word(word), k)
+
+
+def degree(g, v):
+    """The rational degree of v: its integer degree over the graph's scale."""
+    return Rat(g.scaled_degrees[v], g.scale)
+
+
+def integer_form(g):
+    return g.n, g.scale, g.scaled_weights, g.scaled_adj, g.scaled_degrees
 
 
 # ---------------------------------------------------------------- gadgets
@@ -95,13 +106,65 @@ def test_vertex_and_edge_counts(w, k):
 def test_degree_invariants(w, k):
     g = assemble_ring(w, k)
     for i, letter in enumerate(w):
-        assert g.degrees[g.signed[i]] == 2 * (k + 1)
+        assert degree(g, g.signed[i]) == 2 * (k + 1)
         if letter == "P":
             a, b = g.unsigned[i]
-            assert g.degrees[a] == k and g.degrees[b] == k
+            assert degree(g, a) == k and degree(g, b) == k
         elif letter == "C":
             a, b = g.unsigned[i]
-            assert g.degrees[a] == k + k * k and g.degrees[b] == k + k * k
+            assert degree(g, a) == k + k * k and degree(g, b) == k + k * k
+
+
+def ring_reference(w, k):
+    """G(w) built the general way: the rational weights of
+    `build_module_gadget` placed on the ring layout, through the rational
+    constructor."""
+    k = Rat(k)
+    signed, unsigned, n = [], [], 0
+    for letter in w:
+        signed.append(n)
+        unsigned.append((n + 1, n + 2) if letter in "PC" else None)
+        n += 3 if letter in "PC" else 1
+    edges = []
+    for i, letter in enumerate(w):
+        labels = {"+": signed[i], "-": signed[(i + 1) % w.tau]}
+        if unsigned[i] is not None:
+            labels["a"], labels["b"] = unsigned[i]
+        edges += [(labels[x], labels[y], wt) for x, y, wt in build_module_gadget(letter, k).edges]
+    return WeightedGraph(n, edges, word=w, k=k, signed=signed, unsigned=unsigned)
+
+
+@given(st.text(alphabet="PCE", min_size=3, max_size=8).map(parse_word),
+       st.sampled_from([Rat(1), Rat(2), Rat(1, 2), Rat(7, 3), Rat(13, 11), Rat(10**12, 7)]))
+@settings(max_examples=150, deadline=None)
+def test_assemble_ring_matches_the_rational_constructor(w, k):
+    g, ref = assemble_ring(w, k), ring_reference(w, k)
+    assert integer_form(g) == integer_form(ref)
+    assert (g.word, g.k, g.signed, g.unsigned) == (ref.word, ref.k, ref.signed, ref.unsigned)
+    assert list(g.edges()) == list(ref.edges())
+    for fmt in ("json", "dot", "csv"):
+        assert export_graph(g, fmt) == export_graph(ref, fmt)
+
+
+def test_assemble_ring_reads_the_gadget_definition(monkeypatch):
+    # C's a-b weight k^2 mutated to k must reach the assembled ring
+    w, k = parse_word("PCE"), Rat(7, 3)
+    before = assemble_ring(w, k)
+    real = graphs.build_module_gadget
+
+    def mutated(kind, k):
+        gadget = real(kind, k)
+        if kind != "C":
+            return gadget
+        return ModuleGadget(kind, tuple((x, y, Rat(k) if {x, y} == {"a", "b"} else wt)
+                                        for x, y, wt in gadget.edges))
+
+    monkeypatch.setattr(graphs, "build_module_gadget", mutated)
+    after = assemble_ring(w, k)
+    a, b = before.unsigned[1]
+    assert before.weight(a, b) == k * k and after.weight(a, b) == k
+    assert integer_form(after) != integer_form(before)
+    assert export_graph(after, "csv") != export_graph(before, "csv")
 
 
 # ---------------------------------------------------------------- matrices
@@ -162,7 +225,7 @@ def laplacian_reference(g):
     """L from the rational formula: -sqrt(float(w^2 / (d_u d_v))) per edge."""
     L = np.eye(g.n)
     for u, v, w in g.edges():
-        L[u, v] = L[v, u] = -math.sqrt(float(w * w / (g.degrees[u] * g.degrees[v])))
+        L[u, v] = L[v, u] = -math.sqrt(float(w * w / (degree(g, u) * degree(g, v))))
     return L
 
 
@@ -175,22 +238,44 @@ def test_laplacian_bit_identical_to_rational_formula_on_rings(k):
 
 
 @st.composite
-def weighted_graphs(draw):
-    """Connected graphs (a spanning path plus extra edges) whose weights
-    have large, mostly coprime denominators."""
+def weighted_edge_lists(draw):
+    """(n, edges) of connected graphs (a spanning path plus extra edges)
+    whose weights have large, mostly coprime denominators."""
     n = draw(st.integers(2, 8))
     weight = st.builds(Rat, st.integers(1, 10**30), st.integers(10**15, 10**25))
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                          .filter(lambda p: p[0] < p[1] - 1), max_size=n))
     edges = [(v, v + 1) for v in range(n - 1)] + sorted(pairs)
-    return WeightedGraph(n, [(u, v, draw(weight)) for u, v in edges])
+    return n, [(u, v, draw(weight)) for u, v in edges]
+
+
+def weighted_graphs():
+    return weighted_edge_lists().map(lambda drawn: WeightedGraph(*drawn))
 
 
 @given(weighted_graphs())
 @settings(max_examples=100, deadline=None)
 def test_laplacian_bit_identical_to_rational_formula_on_random_graphs(g):
-    assert g.degrees == [sum(g.adj[v].values(), Rat(0)) for v in range(g.n)]
+    assert g.scaled_degrees == [sum(g.scaled_adj[v].values()) for v in range(g.n)]
     assert np.array_equal(normalized_laplacian(g), laplacian_reference(g))
+
+
+@given(weighted_edge_lists(), st.integers(1, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_graph_gives_its_rational_weights_back(drawn, m):
+    n, edges = drawn
+    g = WeightedGraph(n, edges)
+    assert list(g.edges()) == sorted(edges)
+    assert all(g.weight(u, v) == w == g.weight(v, u) for u, v, w in edges)
+    # one denominator, the lcm of the weight denominators, and integers over it
+    assert g.scale == math.lcm(*(w.denominator for *_, w in edges))
+    assert all(type(x) is int for x in [*g.scaled_weights.values(), *g.scaled_degrees])
+    assert g.scaled_degrees == [
+        sum(x for key, x in g.scaled_weights.items() if v in key) for v in range(n)
+    ]
+    # the same integers over any multiple of the scale give the same form back
+    edges_m = [(u, v, x * m) for (u, v), x in g.scaled_weights.items()]
+    assert integer_form(WeightedGraph(n, edges_m, scale=g.scale * m)) == integer_form(g)
 
 
 def test_laplacian_scaling_invariance():
@@ -212,6 +297,13 @@ def test_subgraph_known_pair():
 
 def test_subgraph_ccc_not_in_ppp():
     assert not subgraph_after_symmetry(ring("CCC"), ring("PPP"))
+
+
+def test_subgraph_compares_weights_over_one_denominator():
+    # at k = 7/3 PPP has scale 3 and CCC scale 9
+    g1, g2 = ring("PPP", Rat(7, 3)), ring("CCC", Rat(7, 3))
+    assert (g1.scale, g2.scale) == (3, 9)
+    assert subgraph_after_symmetry(g1, g2)
 
 
 def test_subgraph_requires_same_tau():
@@ -273,6 +365,14 @@ def test_every_toggle_pair_has_a_witness(k):
 def test_wl_separates_equal_edge_counts():
     g1, g2 = ring("CECPP"), ring("PEPCC")
     assert g1.edge_count == g2.edge_count == 15
+    assert non_isomorphism_witness(g1, g2) == "wl"
+
+
+def test_wl_compares_weights_over_one_denominator():
+    # the same integers over scales 3 and 9: equal edge counts, unequal weights
+    g1 = WeightedGraph(3, [(0, 1, Rat(1, 3)), (1, 2, Rat(2, 3))])
+    g2 = WeightedGraph(3, [(0, 1, Rat(1, 9)), (1, 2, Rat(2, 9))])
+    assert g1.scaled_weights == g2.scaled_weights and (g1.scale, g2.scale) == (3, 9)
     assert non_isomorphism_witness(g1, g2) == "wl"
 
 
