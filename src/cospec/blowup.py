@@ -204,7 +204,8 @@ def solve_uniform_multiplicities(g: WeightedGraph):
 
     Solves r_u * r_v = w(u, v) over positive integers by propagation from
     each choice of r_0, the divisors of the gcd of vertex 0's weights in
-    increasing order (the graph must be connected).
+    increasing order (the graph must be connected).  Any such blowup has one
+    edge per unit of weight: past MAX_BLOWUP_EDGES, RecipeError comes first.
     """
     if g.n == 0:
         return {}
@@ -213,6 +214,10 @@ def solve_uniform_multiplicities(g: WeightedGraph):
     s = g.scale
     if any(x % s for x in g.scaled_weights.values()):
         return None
+    edges = sum(g.scaled_weights.values()) // s
+    if edges > MAX_BLOWUP_EDGES:
+        raise RecipeError(f"whatever the multiplicities, the blowup would have {edges} "
+                          f"edges, over the limit of {MAX_BLOWUP_EDGES} edges")
     m = math.gcd(*g.scaled_adj[0].values()) // s
     small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
     for r0 in small + [m // d for d in reversed(small) if d * d != m]:

@@ -75,9 +75,9 @@ def _compare(checks: dict, route: str, pairs: list, exact) -> None:
         checks[f"{route}_matches_exact"] = pairs[0] == exact
 
 
-def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *,
+def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *, trivial: bool,
                  compare_trivial: bool = True) -> dict:
-    """Check G(w) against G(toggle(w)) by each route `method` names.
+    """Check G(w) against G(toggle(w)) by each route `method` names; trivial = is_self_toggle(w).
 
     With compare_trivial=False a self-toggle class, whose two graphs are
     one graph relabelled, is checked alone: only the cross-route checks
@@ -87,7 +87,6 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *,
     """
     start = time.perf_counter()
     wt = toggle(w)
-    trivial = is_self_toggle(w)
     sides = (w,) if trivial and not compare_trivial else (w, wt)
     graphs = [assemble_ring(x, k) for x in sides]
     entry = {
@@ -138,7 +137,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *,
 def cmd_verify(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     k = parse_rat(args.k)
-    entry = _verify_pair(w, k, args.method, args.budget, args.tol)
+    entry = _verify_pair(w, k, args.method, args.budget, args.tol, trivial=is_self_toggle(w))
     payload = {"command": "verify", "version": __version__, "backend": BACKEND, "result": entry}
     status = "PASS" if entry["pass"] else "FAIL"
     _emit(payload, f"verify {w} vs {entry['toggled_word']} (k={rat_str(k)}): {status}")
@@ -150,14 +149,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     ks = list(dict.fromkeys(parse_rat(s) for s in _values(args.k, "--k")))
     entries = []
     failures = skipped = 0
-    for w in toggle_classes(3, args.tau_max):
+    for w, trivial in toggle_classes(3, args.tau_max):
         for k in ks:
             try:
                 entry = _verify_pair(w, k, args.method, args.budget, args.tol,
-                                     compare_trivial=False)
+                                     trivial=trivial, compare_trivial=False)
             except BudgetError as exc:
                 entries.append({"word": str(w), "k": rat_str(k),
-                                "trivial": is_self_toggle(w), "skipped": str(exc)})
+                                "trivial": trivial, "skipped": str(exc)})
                 skipped += 1
                 continue
             entry["edge_delta"] = entry["edge_counts"][-1] - entry["edge_counts"][0]

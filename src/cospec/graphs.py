@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegreeError, FormatError, ParameterError, ShapeError
-from .rationals import Rat, rat_str
+from .rationals import Rat, as_rat, rat_str
 from .words import Word
 
 
@@ -25,24 +25,26 @@ class ModuleGadget:
     """One building block with local vertex labels +, -, a, b."""
 
     kind: str
-    # edges as (label, label, weight) with labels in {"+", "-", "a", "b"}
+    # edges as (label, label, x), labels in {"+", "-", "a", "b"}, weight x / scale
     edges: tuple
+    scale: int
 
 
 def build_module_gadget(kind: str, k) -> ModuleGadget:
-    """The P, C, or E gadget with weights parameterized by k > 0."""
-    k = Rat(k)
-    if k <= 0:
+    """The P, C, or E gadget: weights k = p/q > 0, 1, k+1, k^2 as pq, q^2, (p+q)q, p^2 over q^2."""
+    k = as_rat(k)
+    p, q = k.numerator, k.denominator
+    if p <= 0:
         raise ParameterError(f"module parameter k must be positive, got {k}")
     if kind == "E":
-        edges = (("+", "-", k + 1),)
+        edges = (("+", "-", (p + q) * q),)
     elif kind == "P":
-        edges = (("a", "+", k), ("+", "-", Rat(1)), ("-", "b", k))
+        edges = (("a", "+", p * q), ("+", "-", q * q), ("-", "b", p * q))
     elif kind == "C":
-        edges = (("a", "+", k), ("+", "-", Rat(1)), ("-", "b", k), ("a", "b", k * k))
+        edges = (("a", "+", p * q), ("+", "-", q * q), ("-", "b", p * q), ("a", "b", p * p))
     else:
         raise ParameterError(f"unknown module kind {kind!r}")
-    return ModuleGadget(kind, edges)
+    return ModuleGadget(kind, edges, q * q)
 
 
 class WeightedGraph:
@@ -123,13 +125,10 @@ class WeightedGraph:
 
 def assemble_ring(w: Word, k) -> WeightedGraph:
     """Assemble G(W): tau gadgets joined in cyclic order at signed vertices.
-    `build_module_gadget` rejects k <= 0.  The gadgets' few distinct weights
-    become integers over their common denominator once per call."""
-    k = Rat(k)
-    gadgets = [build_module_gadget(kind, k) for kind in sorted(set(w.letters))]
-    scale = math.lcm(*(x.denominator for g in gadgets for *_, x in g.edges))
-    local = {g.kind: [(a, b, x.numerator * (scale // x.denominator)) for a, b, x in g.edges]
-             for g in gadgets}
+    `build_module_gadget` rejects k <= 0; its gadgets share one scale."""
+    k = as_rat(k)
+    local = {kind: build_module_gadget(kind, k) for kind in set(w.letters)}
+    scale = local[w.letters[0]].scale
     signed, unsigned, edges, n = [], [], [], 0
     for i, letter in enumerate(w):
         pair = (n + 1, n + 2) if letter in "PC" else None
@@ -140,7 +139,7 @@ def assemble_ring(w: Word, k) -> WeightedGraph:
         labels = {"+": signed[i], "-": n if i + 1 < w.tau else 0}
         if pair is not None:
             labels["a"], labels["b"] = pair
-        edges += [(labels[a], labels[b], x) for a, b, x in local[letter]]
+        edges += [(labels[a], labels[b], x) for a, b, x in local[letter].edges]
     return WeightedGraph(n, edges, scale=scale, word=w, k=k, signed=signed, unsigned=unsigned)
 
 

@@ -21,6 +21,11 @@ def parse_rat(text: str) -> Rat:
         raise ParameterError(f"not a rational number: {text!r}") from exc
 
 
+def as_rat(x):
+    """x as an exact rational: ints and Fractions as they are, the rest through Fraction."""
+    return x if isinstance(x, (int, Rat)) else Rat(x)
+
+
 def rat_str(q) -> str:
     """Render an int or a Fraction as "p/q" (denominator always present)."""
     return f"{q.numerator}/{q.denominator}"

@@ -38,26 +38,14 @@ import math
 
 from .errors import CertificateError, IdentityCheckError, ParameterError, ShapeError
 from .polynomials import lowest_terms
-from .rationals import Rat
+from .rationals import Rat, as_rat
 from .words import Word
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    if len(a[0]) != m:
+    if len(a[0]) != len(b):
         raise ShapeError("matrix dimensions do not match")
-    zero = Rat(0)
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(p):
-            acc = zero
-            for t in range(m):
-                acc += ai[t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[sum((x * y for x, y in zip(row, col)), Rat(0)) for col in zip(*b)] for row in a]
 
 
 def mat_inv(matrix):
@@ -220,13 +208,16 @@ def _short_kernel(w: Word, k) -> tuple:
 
 def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:
     """The long-cycle part for a ring with counts (tau, ell, m) as the
-    monomial (c, j), meaning c * (t - 1)^j."""
-    k = Rat(k)
+    monomial ((c, d), j), meaning c (t - 1)^j / d: at k = p/q and e = ell + m,
+    c = (-1)^(tau-1) q^e, d = 2^(tau-1) (p+q)^e and j = 2 e."""
+    k = as_rat(k)
+    p, q = k.numerator, k.denominator
     if tau < 3 or ell < 0 or m < 0 or ell + m > tau:
         raise ParameterError(f"invalid counts tau={tau}, ell={ell}, m={m}")
-    if k <= 0:
+    if p <= 0:
         raise ParameterError(f"k must be positive, got {k}")
-    return Rat((-1) ** (tau - 1)) / (Rat(2) ** (tau - 1) * (k + 1) ** (m + ell)), 2 * (m + ell)
+    e = ell + m
+    return ((-1) ** (tau - 1) * q**e, 2 ** (tau - 1) * (p + q) ** e), 2 * e
 
 
 def transfer_u(w: Word, k) -> tuple:
@@ -238,10 +229,10 @@ def transfer_u(w: Word, k) -> tuple:
     (coeffs[n] = den), or CertificateError is raised.
     """
     short, scale = _short_kernel(w, k)
-    c, j = long_cycle_monomial(w.tau, w.ell, w.m, k)
-    den = math.lcm(scale, int(c.denominator))
+    (c, d), j = long_cycle_monomial(w.tau, w.ell, w.m, k)
+    den = math.lcm(scale, d)
     coeffs = [x * (den // scale) for x in short]
-    coeffs[j] += int(c.numerator) * (den // int(c.denominator))
+    coeffs[j] += c * (den // d)
     coeffs, den = lowest_terms(coeffs, den)
     if len(coeffs) != w.n + 1 or coeffs[-1] != den:
         raise CertificateError(

@@ -8,13 +8,13 @@ rotations, which names a class.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import AlphabetError, LengthError
 
 ALPHABET = "PCE"
 _TOGGLE = str.maketrans("PC", "CP")
+_SPELL = str.maketrans("012", ALPHABET)  # digits in P < C < E order
 
 MIN_LENGTH = 3
 
@@ -72,16 +72,14 @@ def toggle(w: Word) -> Word:
     return Word(w.letters.translate(_TOGGLE))
 
 
-def _variants(w: Word):
-    """All rotations of w and of its reversal, as strings."""
-    for s in (w.letters, w.letters[::-1]):
-        for i in range(len(s)):
-            yield s[i:] + s[:i]
+def _least_spelling(s: str) -> str:
+    """The least string among all rotations of s and of its reversal."""
+    return min(t[i:] + t[:i] for t in (s, s[::-1]) for i in range(len(s)))
 
 
 def canonical_form(w: Word) -> Word:
     """Lexicographically least among all rotations and reflected rotations."""
-    return Word(min(_variants(w)))
+    return Word(_least_spelling(w.letters))
 
 
 def is_self_toggle(w: Word) -> bool:
@@ -90,29 +88,32 @@ def is_self_toggle(w: Word) -> bool:
     return canonical_form(toggle(w)) == canonical_form(w)
 
 
-def all_words(tau: int):
-    """All 3^tau words of length tau, in lexicographic order."""
-    for letters in itertools.product(ALPHABET, repeat=tau):
-        yield Word("".join(letters))
-
-
 def canonical_words(tau_min: int, tau_max: int):
-    """Canonical representatives of all cyclic classes with tau in range."""
+    """Canonical representatives of all cyclic classes with tau in range, in
+    order of each class's least P < C < E spelling: the FKM necklaces (Ruskey,
+    Savage & Wang 1992) over 0 < 1 < 2, Lyndon words repeated to length tau, kept
+    when no rotation of their reversal is less, re-spelled as in canonical_form."""
     for tau in range(tau_min, tau_max + 1):
-        seen = set()
-        for w in all_words(tau):
-            c = canonical_form(w)
-            if c.letters not in seen:
-                seen.add(c.letters)
-                yield c
+        a = [-1]
+        while a:
+            a[-1] += 1
+            if tau % len(a) == 0:
+                s = "".join(map(str, a)) * (tau // len(a))
+                r = s[::-1] * 2
+                if all(s <= r[i:i + tau] for i in range(tau)):
+                    yield Word(_least_spelling(s.translate(_SPELL)))
+            a = (a * tau)[:tau]
+            while a and a[-1] == 2:
+                a.pop()
 
 
 def toggle_classes(tau_min: int, tau_max: int):
-    """One canonical word per unordered pair {w, toggle(w)} of classes, in
-    canonical_words order: a class is left out when its toggle partner's
-    class came earlier.  A self-toggle class is its own pair."""
+    """(w, is_self_toggle(w)) for one canonical word w per unordered pair
+    {w, toggle(w)} of classes, in canonical_words order: a class is left out
+    when its toggle partner's class came earlier (a self-toggle class is its own)."""
     partners = set()
     for w in canonical_words(tau_min, tau_max):
-        if w not in partners:
-            partners.add(canonical_form(toggle(w)))
-            yield w
+        if w.letters not in partners:
+            partner = _least_spelling(w.letters.translate(_TOGGLE))
+            partners.add(partner)
+            yield w, partner == w.letters

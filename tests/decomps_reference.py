@@ -172,8 +172,8 @@ def long_terms_by_config(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> dict
 
 def long_cycle_closed_form(tau: int, ell: int, m: int, k) -> Polynomial:
     """Closed form of the long-cycle part for a ring with counts (tau, ell, m)."""
-    scalar, j = long_cycle_monomial(tau, ell, m, k)
-    return Polynomial.t_minus_one_power(j).scale(scalar)
+    (c, d), j = long_cycle_monomial(tau, ell, m, k)
+    return Polynomial.t_minus_one_power(j).scale(Rat(c, d))
 
 
 def long_cycle_multinomial_term(tau: int, ell: int, m: int, k, h: int, i: int, j: int) -> Polynomial:

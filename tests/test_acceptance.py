@@ -19,7 +19,7 @@ from cospec.graphs import (
 from cospec.linalg import eigenvalues_numeric
 from cospec.rationals import Rat
 from cospec.transfer import certify_identities
-from cospec.words import Word, all_words, canonical_form, canonical_words, parse_word, toggle
+from cospec.words import Word, canonical_form, canonical_words, parse_word, toggle
 from decomps_reference import (
     long_cycle_closed_form,
     long_cycle_multinomial_term,
@@ -34,6 +34,7 @@ from polynomial_reference import (
     short_part,
 )
 from transfer_reference import short_part_via_qx
+from words_reference import all_words
 
 K_SWEEP = (Rat(1), Rat(2), Rat(1, 2))
 

@@ -333,6 +333,17 @@ def test_blowup_large_scale_exits_2_at_once(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "multiplicities" in err
 
 
+def test_blowup_huge_scale_exits_2_before_the_search(capsys):
+    # the edge count of any unit-weight blowup is checked before the
+    # divisor search, which would take seconds at this scale
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "blowup", "--word", "ECC", "--k", "1",
+                             "--scale", "10000000000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and "edges" in err
+
+
 def test_export_csv(capsys):
     code = main(["export", "--word", "EEE", "--k", "1", "--format", "csv"])
     out = capsys.readouterr().out

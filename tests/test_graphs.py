@@ -19,7 +19,7 @@ from cospec.graphs import (
     subgraph_after_symmetry,
 )
 from cospec.rationals import Rat
-from cospec.words import canonical_words, is_self_toggle, parse_word, toggle, toggle_classes
+from cospec.words import canonical_words, parse_word, toggle, toggle_classes
 
 words = st.text(alphabet="PCE", min_size=3, max_size=8).map(parse_word)
 ks = st.sampled_from([Rat(1), Rat(2), Rat(1, 2), Rat(7, 3)])
@@ -70,12 +70,27 @@ def test_gadget_rejects_bad_k():
             assemble_ring(parse_word("PCE"), k)
 
 
+@pytest.mark.parametrize("k", [1, Rat(7, 3), Rat(2, 5), Rat(10**12, 7)])
+def test_gadget_integers_over_their_scale_are_the_weights(k):
+    # k, 1, k + 1 and k^2 as integers over the one denominator q^2
+    expected = {
+        "E": [("+", "-", k + 1)],
+        "P": [("a", "+", k), ("+", "-", 1), ("-", "b", k)],
+        "C": [("a", "+", k), ("+", "-", 1), ("-", "b", k), ("a", "b", k * k)],
+    }
+    for kind, edges in expected.items():
+        g = build_module_gadget(kind, k)
+        assert g.scale == Rat(k).denominator ** 2
+        assert all(isinstance(x, int) for *_, x in g.edges)
+        assert [(x, y, Rat(wt, g.scale)) for x, y, wt in g.edges] == edges
+
+
 def test_gadget_signed_degree_is_k_plus_one():
     for kind in "PCE":
         for k in (Rat(1), Rat(5, 2)):
             g = build_module_gadget(kind, k)
             for pole in "+-":
-                deg = sum(w for x, y, w in g.edges if pole in (x, y))
+                deg = Rat(sum(w for x, y, w in g.edges if pole in (x, y)), g.scale)
                 assert deg == k + 1
 
 
@@ -130,7 +145,8 @@ def ring_reference(w, k):
         labels = {"+": signed[i], "-": signed[(i + 1) % w.tau]}
         if unsigned[i] is not None:
             labels["a"], labels["b"] = unsigned[i]
-        edges += [(labels[x], labels[y], wt) for x, y, wt in build_module_gadget(letter, k).edges]
+        gadget = build_module_gadget(letter, k)
+        edges += [(labels[x], labels[y], Rat(wt, gadget.scale)) for x, y, wt in gadget.edges]
     return WeightedGraph(n, edges, word=w, k=k, signed=signed, unsigned=unsigned)
 
 
@@ -156,8 +172,9 @@ def test_assemble_ring_reads_the_gadget_definition(monkeypatch):
         gadget = real(kind, k)
         if kind != "C":
             return gadget
-        return ModuleGadget(kind, tuple((x, y, Rat(k) if {x, y} == {"a", "b"} else wt)
-                                        for x, y, wt in gadget.edges))
+        p, q = Rat(k).as_integer_ratio()  # k over the scale q^2 is p q
+        return ModuleGadget(kind, tuple((x, y, p * q if {x, y} == {"a", "b"} else wt)
+                                        for x, y, wt in gadget.edges), gadget.scale)
 
     monkeypatch.setattr(graphs, "build_module_gadget", mutated)
     after = assemble_ring(w, k)
@@ -351,8 +368,8 @@ def test_export_deterministic():
 
 
 def toggle_pairs(tau_max, k):
-    for w in toggle_classes(3, tau_max):
-        if not is_self_toggle(w):
+    for w, trivial in toggle_classes(3, tau_max):
+        if not trivial:
             yield w, assemble_ring(w, k), assemble_ring(toggle(w), k)
 
 

@@ -339,10 +339,22 @@ def test_charpoly_via_transfer_postcondition_raises(monkeypatch):
     # a long part of full degree n makes the sum non-monic
     monkeypatch.setattr(
         "cospec.transfer.long_cycle_monomial",
-        lambda tau, ell, m, k: (Rat(1), tau + 2 * (ell + m)),
+        lambda tau, ell, m, k: ((1, 1), tau + 2 * (ell + m)),
     )
     with pytest.raises(CertificateError):
         charpoly_via_transfer(parse_word("PCE"), 1)
+
+
+@pytest.mark.parametrize("k", [1, Rat(7, 3), Rat(2, 5), Rat(10**12, 7)])
+def test_long_cycle_monomial_integers_are_the_rational_formula(k):
+    k = Rat(k)
+    for tau in range(3, 17):
+        for ell in range(tau + 1):
+            for m in range(tau - ell + 1):
+                (c, d), j = transfer.long_cycle_monomial(tau, ell, m, k)
+                assert isinstance(c, int) and isinstance(d, int) and j == 2 * (ell + m)
+                expected = Rat((-1) ** (tau - 1)) / (2 ** (tau - 1) * (k + 1) ** (ell + m))
+                assert Rat(c, d) == expected
 
 
 @given(words, st.sampled_from([Rat(1), Rat(2)]))

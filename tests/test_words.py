@@ -5,7 +5,6 @@ from cospec.errors import AlphabetError, LengthError
 from cospec.graphs import assemble_ring, non_isomorphism_witness, subgraph_after_symmetry
 from cospec.words import (
     Word,
-    all_words,
     canonical_form,
     canonical_words,
     is_self_toggle,
@@ -13,7 +12,8 @@ from cospec.words import (
     toggle,
     toggle_classes,
 )
-from words_reference import cyclic_equivalent
+import words_reference
+from words_reference import all_words, cyclic_equivalent
 
 words = st.text(alphabet="PCE", min_size=3, max_size=10).map(Word)
 
@@ -113,7 +113,7 @@ def test_canonical_constant_on_class(w, shift, flip):
 
 def test_toggle_classes_cover_each_class_once():
     covered = []
-    for w in toggle_classes(3, 7):
+    for w, _ in toggle_classes(3, 7):
         partner = canonical_form(toggle(w))
         covered += [w] if partner == w else [w, partner]
     assert sorted(c.letters for c in covered) == sorted(c.letters for c in canonical_words(3, 7))
@@ -121,7 +121,16 @@ def test_toggle_classes_cover_each_class_once():
 
 
 def test_toggle_classes_keep_canonical_order():
-    assert [str(w) for w in toggle_classes(3, 3)] == ["PPP", "CPP", "EPP", "CEP", "EEP", "EEE"]
+    assert [str(w) for w, _ in toggle_classes(3, 3)] == ["PPP", "CPP", "EPP", "CEP", "EEP", "EEE"]
+
+
+@pytest.mark.parametrize("tau", range(3, 11))
+def test_enumeration_matches_the_every_word_reference(tau):
+    # classes, order and self-toggle flags, against canonicalising all 3^tau words
+    assert list(canonical_words(tau, tau)) == list(words_reference.canonical_words(tau, tau))
+    classes = list(toggle_classes(tau, tau))
+    assert classes == list(words_reference.toggle_classes(tau, tau))
+    assert all(trivial == is_self_toggle(w) for w, trivial in classes)
 
 
 def test_self_toggle_classes_tau7():
