@@ -14,9 +14,12 @@ so scaling every weight and degree by L, the least common multiple of
 the weight denominators, leaves it unchanged.  Over the common
 denominator P = prod_v D_v of the scaled degrees D_v = L d_v, the term
 is x / P with the integer x = (-1)^e 2^s prod W prod_{v not in V(D)} D_v
-and W = L w.  One recursive walk enumerates the decompositions and builds x
-as it descends; a sum is one integer per power of u over P, in lowest
-terms (the same (coeffs, den) form as the exact and transfer routes).
+and W = L w.  Each vertex's cycles (those it is the least vertex of) are
+found once per graph, as bitmasks with their factors +-2 prod W, beside
+its matching edges; one recursive walk then covers vertices in a bitmask,
+tries the listed parts disjoint from it and builds x as it descends.  A
+sum is one integer per power of u over P, in lowest terms (the same
+(coeffs, den) form as the exact and transfer routes).
 """
 
 from __future__ import annotations
@@ -55,14 +58,41 @@ def _walk(g: WeightedGraph, budget: int, leaf) -> int:
     if n > MAX_VERTICES:
         raise BudgetError(f"n={n} exceeds the oracle limit of {MAX_VERTICES}")
     nbrs, degree = _scale(g)
-    covered = [False] * n
+    # heads[v]: the parts whose minimum vertex is v, as (vertex bitmask, the
+    # tuple pushed onto parts, factor): isolated edges (v, u) with -W^2, then
+    # cycles with +-2 prod W
+    heads = [[(1 << v | 1 << u, (v, u), -w * w) for u, w in nbrs[v] if u > v]
+             for v in range(n)]
+    found = 0
+
+    def cycles(path, mask, product):
+        """Close or extend a path from its minimum vertex through larger
+        vertices off it; each cycle is closed in one direction only (second
+        vertex smaller than last).  product is 2 times the path's weights."""
+        nonlocal found
+        start, u = path[0], path[-1]
+        for v, w in nbrs[u]:
+            if v == start:
+                if len(path) >= 3 and path[1] < u:
+                    found += 1  # a cycle on its own is a decomposition
+                    if found > budget:
+                        raise BudgetError(f"more than {budget} decompositions")
+                    sign = -1 if len(path) % 2 == 0 else 1
+                    heads[start].append((mask, tuple(path), sign * product * w))
+            elif v > start and not mask >> v & 1:
+                path.append(v)
+                cycles(path, mask | 1 << v, product * w)
+                path.pop()
+
+    for s in range(n):
+        cycles([s], 1 << s, 2)
     parts = []
     emitted = 0
 
-    def rec(v, j, x):
+    def rec(v, j, x, covered):
         """Decide the vertices from v on; x carries the decided factors."""
         nonlocal emitted
-        while v < n and covered[v]:
+        while v < n and covered >> v & 1:
             v += 1
         if v == n:
             emitted += 1
@@ -70,41 +100,14 @@ def _walk(g: WeightedGraph, budget: int, leaf) -> int:
                 raise BudgetError(f"more than {budget} decompositions")
             leaf(j, x, parts)
             return
-        # v stays out of the decomposition
-        rec(v + 1, j + 1, x * degree[v])
-        covered[v] = True
-        # v is matched by an isolated edge
-        for u, w in nbrs[v]:
-            if u > v and not covered[u]:
-                covered[u] = True
-                parts.append((v, u))
-                rec(v + 1, j, -x * w * w)
+        rec(v + 1, j + 1, x * degree[v], covered)  # v stays out
+        for mask, part, factor in heads[v]:
+            if not covered & mask:
+                parts.append(part)
+                rec(v + 1, j, x * factor, covered | mask)
                 parts.pop()
-                covered[u] = False
-        # v is the minimum vertex of a cycle
-        cycles([v], j, x, 2)
-        covered[v] = False
 
-    def cycles(path, j, x, product):
-        """Close or extend a path from its minimum vertex through larger free
-        vertices; each cycle is closed in one direction only (second vertex
-        smaller than last).  product is 2 times the path's weights."""
-        start, u = path[0], path[-1]
-        for v, w in nbrs[u]:
-            if v == start:
-                if len(path) >= 3 and path[1] < u:
-                    parts.append(tuple(path))
-                    sign = -1 if len(path) % 2 == 0 else 1
-                    rec(start + 1, j, sign * x * product * w)
-                    parts.pop()
-            elif v > start and not covered[v]:
-                covered[v] = True
-                path.append(v)
-                cycles(path, j, x, product * w)
-                path.pop()
-                covered[v] = False
-
-    rec(0, 0, 1)
+    rec(0, 0, 1, 0)
     return math.prod(degree)
 
 

@@ -112,6 +112,14 @@ def test_verify_oracle_budget(capsys):
     assert code == 3
 
 
+def test_charpoly_oracle_budget_below_the_cycle_count_exits_3(capsys):
+    # ring CCCC has 20 cycles, so budget 19 runs out while they are found
+    code, payload, err = run(capsys, "charpoly", "--word", "CCCC", "--method", "oracle",
+                             "--budget", "19")
+    assert code == 3 and payload is None
+    assert err == "error: more than 19 decompositions\n"
+
+
 def test_scan_tau3(capsys):
     code, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "exact")
     assert code == 0

@@ -1,10 +1,15 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospec import decomps
 from cospec.errors import BudgetError, ParameterError
 from cospec.graphs import WeightedGraph, assemble_ring
+from cospec.linalg import exact_u
 from cospec.rationals import Rat
+from cospec.transfer import transfer_u
 from cospec.words import parse_word
 from decomps_reference import (
     Decomposition,
@@ -85,6 +90,19 @@ def test_vertex_limit_raised_before_scaling(monkeypatch):
             run(g)
 
 
+def test_cycle_table_counts_against_the_budget():
+    g = ring("CCCC")
+    ds = list(enumerate_decompositions(g))
+    assert len(ds) == 883
+    assert sum(1 for d in ds if not d.edges and len(d.cycles) == 1) == 20
+    # 20 cycles are 20 decompositions, so budget 19 is exceeded while the
+    # cycles are found, before any leaf
+    leaves = []
+    with pytest.raises(BudgetError):
+        decomps._walk(g, 19, lambda j, x, parts: leaves.append(j))
+    assert leaves == []
+
+
 # ------------------------------------------------------------- terms
 
 
@@ -136,6 +154,30 @@ def walk_terms(g):
     return [(d, j, Rat(x, common)) for d, j, x in leaves]
 
 
+def brute_force_decompositions(g):
+    """Every edge subset whose components are each one edge or a cycle of
+    length >= 3, as a frozenset of edges, found by trying every subset."""
+    edges = sorted(g.scaled_weights)
+    found = []
+    for r in range(len(edges) + 1):
+        for subset in itertools.combinations(edges, r):
+            degree = Counter(v for edge in subset for v in edge)
+            # at degrees <= 2 each component is a path or a cycle, and a path
+            # is one edge exactly when no edge joins degrees 1 and 2
+            if max(degree.values(), default=0) <= 2 and all(
+                    (degree[u] == 1) == (degree[v] == 1) for u, v in subset):
+                found.append(frozenset(subset))
+    return found
+
+
+@given(weighted_graphs())
+@settings(max_examples=40, deadline=None)
+def test_walk_gives_every_decomposition_once(g):
+    walked = [frozenset(d.all_edges()) for d in enumerate_decompositions(g)]
+    assert len(walked) == len(set(walked))
+    assert set(walked) == set(brute_force_decompositions(g))
+
+
 @pytest.mark.parametrize("word,k", [("EEE", 1), ("PCE", Rat(7, 3)), ("CCC", 2),
                                     ("PCPC", Rat(2, 5))])
 def test_walk_terms_match_decomposition_term_on_rings(word, k):
@@ -174,6 +216,15 @@ def test_oracle_matches_exact_ppp():
 def test_oracle_matches_exact(w, k):
     g = assemble_ring(w, k)
     assert charpoly_via_decompositions(g) == charpoly_exact(g)
+
+
+@pytest.mark.parametrize("word", ["PCEPCEPC", "CCPCEPCE", "PPCCEECC", "PCPCPCPCP"])
+@pytest.mark.parametrize("k", [Rat(1), Rat(7, 3)])
+def test_oracle_matches_exact_and_transfer_up_to_n_27(word, k):
+    w = parse_word(word)
+    g = assemble_ring(w, k)
+    assert g.n == (27 if word == "PCPCPCPCP" else 20)
+    assert decomps.oracle_u(g) == exact_u(g) == transfer_u(w, k)[0]
 
 
 # ------------------------------------------------------------- long cycles
