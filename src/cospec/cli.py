@@ -15,8 +15,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .blowup import (
     blow_up,
@@ -62,7 +60,7 @@ def _emit(payload: dict, summary: str) -> None:
 
 def _eig_gap(g1, g2) -> float:
     e1, e2 = eigenvalues_numeric(g1), eigenvalues_numeric(g2)
-    return float(np.max(np.abs(e1 - e2)))
+    return float(abs(e1 - e2).max())
 
 
 def _compare(checks: dict, route: str, pairs: list, exact) -> None:

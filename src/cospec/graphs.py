@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import DegreeError, FormatError, ParameterError, ShapeError
 from .rationals import Rat, as_rat, rat_str
 from .words import Word
@@ -143,7 +141,7 @@ def assemble_ring(w: Word, k) -> WeightedGraph:
     return WeightedGraph(n, edges, scale=scale, word=w, k=k, signed=signed, unsigned=unsigned)
 
 
-def normalized_laplacian(g: WeightedGraph) -> np.ndarray:
+def normalized_laplacian(g: WeightedGraph) -> "numpy.ndarray":
     """Dense symmetric L: 1 on the diagonal, -w(u,v)/sqrt(d_u d_v) on edges.
 
     The entries come from the integer-scaled weights: W^2 / (D_u D_v) is an
@@ -151,7 +149,8 @@ def normalized_laplacian(g: WeightedGraph) -> np.ndarray:
     """
     if g.has_isolated_vertex():
         raise DegreeError("graph has an isolated vertex")
-    L = np.eye(g.n)
+    import numpy
+    L = numpy.eye(g.n)
     d = g.scaled_degrees
     for (u, v), x in g.scaled_weights.items():
         L[u, v] = L[v, u] = -math.sqrt(x * x / (d[u] * d[v]))

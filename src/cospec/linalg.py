@@ -5,30 +5,29 @@ The characteristic polynomial of the normalized Laplacian is computed
 without any floating point: L is similar to I - D^{-1}A, so
 det(tI - L) = det(uI + D^{-1}A) with u = t - 1.  Scaling D^{-1}A by the
 least common denominator c of its entries gives an integer matrix M, built
-straight from the adjacency rows; the polynomial stays in u.
+straight from the adjacency rows as its nonzeros, row by row (86 of 1,444
+entries on the ring CCEECECPEECPPPPP, n = 38); the polynomial stays in u.
 
-The integer charpoly det(xI - M) is multi-modular.  Hadamard's bound on
-the principal minors bounds every coefficient by
-B = prod_i (2 + isqrt(|row i|^2)).  The modulus is the first prime of a
-ladder above 2B: the Mersenne primes 2^61 - 1 to 2^127 - 1, then Proth
-primes h 2^s + 1 of 160 to 448 bits; so one pass serves every bound below
-2^446.  Wider bounds take the Mersenne primes from 2^521 - 1 up, as many
-as needed.  Modulo each, M is reduced to upper Hessenberg form and the
-Hessenberg recurrence gives the charpoly; CRT with symmetric residues
-rebuilds the integers.  A point certificate checks the result:
-det(x0 I - M) by Gaussian elimination modulo 2^31 - 1, a prime outside
-every modulus set, must equal the rebuilt polynomial at x0, or
-CertificateError is raised.  `exact_u` hands the result on as integer
-u-coefficients over one denominator in lowest terms.  The kernel sees only
-M, never the ring structure, so the exact route stays an independent
-reference for the other two.
+The integer charpoly det(xI - M) is multi-modular, and each pass reads
+only M's nonzeros.  Hadamard's bound on the principal minors bounds every
+coefficient by B = prod_i (2 + isqrt(|row i|^2)).  The modulus is the
+first prime of a ladder above 2B: the Mersenne primes 2^61 - 1 to
+2^127 - 1, then Proth primes h 2^s + 1 of 160 to 448 bits; so one pass
+serves every bound below 2^446.  Wider bounds take the Mersenne primes
+from 2^521 - 1 up, as many as needed.  Modulo each, M is reduced to upper
+Hessenberg form and the Hessenberg recurrence gives the charpoly; CRT
+with symmetric residues rebuilds the integers.  A point certificate
+checks the result: det(x0 I - M) by Gaussian elimination modulo
+2^31 - 1, a prime outside every modulus set, must equal the rebuilt
+polynomial at x0, or CertificateError is raised.  `exact_u` hands the
+result on as integer u-coefficients over one denominator in lowest
+terms.  The kernel sees only M, never the ring structure, so the exact
+route stays an independent reference for the other two.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import CertificateError, DegreeError, NumericalError, ParameterError
 from .graphs import WeightedGraph, normalized_laplacian
@@ -46,12 +45,12 @@ from .polynomials import lowest_terms
 # alone would serve those bounds by two passes modulo primes of at most 127
 # bits and a CRT step (bounds up to 2^233), or by one pass modulo
 # 2^521 - 1, and take longer: per rung, on 6 ring graphs at k = 7/3 spread
-# over its bounds, _charpoly_integer took (ms, mean of per-graph medians of
-# 5 runs, CPython 3.11):
+# over its bounds, the sparse-row _charpoly_integer took (ms, mean of
+# per-graph medians of 5 runs, CPython 3.11, 2 cores, October 2026):
 #   rung (bits)          160     192     256     320     384     448
-#   graph bounds (bits) 129-154 166-190 194-254 255-308 320-381 384-446
-#   Mersenne sets        5.9    11.1    27.4    51.8    73.3   119.1
-#   ladder               3.9     7.7    16.1    30.9    50.1    93.8
+#   graph bounds (bits) 127-158 159-190 191-254 255-318 319-382 383-446
+#   Mersenne sets        4.6     8.2    18.7    34.5    51.4    97.4
+#   ladder               3.0     5.4    10.8    20.0    35.0    68.1
 # and no graph took longer with the ladder (worst ratio 0.80, at 448 bits).
 _SMALL_PRIMES = tuple((1 << e) - 1 for e in (61, 89, 107, 127))
 _PROTH_PRIMES = (  # (h, s, a): N = h 2^s + 1 of 160, 192, 256, 320, 384 and 448 bits
@@ -71,7 +70,7 @@ _CHECK_PRIME = (1 << 31) - 1
 _CHECK_POINT = 65537
 
 
-def _coefficient_bound(m) -> int:
+def _coefficient_bound(rows) -> int:
     """B = prod_i (2 + isqrt(|row i|^2)) bounds every coefficient of
     det(xI - m).
 
@@ -80,7 +79,7 @@ def _coefficient_bound(m) -> int:
     r_i = 1 + isqrt(|row i|^2) >= |row i|, and the sum over all S of those
     products is prod_i (1 + r_i).
     """
-    return math.prod(2 + math.isqrt(sum(x * x for x in row)) for row in m)
+    return math.prod(2 + math.isqrt(sum(x * x for _, x in row)) for row in rows)
 
 
 def _moduli(bound: int) -> tuple:
@@ -94,20 +93,24 @@ def _moduli(bound: int) -> tuple:
     )
 
 
-def _charpoly_mod(m, p: int) -> list:
+def _charpoly_mod(rows, p: int) -> list:
     """Coefficients of det(xI - m) modulo the prime p, constant term first.
 
-    m is reduced to upper Hessenberg form h by similarities, column k by
-    column k with any nonzero pivot: a row swap with the matching column
-    swap, then row_i -= f_i row_{k+1} for every row i below the pivot row,
-    then column_{k+1} += sum_i f_i column_i.  The charpolys p_j of the
+    h, filled from m's nonzeros modulo p, is reduced to upper Hessenberg
+    form by similarities, column k by column k with any nonzero pivot: a row
+    swap with the matching column swap, then row_i -= f_i row_{k+1} for every
+    row i below the pivot row, then column_{k+1} += sum_i f_i column_i; with
+    no such row, the pivot needs no inverse.  The charpolys p_j of the
     leading j x j blocks of h then follow by the Hessenberg recurrence
-    p_{j+1} = (x - h_jj) p_j - sum_{i<j} h_ij (h_{i+1,i} ... h_{j,j-1}) p_i.
-    Graph matrices stay sparse under the reduction, so zero entries are
-    skipped rather than multiplied.
+    p_{j+1} = x p_j - sum_{i<=j} h_ij t_ij p_i, t_ij = h_{i+1,i} ... h_{j,j-1},
+    each t_ij a ratio of prefix products.  Graph matrices stay sparse under
+    the reduction, so zero entries are skipped rather than multiplied.
     """
-    n = len(m)
-    h = [[x % p for x in row] for row in m]
+    n = len(rows)
+    h = [[0] * n for _ in range(n)]
+    for r, row in zip(h, rows):
+        for c, x in row:
+            r[c] = x % p
     for k in range(n - 2):
         k1 = k + 1
         pivot = next((i for i in range(k1, n) if h[i][k]), None)
@@ -117,10 +120,13 @@ def _charpoly_mod(m, p: int) -> list:
             h[pivot], h[k1] = h[k1], h[pivot]
             for row in h:
                 row[pivot], row[k1] = row[k1], row[pivot]
+        below = [i for i in range(k + 2, n) if h[i][k]]
+        if not below:
+            continue
         top = h[k1]
         inv = pow(top[k], -1, p)
         nonzero = [(c, top[c]) for c in range(k1, n) if top[c]]
-        factors = [(i, h[i][k] * inv % p) for i in range(k + 2, n) if h[i][k]]
+        factors = [(i, h[i][k] * inv % p) for i in below]
         for i, f in factors:
             row = h[i]
             row[k] = 0
@@ -130,36 +136,43 @@ def _charpoly_mod(m, p: int) -> list:
             for r in h:
                 if r[i]:
                     r[k1] = (r[k1] + f * r[i]) % p
+    # the chain h_{i+1,i} ... h_{j,j-1} is pre[j] / pre[i] for i >= start[j], else 0
+    pre, start, inverse = [1], [0], [1]
+    for j in range(1, n):
+        sub = h[j][j - 1]
+        pre.append(pre[-1] * sub % p if sub else 1)
+        start.append(start[-1] if sub else j)
+    for x in pre:
+        inverse.append(inverse[-1] * x % p)
+    inv = pow(inverse[-1], -1, p)
+    for i in range(n - 1, -1, -1):  # inverse[i] = 1 / pre[i], by one modular inverse
+        inverse[i], inv = inv * inverse[i] % p, inv * pre[i] % p
     polys = [[1]]  # polys[j] = det(xI - h[:j, :j]), constant term first
     for j in range(n):
-        prev = polys[j]
-        d = h[j][j]
-        new = [0] + prev
-        for i, c in enumerate(prev):
-            new[i] -= d * c
-        t = 1
-        for i in range(j - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            if not t:
-                break
+        new = [0] + polys[j]
+        for i in range(start[j], j + 1):
             if h[i][j]:
-                coef = t * h[i][j]
+                coef = h[i][j] * pre[j] * inverse[i] % p
                 for s, c in enumerate(polys[i]):
                     new[s] -= coef * c
         polys.append([c % p for c in new])
     return polys[n]
 
 
-def _det_mod(m, x0: int, q: int) -> int:
-    """det(x0 I - m) modulo the prime q, by Gaussian elimination."""
-    n = len(m)
-    a = [[((x0 if i == j else 0) - x) % q for j, x in enumerate(row)] for i, row in enumerate(m)]
+def _det_mod(rows, x0: int, q: int) -> int:
+    """det(x0 I - m) modulo the prime q, by Gaussian elimination, diagonal pivots first."""
+    n = len(rows)
+    a = [[0] * n for _ in range(n)]
+    for i, (r, row) in enumerate(zip(a, rows)):
+        r[i] = x0 % q
+        for c, x in row:
+            r[c] = (r[c] - x) % q
     det = 1
     for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             det = -det
         top = a[k]
@@ -174,9 +187,9 @@ def _det_mod(m, x0: int, q: int) -> int:
     return det % q
 
 
-def _charpoly_integer(m) -> list:
-    """Integer coefficients of det(xI - m), constant term first, for a
-    square integer matrix m.
+def _charpoly_integer(rows) -> list:
+    """Integer coefficients of det(xI - m), constant term first, for a square
+    integer matrix m given by its nonzeros: rows[i] lists (j, m_ij), m_ij != 0.
 
     Every coefficient lies in [-B, B] (`_coefficient_bound`), so its
     residues modulo primes whose product P exceeds 2B fix it: CRT, then the
@@ -184,10 +197,10 @@ def _charpoly_integer(m) -> list:
     it must agree with det(x0 I - m) by Gaussian elimination modulo a prime
     outside the modulus set, or CertificateError is raised.
     """
-    moduli = _moduli(_coefficient_bound(m))
+    moduli = _moduli(_coefficient_bound(rows))
     product = math.prod(moduli)
     weights = [product // p * pow(product // p, -1, p) for p in moduli]
-    residues = [_charpoly_mod(m, p) for p in moduli]
+    residues = [_charpoly_mod(rows, p) for p in moduli]
     coeffs = []
     for column in zip(*residues):
         x = sum(w * c for w, c in zip(weights, column)) % product
@@ -196,7 +209,7 @@ def _charpoly_integer(m) -> list:
     value = 0
     for c in reversed(coeffs):
         value = (value * x0 + c) % q
-    if value != _det_mod(m, x0, q):
+    if value != _det_mod(rows, x0, q):
         raise CertificateError(
             f"multi-modular characteristic polynomial disagrees with det({x0} I - m) "
             f"modulo {q} (moduli of {[p.bit_length() for p in moduli]} bits)"
@@ -214,13 +227,10 @@ def _walk_charpoly(g: WeightedGraph):
     """
     if g.has_isolated_vertex():
         raise DegreeError("graph has an isolated vertex")
-    degree = g.scaled_degrees
-    entries = [(u, v, w) for (a, b), w in g.scaled_weights.items() for u, v in ((a, b), (b, a))]
-    c = math.lcm(*(degree[u] // math.gcd(w, degree[u]) for u, _, w in entries))
-    m = [[0] * g.n for _ in range(g.n)]
-    for u, v, w in entries:
-        m[u][v] = -w * c // degree[u]
-    b = _charpoly_integer(m)
+    degree_adj = list(zip(g.scaled_degrees, g.scaled_adj))
+    c = math.lcm(*(d // math.gcd(w, d) for d, adj in degree_adj for w in adj.values()))
+    rows = [[(v, -w * c // d) for v, w in adj.items()] for d, adj in degree_adj]
+    b = _charpoly_integer(rows)
     return [bi * c**i for i, bi in enumerate(b)], c**g.n
 
 
@@ -247,10 +257,11 @@ def exact_u(g: WeightedGraph) -> tuple:
     return coeffs, den
 
 
-def eigenvalues_numeric(g: WeightedGraph) -> np.ndarray:
-    """Ascending real eigenvalues of the normalized Laplacian."""
+def eigenvalues_numeric(g: WeightedGraph) -> "numpy.ndarray":
+    """Ascending real eigenvalues of the normalized Laplacian (numpy loads here)."""
+    import numpy
     L = normalized_laplacian(g)
     try:
-        return np.sort(np.linalg.eigvalsh(L))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        return numpy.linalg.eigvalsh(L)
+    except numpy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc

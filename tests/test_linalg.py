@@ -320,8 +320,14 @@ def berkowitz(m) -> list:
     return p[::-1]
 
 
-def kernel_moduli(m):
-    return linalg._moduli(linalg._coefficient_bound(m))
+def sparse_rows(m):
+    """The kernel's input for the dense integer matrix m: each row's
+    (column, value) nonzeros."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def kernel_moduli(rows):
+    return linalg._moduli(linalg._coefficient_bound(rows))
 
 
 @st.composite
@@ -349,7 +355,22 @@ def integer_matrices(draw):
 @given(integer_matrices())
 @settings(max_examples=300, deadline=None)
 def test_kernel_equals_berkowitz(m):
-    assert linalg._charpoly_integer(m) == berkowitz(m)
+    assert linalg._charpoly_integer(sparse_rows(m)) == berkowitz(m)
+
+
+@given(integer_matrices())
+@example([[65537, 1], [1, 0]])  # the diagonal pivot vanishes modulo 2^31 - 1: a row swap
+@example([[0, 0], [0, 65537]])  # det(x0 I - m) = 0
+@settings(max_examples=300, deadline=None)
+def test_bound_and_certificate_read_only_the_nonzeros(m):
+    rows = sparse_rows(m)
+    assert linalg._coefficient_bound(rows) == math.prod(
+        2 + math.isqrt(sum(x * x for x in row)) for row in m)
+    q, x0 = (1 << 31) - 1, 65537
+    value = 0
+    for c in reversed(berkowitz(m)):
+        value = (value * x0 + c) % q
+    assert linalg._det_mod(rows, x0, q) == value
 
 
 def wide_diagonal(bits):
@@ -368,11 +389,11 @@ def test_kernel_wide_coefficients_take_several_or_wide_moduli(bits, moduli_bits)
     # one rung of the ladder per bound below 2^446; past it, |det| (about
     # 2^(4 bits)) is too wide for the set less its last prime
     m = wide_diagonal(bits)
-    moduli = kernel_moduli(m)
+    moduli = kernel_moduli(sparse_rows(m))
     assert tuple(p.bit_length() for p in moduli) == moduli_bits
     if len(moduli) > 1:
         assert 2 * abs(berkowitz(m)[0]) > math.prod(moduli[:-1])
-    assert linalg._charpoly_integer(m) == berkowitz(m)
+    assert linalg._charpoly_integer(sparse_rows(m)) == berkowitz(m)
 
 
 def test_moduli_are_the_first_set_over_twice_the_bound():
@@ -440,17 +461,17 @@ def test_corrupt_residue_fails_the_point_certificate(monkeypatch):
     g = ring(WIDE, Rat(7, 3))
     kernel = linalg._charpoly_mod
     for index in (0, 3, 6):
-        def corrupt(m, p, index=index):
+        def corrupt(rows, p, index=index):
             # only modulo the first prime of the set, so a CRT sees it once
-            residues = kernel(m, p)
-            if p == kernel_moduli(m)[0]:
+            residues = kernel(rows, p)
+            if p == kernel_moduli(rows)[0]:
                 i = index % len(residues)
                 residues[i] = (residues[i] + 1) % p
             return residues
         monkeypatch.setattr(linalg, "_charpoly_mod", corrupt)
         for matrix in (m, wide_diagonal(200)):
             with pytest.raises(CertificateError, match="disagrees with det"):
-                linalg._charpoly_integer(matrix)
+                linalg._charpoly_integer(sparse_rows(matrix))
         with pytest.raises(CertificateError):
             charpoly_exact(g)
 
@@ -460,7 +481,7 @@ def test_one_modulus_too_few_fails_the_point_certificate(monkeypatch):
     # cannot hold these coefficients
     sets = linalg._MODULUS_SETS
     moduli = linalg._moduli
-    single, multi = wide_diagonal(37), wide_diagonal(200)
+    single, multi = sparse_rows(wide_diagonal(37)), sparse_rows(wide_diagonal(200))
     g = ring(WIDER, Rat(13, 9))
     assert len(kernel_moduli(single)) == 1 and len(kernel_moduli(multi)) == 2
 

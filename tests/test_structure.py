@@ -2,7 +2,10 @@
 public surface that works as documented."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cospec
@@ -53,3 +56,22 @@ def test_readme_python_usage_runs():
     usage = readme[readme.index("## Usage"):]
     block = re.search(r"```python\n(.*?)```", usage, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_exact_commands_never_load_numpy():
+    # a subprocess, since this pytest session has imported numpy itself
+    script = """
+import contextlib, io, sys
+from cospec.cli import main
+for argv in (["charpoly", "--word", "PCEP", "--k", "3/5", "--method", "all"],
+             ["identities"], ["export", "--word", "PCE"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+if "numpy" in sys.modules:
+    sys.exit("numpy was imported")
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert result.returncode == 0, result.stderr
