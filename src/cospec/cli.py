@@ -1,9 +1,11 @@
 """Command-line verification workflows.
 
 One compact JSON line goes to stdout (`python -m json.tool` pretty-prints
-it), a short human summary to stderr.
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage error,
-3 enumeration budget exceeded (for `scan`: a pair was skipped, none failed).
+it), a short human summary to stderr.  `export` is the exception: it
+prints its graph as indented JSON, or as DOT or CSV with `--format`.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage error (also
+a numeric spectrum without numpy), 3 enumeration budget exceeded (for
+`scan`: a pair was skipped, none failed).
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ class BudgetError(CospecError, RuntimeError):
 
 
 class NumericalError(CospecError, RuntimeError):
-    """Numeric eigensolver failed to converge."""
+    """Numeric eigensolver failed to converge, or numpy is not installed."""
 
 
 class CertificateError(CospecError, ArithmeticError):

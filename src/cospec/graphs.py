@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegreeError, FormatError, ParameterError, ShapeError
+from .errors import DegreeError, FormatError, NumericalError, ParameterError, ShapeError
 from .rationals import Rat, as_rat, rat_str
 from .words import Word
 
@@ -146,10 +146,14 @@ def normalized_laplacian(g: WeightedGraph) -> "numpy.ndarray":
 
     The entries come from the integer-scaled weights: W^2 / (D_u D_v) is an
     int/int true division, rounded once, as float(Fraction) rounds it.
+    numpy loads here, and NumericalError says so if it cannot.
     """
     if g.has_isolated_vertex():
         raise DegreeError("graph has an isolated vertex")
-    import numpy
+    try:
+        import numpy
+    except ImportError as exc:
+        raise NumericalError(f"the numeric spectrum needs numpy: {exc}") from exc
     L = numpy.eye(g.n)
     d = g.scaled_degrees
     for (u, v), x in g.scaled_weights.items():

@@ -258,9 +258,10 @@ def exact_u(g: WeightedGraph) -> tuple:
 
 
 def eigenvalues_numeric(g: WeightedGraph) -> "numpy.ndarray":
-    """Ascending real eigenvalues of the normalized Laplacian (numpy loads here)."""
-    import numpy
+    """Ascending real eigenvalues of the normalized Laplacian (numpy loads
+    in `normalized_laplacian`, which raises NumericalError without it)."""
     L = normalized_laplacian(g)
+    import numpy
     try:
         return numpy.linalg.eigvalsh(L)
     except numpy.linalg.LinAlgError as exc:  # pragma: no cover

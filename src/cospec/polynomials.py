@@ -3,8 +3,10 @@ in t.
 
 Each route gives its polynomial as u-coefficients over one denominator,
 u = t - 1, as integers in lowest terms (`lowest_terms`): two such pairs
-are equal exactly when the polynomials are.  t appears only in the JSON,
-which `t_json` prints from a pair by an integer Taylor shift.
+are equal exactly when the polynomials are.  The oracle and the transfer
+route carry a polynomial packed as its value at a power of two and read
+it back with `balanced_digits`.  t appears only in the JSON, which
+`t_json` prints from a pair by an integer Taylor shift.
 """
 
 from __future__ import annotations
@@ -22,6 +24,19 @@ def lowest_terms(coeffs, den) -> tuple:
     if den < 0:
         g = -g
     return tuple(c // g for c in cs), den // g
+
+
+def balanced_digits(value: int, bits: int, count: int) -> list:
+    """The coefficients c_0 .. c_{count-1}, each |c_i| < 2^(bits-1), of
+    value = sum_i c_i 2^(bits i)."""
+    mask, half, digits = (1 << bits) - 1, 1 << (bits - 1), []
+    for _ in range(count):
+        d = value & mask
+        if d >= half:
+            d -= 1 << bits
+        digits.append(d)
+        value = (value - d) >> bits
+    return digits
 
 
 def t_json(coeffs, den) -> list:

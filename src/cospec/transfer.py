@@ -37,7 +37,7 @@ import functools
 import math
 
 from .errors import CertificateError, IdentityCheckError, ParameterError, ShapeError
-from .polynomials import lowest_terms
+from .polynomials import balanced_digits, lowest_terms
 from .rationals import Rat, as_rat
 from .words import Word
 
@@ -166,19 +166,6 @@ def _packed_product(mats):
     return prod
 
 
-def _balanced_digits(value: int, bits: int, count: int) -> list:
-    """The coefficients c_0 .. c_{count-1}, each |c_i| < 2^(bits-1), of
-    value = sum_i c_i 2^(bits i)."""
-    mask, half, digits = (1 << bits) - 1, 1 << (bits - 1), []
-    for _ in range(count):
-        d = value & mask
-        if d >= half:
-            d -= 1 << bits
-        digits.append(d)
-        value = (value - d) >> bits
-    return digits
-
-
 def _short_kernel(w: Word, k) -> tuple:
     """(c, d) with (t-1)^n tr(prod_i Y_{letter_i}) = sum_i c[i] u^i / d.
 
@@ -193,7 +180,7 @@ def _short_kernel(w: Word, k) -> tuple:
     bits = _radix_bits(2, [blocks[letter][2] for letter in w])
     packed = {kind: _pack(block, bits) for kind, (_, block, _) in blocks.items()}
     prod = _packed_product([packed[letter] for letter in w])
-    trace_v = _balanced_digits(prod[0][0] + prod[1][1], bits, 2 * w.tau + 1)
+    trace_v = balanced_digits(prod[0][0] + prod[1][1], bits, 2 * w.tau + 1)
     u_coeffs = [0] * (2 * len(trace_v))
     u_coeffs[::2] = trace_v
     n = w.n

@@ -1,22 +1,59 @@
-"""The decomposition oracle's references, on top of its walk.
+"""The decomposition oracle's references, on its cycle table.
 
-`cospec.decomps` sums the terms as integers inside one recursive walk and
-never builds a decomposition.  These helpers build them: each
-decomposition as an object, its term as a rational (the reference the
-walk's integers are tested against), and the long-cycle part of a ring
-graph, grouped by how it crosses the C modules, beside the closed forms it
-must equal.
+`cospec.decomps` sums the terms over each walk state once and never
+builds a decomposition.  `_walk` here visits every decomposition, one
+leaf each, on the same table of parts (`decomps._parts`), and is the
+brute-force reference the summation is tested against.  On top of it
+these helpers build each decomposition as an object, its term as a
+rational (the reference the walk's integers are tested against), and the
+long-cycle part of a ring graph, grouped by how it crosses the C modules,
+beside the closed forms it must equal.
 """
 
 import math
 from dataclasses import dataclass
 
-from cospec.decomps import DEFAULT_BUDGET, _walk
-from cospec.errors import ParameterError, ShapeError
+from cospec.decomps import DEFAULT_BUDGET, _parts
+from cospec.errors import BudgetError, ParameterError, ShapeError
 from cospec.graphs import WeightedGraph
+from cospec.polynomials import lowest_terms
 from cospec.rationals import Rat
 from cospec.transfer import long_cycle_monomial
 from polynomial_reference import Polynomial
+
+
+def _walk(g: WeightedGraph, budget: int, leaf) -> int:
+    """Call leaf(j, x, parts) once per decomposition D; return P = prod D_v.
+
+    j = n - |V(D)| and x / P is the term of D.  `parts` is the walk's stack:
+    (u, v) for an isolated edge, a vertex tuple of length >= 3 for a cycle.
+    The leaf may read it but must not keep it.
+    """
+    heads, degree = _parts(g, budget)
+    n = g.n
+    parts = []
+    emitted = 0
+
+    def rec(v, j, x, covered):
+        """Decide the vertices from v on; x carries the decided factors."""
+        nonlocal emitted
+        while v < n and covered >> v & 1:
+            v += 1
+        if v == n:
+            emitted += 1
+            if emitted > budget:
+                raise BudgetError(f"more than {budget} decompositions")
+            leaf(j, x, parts)
+            return
+        rec(v + 1, j + 1, x * degree[v], covered)  # v stays out
+        for mask, part, factor in heads[v]:
+            if not covered & mask:
+                parts.append(part)
+                rec(v + 1, j, x * factor, covered | mask)
+                parts.pop()
+
+    rec(0, 0, 1, 0)
+    return math.prod(degree)
 
 
 @dataclass(frozen=True)
@@ -69,6 +106,16 @@ def enumerate_decompositions(g: WeightedGraph, budget: int = DEFAULT_BUDGET):
     found = []
     _walk(g, budget, lambda j, x, parts: found.append(_decomposition(parts)))
     yield from found
+
+
+def oracle_u_by_leaves(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> tuple:
+    """The oracle's (coeffs, den), summed one decomposition at a time."""
+    sums = [0] * (g.n + 1)
+
+    def add(j, x, parts):
+        sums[j] += x
+
+    return lowest_terms(sums, _walk(g, budget, add))
 
 
 def decomposition_term(d: Decomposition, g: WeightedGraph) -> tuple:

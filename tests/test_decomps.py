@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from cospec.words import parse_word
 from decomps_reference import (
     Decomposition,
     _decomposition,
+    _walk,
     classify_long,
     decomposition_term,
     enumerate_decompositions,
@@ -21,6 +23,7 @@ from decomps_reference import (
     long_cycle_multinomial_term,
     long_part_bruteforce,
     long_terms_by_config,
+    oracle_u_by_leaves,
 )
 from polynomial_reference import Polynomial, charpoly_exact, charpoly_via_decompositions
 
@@ -99,7 +102,7 @@ def test_cycle_table_counts_against_the_budget():
     # cycles are found, before any leaf
     leaves = []
     with pytest.raises(BudgetError):
-        decomps._walk(g, 19, lambda j, x, parts: leaves.append(j))
+        _walk(g, 19, lambda j, x, parts: leaves.append(j))
     assert leaves == []
 
 
@@ -147,7 +150,7 @@ def weighted_graphs(draw):
 def walk_terms(g):
     """(decomposition, j, x / P) for every leaf of the integer walk."""
     leaves = []
-    common = decomps._walk(
+    common = _walk(
         g, decomps.DEFAULT_BUDGET,
         lambda j, x, parts: leaves.append((_decomposition(parts), j, x)),
     )
@@ -196,6 +199,36 @@ def test_walk_terms_match_decomposition_term_on_random_graphs(g):
 # ------------------------------------------------------------- oracle sums
 
 
+@given(weighted_graphs())
+@settings(max_examples=60, deadline=None)
+def test_oracle_sum_equals_the_leaf_by_leaf_sum(g):
+    expected = oracle_u_by_leaves(g)
+    assert decomps.oracle_u(g) == expected
+    # at a budget of exactly the count, the radix is at its narrowest
+    count = sum(1 for _ in enumerate_decompositions(g))
+    assert decomps.oracle_u(g, budget=count) == expected
+
+
+@pytest.mark.parametrize("m", [12, 15])
+def test_radix_holds_coefficients_past_the_per_term_bound(m):
+    # m disjoint edges: the charpoly is t^m (t - 2)^m = (u^2 - 1)^m, so the
+    # coefficient binom(m, m // 2) exceeds 2^(n/3) P = 2^(2m/3) (P = 1); the
+    # radix needs the count factor (2^m decompositions) in its bound
+    g = WeightedGraph(2 * m, [(2 * i, 2 * i + 1, 1) for i in range(m)])
+    coeffs = [0] * (2 * m + 1)
+    coeffs[::2] = [(-1) ** (m - i) * math.comb(m, i) for i in range(m + 1)]
+    assert max(coeffs) > 2 ** (2 * m // 3)
+    assert decomps.oracle_u(g, budget=2 ** m) == (tuple(coeffs), 1) == exact_u(g)
+
+
+def test_budget_boundary_is_the_decomposition_count():
+    g = ring("CCCC")  # 883 decompositions, 20 of them single cycles
+    assert decomps.oracle_u(g, budget=883) == oracle_u_by_leaves(g, budget=883) == exact_u(g)
+    for run in (decomps.oracle_u, oracle_u_by_leaves):
+        with pytest.raises(BudgetError, match=r"^more than 882 decompositions$"):
+            run(g, budget=882)
+
+
 def test_charpoly_via_decompositions_eee():
     p = charpoly_via_decompositions(ring("EEE"))
     assert p == Polynomial((0, Rat(9, 4), -3, 1))
@@ -224,6 +257,14 @@ def test_oracle_matches_exact_and_transfer_up_to_n_27(word, k):
     w = parse_word(word)
     g = assemble_ring(w, k)
     assert g.n == (27 if word == "PCPCPCPCP" else 20)
+    assert decomps.oracle_u(g) == exact_u(g) == transfer_u(w, k)[0]
+
+
+@pytest.mark.parametrize("k", [Rat(1), Rat(7, 3)])
+def test_oracle_matches_exact_and_transfer_at_the_vertex_limit(k):
+    w = parse_word("PCPCPCPCPC")
+    g = assemble_ring(w, k)
+    assert g.n == decomps.MAX_VERTICES == 30
     assert decomps.oracle_u(g) == exact_u(g) == transfer_u(w, k)[0]
 
 

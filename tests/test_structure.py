@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cospec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,3 +77,18 @@ if "numpy" in sys.modules:
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--word", "EEE"], ["verify", "--word", "PCE", "--k", "2"],
+                                  ["scan", "--tau-max", "3", "--k", "1"],
+                                  ["blowup", "--word", "EEEPCC", "--k", "2"]])
+def test_numeric_spectrum_without_numpy_exits_2(argv):
+    # numpy blocked before cospec.cli is imported, as in a broken install
+    script = ('import sys; sys.modules["numpy"] = None; from cospec.cli import main; '
+              'sys.exit(main(sys.argv[1:]))')
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert "Traceback" not in result.stderr

@@ -5,6 +5,7 @@ from cospec import transfer
 from cospec.cli import main
 from cospec.errors import CertificateError, IdentityCheckError, ParameterError
 from cospec.graphs import assemble_ring
+from cospec.polynomials import balanced_digits
 from cospec.rationals import Rat
 from cospec.transfer import certify_identities, mat_mul, q_matrix
 from cospec.words import canonical_words, parse_word, toggle
@@ -234,8 +235,8 @@ def packed_product(mats, bits=None):
         bits = transfer._radix_bits(len(mats[0]), [norm(m) for m in mats])
     prod = transfer._packed_product([transfer._pack(m, bits) for m in mats])
     width = sum(len(m[0][0]) - 1 for m in mats) + 1
-    entries = [[transfer._balanced_digits(x, bits, width) for x in row] for row in prod]
-    trace = transfer._balanced_digits(sum(prod[i][i] for i in range(len(prod))), bits, width)
+    entries = [[balanced_digits(x, bits, width) for x in row] for row in prod]
+    trace = balanced_digits(sum(prod[i][i] for i in range(len(prod))), bits, width)
     return entries, trace, bits
 
 
