@@ -72,6 +72,7 @@ def _parts(g: WeightedGraph, budget: int) -> tuple:
     nbrs, degree = _scale(g)
     heads = [[(1 << v | 1 << u, (v, u), -w * w) for u, w in nbrs[v] if u > v]
              for v in range(n)]
+    ring = [[(v, w) for v, w in vs if len(nbrs[v]) > 1] for vs in nbrs]  # degree 1 closes no cycle
     found = 0
 
     def cycles(path, mask, product):
@@ -80,7 +81,7 @@ def _parts(g: WeightedGraph, budget: int) -> tuple:
         vertex smaller than last).  product is 2 times the path's weights."""
         nonlocal found
         start, u = path[0], path[-1]
-        for v, w in nbrs[u]:
+        for v, w in ring[u]:
             if v == start:
                 if len(path) >= 3 and path[1] < u:
                     found += 1
@@ -94,8 +95,8 @@ def _parts(g: WeightedGraph, budget: int) -> tuple:
                 path.pop()
 
     for s in range(n):
-        top = max((v for v, _ in nbrs[s]), default=s)
-        for v, w in nbrs[s]:
+        top = max((v for v, _ in ring[s]), default=s)
+        for v, w in ring[s]:
             if s < v < top:  # a larger neighbour of s is left to close the cycle
                 cycles([s, v], 1 << s | 1 << v, 2 * w)
     return heads, degree

@@ -21,14 +21,16 @@ The short part is computed symbolically in u = t - 1 on the 2x2 blocks:
 S has zero rows 2 and 3, so tr prod_i Q X_i = tr prod_i Y_i.  Every
 entry of u^4 Y_kind is a polynomial of degree <= 2 in v = u^2; scaled to
 integers, it is packed into one integer at v = 2^B (Kronecker
-substitution), so the product around the word is a 2x2 integer matrix
-product whose trace packs u^{4 tau} tr(prod).  The radix is proven wide
+substitution).  The product around the word is then a 2x2 integer matrix
+product, eight integer products per step, and its last step forms only
+the trace, which packs u^{4 tau} tr(prod).  The radix is proven wide
 enough: with |M| the largest row sum of the entries' coefficient
 1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
 chosen with 2^(B-1) above that, so balanced base-2^B digits read the
-coefficients back.  Dividing by u^{4 tau - n} gives (t - 1)^n tr(prod)
-in u; the division must be exact and leave degree <= n, which certifies
-that (t - 1)^n clears every denominator.
+coefficients back.  Each k's blocks are built once and packed once per
+radix.  Dividing by u^{4 tau - n} gives (t - 1)^n tr(prod) in u; the
+division must be exact and leave degree <= n, which certifies that
+(t - 1)^n clears every denominator.
 """
 
 from __future__ import annotations
@@ -120,77 +122,73 @@ def _y_weights():
     return [[[int(x * e) for x in entry] for entry in row] for row in weights], e
 
 
-@functools.lru_cache(maxsize=64)
-def _integral_block(kind: str, k):
-    """(d, d u^4 Y_kind, norm): u^4 Y_kind at k as a 2x2 matrix of integer
-    coefficient triples in v = u^2 over the least common denominator d, and
-    norm the largest row sum of the entries' coefficient 1-norms.
-
-    It is `_y_poly_block(kind)`, the block `certify_identities` proves,
-    evaluated at k = p/q: times q^D, D = max(2, its degree in k), every
-    entry is an integer polynomial in v over 4 e (p+q)^2 q^(D-2), and the
-    common factor is divided out.  Built once per (kind, k) and shared by
-    every caller, so it must stay immutable."""
-    k = Rat(k)
-    if k <= 0:
-        raise ParameterError(f"k must be positive, got {k}")
-    p, q = int(k.numerator), int(k.denominator)
-    poly = _y_poly_block(kind)
-    deg = max([2] + [i for row in poly for entry in row for i, _ in entry])
-    entries = [[[sum(c * p**i * q ** (deg - i) for (i, j), c in entry.items() if j == v)
-                 for v in range(3)] for entry in row] for row in poly]
+@functools.lru_cache(maxsize=21)
+def _integral_blocks(p: int, q: int) -> tuple:
+    """(blocks, packed) at k = p/q > 0, built once per k and shared by every
+    caller, so only `_short_kernel` may change them: it adds to packed the
+    three blocks packed at each radix it meets.  blocks[kind] is (d, block,
+    norm): `_y_poly_block(kind)`, the block `certify_identities` proves, at k
+    (times q^D, D = max(2, its degree in k), each entry is an integer triple
+    in v over 4 e (p+q)^2 q^(D-2)) with the common factor d divided out, and
+    norm the largest row sum of the entries' coefficient 1-norms."""
     _, e = _y_weights()
-    den = 4 * e * (p + q) ** 2 * q ** (deg - 2)
-    g = math.gcd(den, *(c for row in entries for entry in row for c in entry))
-    block = tuple(tuple(tuple(c // g for c in entry) for entry in row) for row in entries)
-    return den // g, block, max(sum(abs(c) for entry in row for c in entry) for row in block)
+    blocks = {}
+    for kind in "PCE":
+        poly = _y_poly_block(kind)
+        deg = max([2] + [i for row in poly for entry in row for i, _ in entry])
+        entries = [[[sum(c * p**i * q ** (deg - i) for (i, j), c in entry.items() if j == v)
+                     for v in range(3)] for entry in row] for row in poly]
+        den = 4 * e * (p + q) ** 2 * q ** (deg - 2)
+        g = math.gcd(den, *(c for row in entries for entry in row for c in entry))
+        block = tuple(tuple(tuple(c // g for c in entry) for entry in row) for row in entries)
+        norm = max(sum(abs(c) for entry in row for c in entry) for row in block)
+        blocks[kind] = den // g, block, norm
+    return blocks, {}
 
 
-def _radix_bits(dim: int, norms) -> int:
-    """B with 2^(B-1) > dim * prod(norms), which bounds every coefficient of
-    the product's entries and trace (see the module docstring)."""
-    return (dim * math.prod(norms)).bit_length() + 1
+def _radix_bits(norms) -> int:
+    """B with 2^(B-1) > 2 prod(norms), which bounds every coefficient of a
+    2x2 product's entries and trace (see the module docstring)."""
+    return (2 * math.prod(norms)).bit_length() + 1
 
 
-def _pack(block, bits: int):
-    """Each entry, an integer coefficient list in v, evaluated at v = 2^bits."""
-    return [[sum(c << (bits * p) for p, c in enumerate(entry)) for entry in row] for row in block]
+def _pack(block, bits: int) -> tuple:
+    """A 2x2 block of coefficient triples in v at v = 2^bits, flat: (a, b, c, d)."""
+    return tuple(x + (y << bits) + (z << 2 * bits) for row in block for x, y, z in row)
 
 
-def _packed_product(mats):
-    """Product of square integer matrices, left to right."""
-    prod = mats[0]
-    for m in mats[1:]:
-        cols = list(zip(*m))
-        prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in prod]
-    return prod
+def _packed_trace(mats) -> int:
+    """tr(M_1 M_2 ... M_r), r >= 2, of flat 2x2 integer matrices: eight
+    products per step, and four for the last, which forms only the trace."""
+    a, b, c, d = mats[0]
+    for e, f, g, h in mats[1:-1]:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    e, f, g, h = mats[-1]
+    return a * e + b * g + c * f + d * h
 
 
-def _short_kernel(w: Word, k) -> tuple:
-    """(c, d) with (t-1)^n tr(prod_i Y_{letter_i}) = sum_i c[i] u^i / d.
-
-    The integer blocks d_kind u^4 Y_kind are packed at v = 2^B (B from
-    `_radix_bits`), so the product around the word is one 2x2 integer
-    matrix product; its trace, read back in balanced base-2^B digits, is
-    d u^{4 tau} tr(prod) with d = prod_i d_{letter_i}.  Raises
-    CertificateError unless that is u^{4 tau - n} times a polynomial of
-    degree <= n, i.e. unless (t-1)^n clears every denominator.
-    """
-    blocks = {kind: _integral_block(kind, k) for kind in set(w.letters)}
-    bits = _radix_bits(2, [blocks[letter][2] for letter in w])
-    packed = {kind: _pack(block, bits) for kind, (_, block, _) in blocks.items()}
-    prod = _packed_product([packed[letter] for letter in w])
-    trace_v = balanced_digits(prod[0][0] + prod[1][1], bits, 2 * w.tau + 1)
+def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
+    """(c, d) with (t-1)^n tr(prod_i Y_{letter_i}) = sum_i c[i] u^i / d for
+    the word with ell P and m C modules at k = p/q > 0, by the packed product
+    of the module docstring.  Raises CertificateError unless the trace is
+    u^{4 tau - n} times a polynomial of degree <= n, i.e. unless (t-1)^n
+    clears every denominator."""
+    blocks, packed = _integral_blocks(p, q)
+    tau = len(letters)
+    counts = (("P", ell), ("C", m), ("E", tau - ell - m))
+    bits = _radix_bits([blocks[kind][2] ** c for kind, c in counts])
+    mats = packed.get(bits)
+    if mats is None:
+        mats = packed[bits] = {kind: _pack(block, bits) for kind, (_, block, _) in blocks.items()}
+    trace_v = balanced_digits(_packed_trace([mats[x] for x in letters]), bits, 2 * tau + 1)
     u_coeffs = [0] * (2 * len(trace_v))
     u_coeffs[::2] = trace_v
-    n = w.n
-    low = 4 * w.tau - n
+    n = tau + 2 * (ell + m)
+    low = 4 * tau - n
     if any(u_coeffs[:low]) or any(u_coeffs[low + n + 1:]):
-        raise CertificateError(
-            f"u^{4 * w.tau} tr(prod) for {w} at k={k} is not u^{low} times a "
-            f"polynomial of degree <= {n}"
-        )
-    return u_coeffs[low:low + n + 1], math.prod(blocks[letter][0] for letter in w)
+        raise CertificateError(f"u^{4 * tau} tr(prod) for {letters} at k={Rat(p, q)} is not "
+                               f"u^{low} times a polynomial of degree <= {n}")
+    return u_coeffs[low:low + n + 1], math.prod(blocks[kind][0] ** c for kind, c in counts)
 
 
 def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:
@@ -215,16 +213,17 @@ def transfer_u(w: Word, k) -> tuple:
     summed over one common denominator; it must be monic of degree n
     (coeffs[n] = den), or CertificateError is raised.
     """
-    short, scale = _short_kernel(w, k)
-    (c, d), j = long_cycle_monomial(w.tau, w.ell, w.m, k)
+    k = as_rat(k)
+    tau, ell, m = len(w.letters), w.letters.count("P"), w.letters.count("C")
+    n = tau + 2 * (ell + m)
+    (c, d), j = long_cycle_monomial(tau, ell, m, k)  # first, as it rejects k <= 0
+    short, scale = _short_kernel(w.letters, ell, m, k.numerator, k.denominator)
     den = math.lcm(scale, d)
     coeffs = [x * (den // scale) for x in short]
     coeffs[j] += c * (den // d)
     coeffs, den = lowest_terms(coeffs, den)
-    if len(coeffs) != w.n + 1 or coeffs[-1] != den:
-        raise CertificateError(
-            f"transfer charpoly of {w} at k={k} is not monic of degree {w.n}"
-        )
+    if len(coeffs) != n + 1 or coeffs[-1] != den:
+        raise CertificateError(f"transfer charpoly of {w} at k={k} is not monic of degree {n}")
     return (coeffs, den), lowest_terms(short, scale)
 
 

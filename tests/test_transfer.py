@@ -163,7 +163,7 @@ def test_identities_mutation_exits_1(capsys, monkeypatch, name, value):
 @pytest.mark.parametrize("k", sample_ks)
 def test_y_blocks_match_reference_forms(kind, k):
     # the kernel's integer block d u^4 Y at v = (t-1)^2, over d u^4
-    d, block, _ = transfer._integral_block(kind, k)
+    d, block, _ = transfer._integral_blocks(k.numerator, k.denominator)[0][kind]
     for t in sample_ts:
         v = (t - 1) ** 2
         kernel = [[sum(c * v**p for p, c in enumerate(entry)) / (d * v * v) for entry in row]
@@ -228,58 +228,85 @@ def norm(m):
     return max(sum(abs(c) for entry in row for c in entry) for row in m)
 
 
-def packed_product(mats, bits=None):
-    """The product of integer polynomial matrices by the route's packing:
-    every entry and the trace read back, and the radix used."""
+def kernel_product(mats, bits=None):
+    """The product of 2x2 matrices of integer coefficient triples by the
+    route's kernel (`_pack`, then `_packed_trace`): each entry [i][j] read as
+    the trace of the product times the unit matrix E_ji, the trace from the
+    trace-only last step itself, and the radix used."""
     if bits is None:
-        bits = transfer._radix_bits(len(mats[0]), [norm(m) for m in mats])
-    prod = transfer._packed_product([transfer._pack(m, bits) for m in mats])
-    width = sum(len(m[0][0]) - 1 for m in mats) + 1
-    entries = [[balanced_digits(x, bits, width) for x in row] for row in prod]
-    trace = balanced_digits(sum(prod[i][i] for i in range(len(prod))), bits, width)
+        bits = transfer._radix_bits([norm(m) for m in mats])
+    packed = [transfer._pack(m, bits) for m in mats]
+
+    def read(tail):  # a unit matrix has norm 1, so the radix bound still holds
+        return balanced_digits(transfer._packed_trace(packed + tail), bits, 2 * len(mats) + 1)
+
+    entries = [[read([tuple(int(x == 2 * j + i) for x in range(4))]) for j in range(2)]
+               for i in range(2)]
+    trace = read([] if len(packed) > 1 else [(1, 0, 0, 1)])  # the kernel takes r >= 2
     return entries, trace, bits
 
 
 @st.composite
-def poly_matrix_lists(draw):
-    dim = draw(st.sampled_from([1, 2, 4]))
-    length = draw(st.integers(1, 3))
+def block_lists(draw):
+    """Lists of 2x2 matrices of integer coefficient triples in v: the
+    kernel's blocks are of degree <= 2 in v, and only 2x2."""
     top = 2 ** draw(st.sampled_from([1, 8, 64, 200]))
     coeff = st.one_of(st.integers(-top, top), st.sampled_from([-top, 0, top]))
-    entry = st.one_of(st.just([0] * length), st.lists(coeff, min_size=length, max_size=length))
-    matrix = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    entry = st.one_of(st.just([0] * 3), st.lists(coeff, min_size=3, max_size=3))
+    matrix = st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2)
     return draw(st.lists(matrix, min_size=1, max_size=5))
 
 
-@given(poly_matrix_lists())
+@given(block_lists())
 @settings(max_examples=150, deadline=None)
 def test_packed_product_equals_schoolbook(mats):
     expected = mats[0]
     for m in mats[1:]:
         expected = poly_mat_mul(expected, m)
-    entries, trace, _ = packed_product(mats)
+    entries, trace, _ = kernel_product(mats)
     assert entries == expected
-    assert trace == [sum(c) for c in zip(*(expected[i][i] for i in range(len(expected))))]
+    assert trace == [sum(c) for c in zip(expected[0][0], expected[1][1])]
 
 
 @pytest.mark.parametrize("count", [1, 2, 5])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_product_reads_coefficients_at_the_bound(count, sign):
-    # a 1x1 monomial product reaches the bound 1 * |c|^count exactly
+    # c I has norm |c|, and tr (c I)^count = 2 c^count reaches the bound
+    # 2 |c|^count exactly
     c = sign * 2**40
-    entries, trace, bits = packed_product([[[[c]]]] * count)
-    assert entries == [[[c**count]]] and trace == [c**count]
+    mats = [[[[c, 0, 0], [0, 0, 0]], [[0, 0, 0], [c, 0, 0]]]] * count
+    zero = [0] * (2 * count + 1)
+    power = [c**count] + zero[1:]
+    entries, trace, bits = kernel_product(mats)
+    assert entries == [[power, zero], [zero, power]] and trace == [2 * c**count] + zero[1:]
     if c**count > 0:  # one bit fewer misreads it
-        assert packed_product([[[[c]]]] * count, bits - 1)[1] != [c**count]
+        assert kernel_product(mats, bits - 1)[1] != trace
+
+
+@given(
+    st.text(alphabet="PCE", min_size=3, max_size=24).map(parse_word),
+    st.builds(Rat, st.integers(1, 10**6), st.integers(1, 10**6)),
+)
+@settings(max_examples=80, deadline=None)
+def test_transfer_u_matches_schoolbook_reference(w, k):
+    # the straight-line kernel against the 4x4 Q X product of X_TABLE in
+    # rationals, plus the long-cycle part's rational formula
+    charpoly, short = transfer.transfer_u(w, k)
+    expected = short_part_via_qx(w, k)
+    assert Polynomial.from_u_coefficients(*short) == expected
+    e = w.ell + w.m
+    long_part = Rat((-1) ** (w.tau - 1), 2 ** (w.tau - 1)) / (k + 1) ** e
+    expected += Polynomial.t_minus_one_power(2 * e).scale(long_part)
+    assert Polynomial.from_u_coefficients(*charpoly) == expected
 
 
 @pytest.fixture
 def fresh_blocks():
     """Integer blocks cached before a test that patches the tables would hide
     the patch, and blocks built from the patch must not outlive the test."""
-    transfer._integral_block.cache_clear()
+    transfer._integral_blocks.cache_clear()
     yield
-    transfer._integral_block.cache_clear()
+    transfer._integral_blocks.cache_clear()
 
 
 def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch, fresh_blocks):
@@ -311,7 +338,7 @@ def test_one_table_coefficient_fails_the_proof_and_the_kernel(
     table = list(transfer.X_TABLE[kind])
     table[state] = tuple(entry)
     monkeypatch.setitem(transfer.X_TABLE, kind, tuple(table))
-    transfer._integral_block.cache_clear()
+    transfer._integral_blocks.cache_clear()
     with pytest.raises(IdentityCheckError):
         certify_identities()
     assert main(argv) == 1
@@ -319,21 +346,30 @@ def test_one_table_coefficient_fails_the_proof_and_the_kernel(
     assert ('"transfer_matches_exact": false' in out) or err.startswith("error: ")
 
 
-def test_blocks_built_once_per_table_kind_and_k(capsys, fresh_blocks):
+def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch, fresh_blocks):
     k = Rat(5, 7)
     ws = [parse_word(s) for s in ("PCE", "PPCCE", "EEE", "CCCPEP")]
     polys = [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws]
     # blocks served from the cache give the same polynomials
     assert [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws] == polys
-    assert transfer._integral_block.cache_info().misses == 3
+    # one entry per k holds the three kinds' blocks, and at most 21 k are kept
+    assert transfer._integral_blocks.cache_info().misses == 1
+    assert transfer._integral_blocks.cache_info().maxsize == 21
     assert all(p == short_part_via_qx(w, k) for w, (p, _) in zip(ws, polys))
-    den, block, norm = transfer._integral_block("P", k)
+    den, block, norm = transfer._integral_blocks(5, 7)[0]["P"]
     assert isinstance(block, tuple) and all(isinstance(row, tuple) for row in block)
-    # a one-k scan builds each of the three kinds' blocks once
-    transfer._integral_block.cache_clear()
+    # a one-k scan builds the three kinds' blocks once and packs each of
+    # them once at each radix its words need
+    transfer._integral_blocks.cache_clear()
+    packs, pack = [], transfer._pack
+    monkeypatch.setattr(transfer, "_pack", lambda b, bits: packs.append((b, bits)) or pack(b, bits))
     assert main(["scan", "--tau-max", "4", "--k", "3/7", "--method", "transfer"]) == 0
     capsys.readouterr()
-    assert transfer._integral_block.cache_info().misses == 3
+    assert transfer._integral_blocks.cache_info().misses == 1
+    blocks = transfer._integral_blocks(3, 7)[0]
+    radices = {transfer._radix_bits([blocks[x][2] for x in w.letters])
+               for w in canonical_words(3, 4)}
+    assert sorted(packs) == sorted((b, bits) for bits in radices for _, b, _ in blocks.values())
 
 
 def test_charpoly_via_transfer_postcondition_raises(monkeypatch):
