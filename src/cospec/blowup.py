@@ -136,23 +136,16 @@ def is_simple(g: WeightedGraph) -> bool:
 
 
 def _edge_module_runs(w: Word):
-    """Maximal cyclic runs of consecutive E letters, as module index lists."""
+    """Maximal cyclic runs of consecutive E letters, as module index lists
+    (w has a letter other than E)."""
     tau = w.tau
-    if all(c == "E" for c in w.letters):
-        return [list(range(tau))]
     runs = []
-    i = 0
-    while i < tau:
-        if w.letters[i] == "E" and w.letters[i - 1] != "E":
-            run = []
-            j = i
-            while w.letters[j % tau] == "E":
-                run.append(j % tau)
-                j += 1
+    for i, letter in enumerate(w.letters):
+        if letter == "E" and w.letters[i - 1] != "E":  # a run starts at i
+            run = [i]
+            while w.letters[(run[-1] + 1) % tau] == "E":
+                run.append((run[-1] + 1) % tau)
             runs.append(run)
-            i = j
-        else:
-            i += 1
     return runs
 
 
@@ -165,23 +158,15 @@ def _recipe_one(word: Word, k: int) -> WeightedGraph:
     chains = []
     for run in _edge_module_runs(word):
         if len(run) == 1:
-            if k + 1 != 1:
-                raise RecipeError(
-                    f"isolated E module at position {run[0]} keeps weight {k + 1}; "
-                    "a lone edge cannot be split into parallel paths "
-                    "(scale the weights first and use a plain blowup instead)"
-                )
-            continue
-        chain = [g.signed[run[0]]]
-        for idx in run:
-            chain.append(g.signed[(idx + 1) % word.tau])
-        chains.append(tuple(chain))
+            raise RecipeError(
+                f"isolated E module at position {run[0]} keeps weight {k + 1}; "
+                "a lone edge cannot be split into parallel paths "
+                "(scale the weights first and use a plain blowup instead)"
+            )
+        # the signed vertices from the run's first "+" pole to its last "-" pole
+        chains.append(tuple(g.signed[i % word.tau] for i in range(run[0], run[0] + len(run) + 1)))
     split, old_to_new = _split_chains(g, chains)
-    multiplicity = {}
-    for pair in g.unsigned:
-        if pair is not None:
-            multiplicity[old_to_new[pair[0]]] = k
-            multiplicity[old_to_new[pair[1]]] = k
+    multiplicity = {old_to_new[v]: k for pair in g.unsigned if pair is not None for v in pair}
     result = blow_up(split, multiplicity)
     if not is_simple(result):
         raise RecipeError(f"blowup of {word} at k={k} left non-unit weights")

@@ -3,9 +3,9 @@
 One compact JSON line goes to stdout (`python -m json.tool` pretty-prints
 it), a short human summary to stderr.  `export` is the exception: it
 prints its graph as indented JSON, or as DOT or CSV with `--format`.
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage error (also
-a numeric spectrum without numpy), 3 enumeration budget exceeded (for
-`scan`: a pair was skipped, none failed).
+Exit codes live on the error classes (`cospec.errors`): an error prints
+one `error:` line and exits with its `exit_code`; a failed check exits as
+a failed certificate does, and a `scan` that skipped a pair as a budget.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     BudgetError,
     CertificateError,
     CospecError,
-    IdentityCheckError,
     OutputError,
     ParameterError,
     RecipeError,
@@ -47,17 +46,18 @@ from .rationals import BACKEND, parse_rat, rat_str
 from .transfer import certify_identities, transfer_u
 from .words import Word, is_self_toggle, parse_word, toggle, toggle_classes
 
-EXIT_PASS = 0
-EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
-EXIT_BUDGET = 3
-
-DEFAULT_SCAN_KS = ("1/1", "2/1", "1/2")
-
 
 def _emit(payload: dict, summary: str) -> None:
-    sys.stdout.write(json.dumps(payload, default=str) + "\n")
+    sys.stdout.write(json.dumps(payload) + "\n")
     print(summary, file=sys.stderr)
+
+
+def _report(args, payload: dict, summary: str, *, passed=True, skipped=False) -> int:
+    """Emit the report headed by the command and version; return its exit code."""
+    _emit({"command": args.command, "version": __version__, **payload}, summary)
+    if not passed:
+        return CertificateError.exit_code
+    return BudgetError.exit_code if skipped else 0
 
 
 def _eig_gap(g1, g2) -> float:
@@ -138,15 +138,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     k = parse_rat(args.k)
     entry = _verify_pair(w, k, args.method, args.budget, args.tol, trivial=is_self_toggle(w))
-    payload = {"command": "verify", "version": __version__, "backend": BACKEND, "result": entry}
     status = "PASS" if entry["pass"] else "FAIL"
-    _emit(payload, f"verify {w} vs {entry['toggled_word']} (k={rat_str(k)}): {status}")
-    return EXIT_PASS if entry["pass"] else EXIT_CHECK_FAILED
+    summary = f"verify {w} vs {entry['toggled_word']} (k={rat_str(k)}): {status}"
+    return _report(args, {"backend": BACKEND, "result": entry}, summary, passed=entry["pass"])
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    items = [s.strip() for s in args.k.split(",") if s.strip()]
+    if not items:
+        raise ParameterError(f"--k needs at least one value, got {args.k!r}")
     # one k per value, in first-seen order: "1" and "1/1" are one k
-    ks = list(dict.fromkeys(parse_rat(s) for s in _values(args.k, "--k")))
+    ks = list(dict.fromkeys(parse_rat(s) for s in items))
     entries = []
     failures = skipped = 0
     for w, trivial in toggle_classes(3, args.tau_max):
@@ -168,8 +170,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     unwitnessed = [f"{e['word']}/{e['toggled_word']} (k={e['k']})"
                    for e in pairs if e["witness"] is None]
     payload = {
-        "command": "scan",
-        "version": __version__,
         "backend": BACKEND,
         "tau_max": args.tau_max,
         "k": [rat_str(k) for k in ks],
@@ -190,10 +190,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             f"{len(unwitnessed)} unwitnessed")
     if unwitnessed:
         line += ": " + ", ".join(unwitnessed)
-    _emit(payload, line)
-    if failures:
-        return EXIT_CHECK_FAILED
-    return EXIT_BUDGET if skipped else EXIT_PASS
+    return _report(args, payload, line, passed=not failures, skipped=bool(skipped))
 
 
 def _write_or_print(text: str, path: str) -> None:
@@ -236,8 +233,6 @@ def cmd_blowup(args: argparse.Namespace) -> int:
         for name, g in (("blowup_1", b1), ("blowup_2", b2)):
             _write_or_print(export_graph(g, args.format), f"{args.out}/{name}.{args.format}")
     payload = {
-        "command": "blowup",
-        "version": __version__,
         "word": str(w),
         "toggled_word": str(wt),
         "k": rat_str(k),
@@ -249,46 +244,40 @@ def cmd_blowup(args: argparse.Namespace) -> int:
     }
     if is_self_toggle(w):
         print(f"note: {w} is its own toggle; the blowup pair is identical", file=sys.stderr)
-    _emit(payload, f"blowup {w}/{wt} (k={rat_str(k)}): {'PASS' if ok else 'FAIL'}")
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _report(args, payload, f"blowup {w}/{wt} (k={rat_str(k)}): {'PASS' if ok else 'FAIL'}",
+                   passed=ok)
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    # certify_identities raises IdentityCheckError (exit 1) unless all hold
+    # certify_identities raises IdentityCheckError unless all hold
     entries = certify_identities()
     payload = {
-        "command": "identities",
-        "version": __version__,
         "domain": "k > 0, t not in {0, 1, 2}",
         "identities": entries,
         "pass": True,
     }
-    _emit(payload, f"identities: {len(entries)} hold as polynomials in (k, v = (t-1)^2): PASS")
-    return EXIT_PASS
+    return _report(args, payload,
+                   f"identities: {len(entries)} hold as polynomials in (k, v = (t-1)^2): PASS")
 
 
 def cmd_export(args: argparse.Namespace) -> int:
     g = assemble_ring(parse_word(args.word), parse_rat(args.k))
     _write_or_print(export_graph(g, args.format), args.out)
     print(f"exported {g}", file=sys.stderr)
-    return EXIT_PASS
+    return 0
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     k = parse_rat(args.k)
     g = assemble_ring(w, k)
-    eigs = eigenvalues_numeric(g)
     payload = {
-        "command": "spectrum",
-        "version": __version__,
         "word": str(w),
         "k": rat_str(k),
         "n": g.n,
-        "eigenvalues": [float(x) for x in eigs],
+        "eigenvalues": [float(x) for x in eigenvalues_numeric(g)],
     }
-    _emit(payload, f"spectrum of G({w}), n={g.n}")
-    return EXIT_PASS
+    return _report(args, payload, f"spectrum of G({w}), n={g.n}")
 
 
 def cmd_charpoly(args: argparse.Namespace) -> int:
@@ -305,8 +294,6 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
     vals = list(pairs.values())
     agree = all(vals[0] == p for p in vals[1:])
     payload = {
-        "command": "charpoly",
-        "version": __version__,
         "backend": BACKEND,
         "word": str(w),
         "k": rat_str(k),
@@ -314,8 +301,9 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
         "coefficients": {name: t_json(*pair) for name, pair in pairs.items()},
         "methods_agree": agree,
     }
-    _emit(payload, f"charpoly of G({w}) by {sorted(pairs)}: {'agree' if agree else 'DISAGREE'}")
-    return EXIT_PASS if agree else EXIT_CHECK_FAILED
+    return _report(args, payload,
+                   f"charpoly of G({w}) by {sorted(pairs)}: {'agree' if agree else 'DISAGREE'}",
+                   passed=agree)
 
 
 @functools.cache  # built on first use; parsing leaves it unchanged for the next call
@@ -327,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, *, word=False, k=False, fmt=False, method=False,
+    def add(name, run, help, *, word=False, k=False, fmt=False, method=False,
             budget=False, tol=False, out=None):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         if word:
             p.add_argument("--word", required=True, help="module word over P/C/E")
         if k:
@@ -350,69 +339,43 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default="", help=out)
         return p
 
-    add("verify", "check one toggled pair by all methods", word=True, k=True, method=True,
-        budget=True, tol=True)
-    scan = add("scan", "verify every cyclic word class up to a length", method=True,
+    add("verify", cmd_verify, "check one toggled pair by all methods", word=True, k=True,
+        method=True, budget=True, tol=True)
+    scan = add("scan", cmd_scan, "verify every cyclic word class up to a length", method=True,
                budget=True, tol=True)
     scan.add_argument("--tau-max", type=int, required=True)
-    scan.add_argument("--k", default=",".join(DEFAULT_SCAN_KS),
-                      help="comma-separated k values")
-    blow = add("blowup", "emit a simple cospectral pair of blowups", word=True, k=True,
-               fmt=True, tol=True, out="directory for the two blowup files")
+    scan.add_argument("--k", default="1/1,2/1,1/2", help="comma-separated k values")
+    blow = add("blowup", cmd_blowup, "emit a simple cospectral pair of blowups", word=True,
+               k=True, fmt=True, tol=True, out="directory for the two blowup files")
     blow.add_argument("--scale", default="1", help="pre-scale edge weights")
-    add("identities", "prove the transfer-matrix identities for all k > 0, t not in {0, 1, 2}")
-    add("export", "serialize one ring graph", word=True, k=True, fmt=True,
+    add("identities", cmd_identities,
+        "prove the transfer-matrix identities for all k > 0, t not in {0, 1, 2}")
+    add("export", cmd_export, "serialize one ring graph", word=True, k=True, fmt=True,
         out="output file (default: stdout)")
-    add("spectrum", "numeric normalized-Laplacian eigenvalues", word=True, k=True)
-    add("charpoly", "exact characteristic polynomial", word=True, k=True, method=True,
-        budget=True)
+    add("spectrum", cmd_spectrum, "numeric normalized-Laplacian eigenvalues", word=True, k=True)
+    add("charpoly", cmd_charpoly, "exact characteristic polynomial", word=True, k=True,
+        method=True, budget=True)
     return parser
 
 
-def _values(text: str, option: str) -> list:
-    """The non-empty items of a comma-separated option value."""
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ParameterError(f"{option} needs at least one value, got {text!r}")
-    return items
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "scan": cmd_scan,
-    "blowup": cmd_blowup,
-    "identities": cmd_identities,
-    "export": cmd_export,
-    "spectrum": cmd_spectrum,
-    "charpoly": cmd_charpoly,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return CospecError.exit_code if exc.code not in (0, None) else 0
     try:
         if args.command == "scan" and not (3 <= args.tau_max <= 12):
-            raise ValueError(f"--tau-max must be in [3, 12], got {args.tau_max}")
+            raise ParameterError(f"--tau-max must be in [3, 12], got {args.tau_max}")
         tol = getattr(args, "tol", 0.0)
         if not (math.isfinite(tol) and tol >= 0):
             raise ParameterError(f"--tol must be a finite non-negative number, got {tol}")
         budget = getattr(args, "budget", 1)
         if budget < 1:
             raise ParameterError(f"--budget must be at least 1, got {budget}")
-        return _COMMANDS[args.command](args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (CertificateError, IdentityCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return args.run(args)
     except (CospecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", CospecError.exit_code)
 
 
 if __name__ == "__main__":  # pragma: no cover

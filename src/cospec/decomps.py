@@ -45,19 +45,6 @@ MAX_VERTICES = 30
 DEFAULT_BUDGET = 10_000_000
 
 
-def _scale(g: WeightedGraph) -> tuple:
-    """The graph's integer neighbour lists [(u, W_uv)] and degrees D_v, scaled by L.
-
-    L is the least common multiple of the weight denominators.  A vertex of
-    degree 0 is never covered, so its factor cancels; D_v = 1 keeps P nonzero.
-    """
-    nbrs = [[] for _ in range(g.n)]
-    for (u, v), w in g.scaled_weights.items():  # edge order, as in g.scaled_adj
-        nbrs[u].append((v, w))
-        nbrs[v].append((u, w))
-    return nbrs, [d or 1 for d in g.scaled_degrees]
-
-
 def _parts(g: WeightedGraph, budget: int) -> tuple:
     """(heads, degree): heads[v] lists the parts whose least vertex is v,
     as (vertex bitmask, vertex tuple, factor), and degree[v] is D_v.
@@ -69,7 +56,9 @@ def _parts(g: WeightedGraph, budget: int) -> tuple:
     n = g.n
     if n > MAX_VERTICES:
         raise BudgetError(f"n={n} exceeds the oracle limit of {MAX_VERTICES}")
-    nbrs, degree = _scale(g)
+    nbrs = [list(adj.items()) for adj in g.scaled_adj]  # [(u, W_uv)], W over L
+    # a vertex of degree 0 is never covered, so its factor cancels; D_v = 1 keeps P nonzero
+    degree = [d or 1 for d in g.scaled_degrees]
     heads = [[(1 << v | 1 << u, (v, u), -w * w) for u, w in nbrs[v] if u > v]
              for v in range(n)]
     ring = [[(v, w) for v, w in vs if len(nbrs[v]) > 1] for vs in nbrs]  # degree 1 closes no cycle

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package; each class carries its `cospec` exit code."""
 
 
 class CospecError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: a usage or domain error, exit 2."""
+
+    exit_code = 2
 
 
 class LengthError(CospecError, ValueError):
@@ -32,6 +34,8 @@ class FormatError(CospecError, ValueError):
 class BudgetError(CospecError, RuntimeError):
     """Enumeration would exceed the configured budget."""
 
+    exit_code = 3
+
 
 class NumericalError(CospecError, RuntimeError):
     """Numeric eigensolver failed to converge, or numpy is not installed."""
@@ -44,6 +48,8 @@ class CertificateError(CospecError, ArithmeticError):
     tr L = n checks, and the transfer route's divisibility by a power of
     t - 1, degree bound and monicity."""
 
+    exit_code = 1
+
 
 class OutputError(CospecError, OSError):
     """An output file could not be written."""
@@ -51,6 +57,8 @@ class OutputError(CospecError, OSError):
 
 class IdentityCheckError(CospecError, AssertionError):
     """An exact matrix identity that must hold failed to hold."""
+
+    exit_code = 1
 
 
 class RecipeError(CospecError, ValueError):

@@ -214,9 +214,8 @@ def transfer_u(w: Word, k) -> tuple:
     (coeffs[n] = den), or CertificateError is raised.
     """
     k = as_rat(k)
-    tau, ell, m = len(w.letters), w.letters.count("P"), w.letters.count("C")
-    n = tau + 2 * (ell + m)
-    (c, d), j = long_cycle_monomial(tau, ell, m, k)  # first, as it rejects k <= 0
+    ell, m, n = w.ell, w.m, w.n
+    (c, d), j = long_cycle_monomial(w.tau, ell, m, k)  # first, as it rejects k <= 0
     short, scale = _short_kernel(w.letters, ell, m, k.numerator, k.denominator)
     den = math.lcm(scale, d)
     coeffs = [x * (den // scale) for x in short]

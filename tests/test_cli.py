@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec import cli
+from cospec import cli, errors
 from cospec.cli import main
 from cospec.graphs import assemble_ring
 from cospec.rationals import Rat
@@ -102,6 +102,31 @@ def test_options_a_command_does_not_read_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.CospecError)]
+EXIT_CODES = {errors.BudgetError: 3, errors.CertificateError: 1, errors.IdentityCheckError: 1}
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES + [ValueError], ids=lambda c: c.__name__)
+def test_each_error_raised_in_a_command_exits_with_its_code(capsys, monkeypatch, error):
+    def fail(g):
+        raise error("raised inside the command")
+
+    monkeypatch.setattr(cli, "exact_u", fail)
+    code = main(["charpoly", "--word", "PCE", "--method", "exact"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CODES.get(error, 2)
+    assert captured.out == ""
+    assert captured.err == "error: raised inside the command\n"
+
+
+def test_tau_max_is_checked_before_tol(capsys):
+    code = main(["scan", "--tau-max", "13", "--tol", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --tau-max must be in [3, 12], got 13\n"
 
 
 def test_verify_oracle_budget(capsys):

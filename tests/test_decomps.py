@@ -82,11 +82,12 @@ def test_budget_counts_every_decomposition():
 
 
 def test_vertex_limit_raised_before_scaling(monkeypatch):
-    def scale(g):
-        raise AssertionError("weights scaled for a graph over the vertex limit")
-
-    monkeypatch.setattr(decomps, "_scale", scale)
     g = ring("C" * 11)  # n = 33 > 30
+
+    def read(g):
+        raise AssertionError("weights read for a graph over the vertex limit")
+
+    monkeypatch.setattr(WeightedGraph, "scaled_adj", property(read), raising=False)
     for run in (charpoly_via_decompositions, long_terms_by_config,
                 lambda g: list(enumerate_decompositions(g))):
         with pytest.raises(BudgetError):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cospec
+import cospec.cli  # every module, so every error class is defined
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cospec"
@@ -45,6 +46,17 @@ def test_package_imports_no_test_code():
         for name in imported_modules(path):
             parts = name.split(".")
             assert "tests" not in parts and not parts[-1].endswith("_reference"), (path.name, name)
+
+
+def test_every_error_carries_an_exit_code():
+    classes, todo = [], [cospec.errors.CospecError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo += cls.__subclasses__()
+    assert len(classes) > 1
+    for cls in classes:
+        assert cls.exit_code in {1, 2, 3}, cls.__name__
 
 
 def test_every_exported_name_resolves():
