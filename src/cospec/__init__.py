@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .blowup import blow_up, is_simple, scale_weights, simple_blowup_recipe
 from .decomps import oracle_u
 from .graphs import (
-    ModuleGadget,
     WeightedGraph,
     assemble_ring,
     build_module_gadget,
@@ -25,7 +24,7 @@ from .words import Word, canonical_form, parse_word, toggle
 __all__ = [
     "blow_up", "is_simple", "scale_weights", "simple_blowup_recipe",
     "oracle_u",
-    "ModuleGadget", "WeightedGraph", "assemble_ring", "build_module_gadget",
+    "WeightedGraph", "assemble_ring", "build_module_gadget",
     "export_graph", "normalized_laplacian", "random_walk_matrix",
     "subgraph_after_symmetry",
     "eigenvalues_numeric", "exact_u",

@@ -1,5 +1,8 @@
 """Module gadgets and ring assembly for the graph family.
 
+`GADGETS` holds the P, C and E modules as edges on the poles +, - and the
+unsigned pair a, b, each weight the integer coefficients of 1, k and k^2.
+
 Vertices are dense integers.  For a ring graph the layout is module
 order: the signed vertex of module i first, then (for P and C modules)
 its unsigned pair a_i, b_i.  The signed vertex of module i is the "+"
@@ -10,39 +13,33 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegreeError, FormatError, NumericalError, ParameterError, ShapeError
 from .rationals import Rat, as_rat, rat_str
 from .words import Word
 
-
-@dataclass(frozen=True)
-class ModuleGadget:
-    """One building block with local vertex labels +, -, a, b."""
-
-    kind: str
-    # edges as (label, label, x), labels in {"+", "-", "a", "b"}, weight x / scale
-    edges: tuple
-    scale: int
+# weights k = (0, 1, 0), 1 = (1, 0, 0), k + 1 = (1, 1, 0) and k^2 = (0, 0, 1)
+GADGETS = {
+    "P": (("a", "+", (0, 1, 0)), ("+", "-", (1, 0, 0)), ("-", "b", (0, 1, 0))),
+    "C": (("a", "+", (0, 1, 0)), ("+", "-", (1, 0, 0)), ("-", "b", (0, 1, 0)),
+          ("a", "b", (0, 0, 1))),
+    "E": (("+", "-", (1, 1, 0)),),
+}
 
 
-def build_module_gadget(kind: str, k) -> ModuleGadget:
-    """The P, C, or E gadget: weights k = p/q > 0, 1, k+1, k^2 as pq, q^2, (p+q)q, p^2 over q^2."""
+def build_module_gadget(kind: str, k) -> tuple:
+    """`GADGETS[kind]` at k = p/q > 0 as (edges, scale): edges (label, label, x)
+    of weight x / scale, with scale = q^2."""
     k = as_rat(k)
     p, q = k.numerator, k.denominator
     if p <= 0:
         raise ParameterError(f"module parameter k must be positive, got {k}")
-    if kind == "E":
-        edges = (("+", "-", (p + q) * q),)
-    elif kind == "P":
-        edges = (("a", "+", p * q), ("+", "-", q * q), ("-", "b", p * q))
-    elif kind == "C":
-        edges = (("a", "+", p * q), ("+", "-", q * q), ("-", "b", p * q), ("a", "b", p * p))
-    else:
+    if kind not in GADGETS:
         raise ParameterError(f"unknown module kind {kind!r}")
-    return ModuleGadget(kind, edges, q * q)
+    qq, pq, pp = q * q, p * q, p * p
+    edges = tuple((a, b, c0 * qq + c1 * pq + c2 * pp) for a, b, (c0, c1, c2) in GADGETS[kind])
+    return edges, qq
 
 
 class WeightedGraph:
@@ -125,8 +122,9 @@ def assemble_ring(w: Word, k) -> WeightedGraph:
     """Assemble G(W): tau gadgets joined in cyclic order at signed vertices.
     `build_module_gadget` rejects k <= 0; its gadgets share one scale."""
     k = as_rat(k)
-    local = {kind: build_module_gadget(kind, k) for kind in set(w.letters)}
-    scale = local[w.letters[0]].scale
+    local = {}
+    for kind in set(w.letters):
+        local[kind], scale = build_module_gadget(kind, k)
     signed, unsigned, edges, n = [], [], [], 0
     for i, letter in enumerate(w):
         pair = (n + 1, n + 2) if letter in "PC" else None
@@ -137,7 +135,7 @@ def assemble_ring(w: Word, k) -> WeightedGraph:
         labels = {"+": signed[i], "-": n if i + 1 < w.tau else 0}
         if pair is not None:
             labels["a"], labels["b"] = pair
-        edges += [(labels[a], labels[b], x) for a, b, x in local[letter].edges]
+        edges += [(labels[a], labels[b], x) for a, b, x in local[letter]]
     return WeightedGraph(n, edges, scale=scale, word=w, k=k, signed=signed, unsigned=unsigned)
 
 

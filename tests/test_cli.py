@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec import cli, errors
+from cospec import cli, errors, graphs
 from cospec.cli import main
 from cospec.graphs import assemble_ring
 from cospec.rationals import Rat
@@ -378,10 +378,40 @@ def test_blowup_huge_scale_exits_2_before_the_search(capsys):
 
 
 def test_export_csv(capsys):
-    code = main(["export", "--word", "EEE", "--k", "1", "--format", "csv"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.splitlines() == ["0,1,2/1", "0,2,2/1", "1,2,2/1"]
+    # the weights as printed, at an integer and at a fractional k
+    for word, k, lines in [
+        ("EEE", "1", ["0,1,2/1", "0,2,2/1", "1,2,2/1"]),
+        ("PCE", "7/3", ["0,1,7/3", "0,3,1/1", "0,6,10/3", "2,3,7/3", "3,4,7/3", "3,6,1/1",
+                        "4,5,49/9", "5,6,7/3"]),
+    ]:
+        code = main(["export", "--word", word, "--k", k, "--format", "csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines() == lines
+
+
+def mutate_c_ab_weight(monkeypatch):
+    """C's a-b weight k^2 becomes k in the gadget table, which the exact
+    route and the oracle read through the ring and the transfer route does not."""
+    monkeypatch.setitem(graphs.GADGETS, "C", tuple(
+        (x, y, (0, 1, 0) if {x, y} == {"a", "b"} else coeffs)
+        for x, y, coeffs in graphs.GADGETS["C"]))
+
+
+def test_gadget_table_mutation_fails_only_the_transfer_comparison(capsys, monkeypatch):
+    mutate_c_ab_weight(monkeypatch)
+    code, payload, err = run(capsys, "verify", "--word", "PCE", "--k", "2")
+    assert code == 1 and "FAIL" in err
+    checks = payload["result"]["checks"]
+    assert checks["transfer_matches_exact"] is False
+    assert checks["oracle_matches_exact"] is True and checks["exact_equal"] is True
+
+
+def test_gadget_table_mutation_is_invisible_at_k_1(capsys, monkeypatch):
+    # k^2 = k at k = 1, so the mutated table builds the same rings
+    mutate_c_ab_weight(monkeypatch)
+    code, payload, _ = run(capsys, "scan", "--tau-max", "4", "--k", "1", "--method", "all")
+    assert code == 0 and payload["summary"]["failures"] == 0
 
 
 def test_spectrum(capsys):

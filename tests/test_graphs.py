@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cospec import graphs
 from cospec.errors import DegreeError, FormatError, ParameterError, ShapeError
 from cospec.graphs import (
-    ModuleGadget,
+    GADGETS,
     WeightedGraph,
     assemble_ring,
     build_module_gadget,
@@ -42,18 +42,18 @@ def integer_form(g):
 
 
 def test_e_gadget_single_edge():
-    g = build_module_gadget("E", 1)
-    assert g.edges == (("+", "-", Rat(2)),)
+    edges, _ = build_module_gadget("E", 1)
+    assert edges == (("+", "-", Rat(2)),)
 
 
 def test_p_gadget_unit_path():
-    g = build_module_gadget("P", 1)
-    assert [w for *_, w in g.edges] == [1, 1, 1]
+    edges, _ = build_module_gadget("P", 1)
+    assert [w for *_, w in edges] == [1, 1, 1]
 
 
 def test_c_gadget_weights():
-    g = build_module_gadget("C", 2)
-    weights = {frozenset((x, y)): w for x, y, w in g.edges}
+    edges, _ = build_module_gadget("C", 2)
+    weights = {frozenset((x, y)): w for x, y, w in edges}
     assert weights[frozenset(("a", "+"))] == 2
     assert weights[frozenset(("+", "-"))] == 1
     assert weights[frozenset(("a", "b"))] == 4
@@ -79,19 +79,36 @@ def test_gadget_integers_over_their_scale_are_the_weights(k):
         "C": [("a", "+", k), ("+", "-", 1), ("-", "b", k), ("a", "b", k * k)],
     }
     for kind, edges in expected.items():
-        g = build_module_gadget(kind, k)
-        assert g.scale == Rat(k).denominator ** 2
-        assert all(isinstance(x, int) for *_, x in g.edges)
-        assert [(x, y, Rat(wt, g.scale)) for x, y, wt in g.edges] == edges
+        scaled, scale = build_module_gadget(kind, k)
+        assert scale == Rat(k).denominator ** 2
+        assert all(isinstance(x, int) for *_, x in scaled)
+        assert [(x, y, Rat(wt, scale)) for x, y, wt in scaled] == edges
 
 
 def test_gadget_signed_degree_is_k_plus_one():
+    # as polynomials in k, read from the table: it holds for every k
+    assert set(GADGETS) == set("PCE")
+    for kind, edges in GADGETS.items():
+        for x, y, coeffs in edges:
+            assert {x, y} <= set("+-ab") and x != y
+            # a nonzero polynomial of degree <= 2 with nonnegative
+            # coefficients, so positive at every k > 0
+            assert len(coeffs) == 3 and all(isinstance(c, int) and c >= 0 for c in coeffs)
+            assert any(coeffs)
+        for pole in "+-":
+            at_pole = [coeffs for x, y, coeffs in edges if pole in (x, y)]
+            assert [sum(c) for c in zip(*at_pole)] == [1, 1, 0]  # k + 1
     for kind in "PCE":
         for k in (Rat(1), Rat(5, 2)):
-            g = build_module_gadget(kind, k)
+            edges, scale = build_module_gadget(kind, k)
             for pole in "+-":
-                deg = Rat(sum(w for x, y, w in g.edges if pole in (x, y)), g.scale)
+                deg = Rat(sum(w for x, y, w in edges if pole in (x, y)), scale)
                 assert deg == k + 1
+
+
+def test_gadget_rejects_unknown_kind():
+    with pytest.raises(ParameterError, match="unknown module kind"):
+        build_module_gadget("X", 1)
 
 
 # ---------------------------------------------------------------- assembly
@@ -145,8 +162,8 @@ def ring_reference(w, k):
         labels = {"+": signed[i], "-": signed[(i + 1) % w.tau]}
         if unsigned[i] is not None:
             labels["a"], labels["b"] = unsigned[i]
-        gadget = build_module_gadget(letter, k)
-        edges += [(labels[x], labels[y], Rat(wt, gadget.scale)) for x, y, wt in gadget.edges]
+        gadget, scale = build_module_gadget(letter, k)
+        edges += [(labels[x], labels[y], Rat(wt, scale)) for x, y, wt in gadget]
     return WeightedGraph(n, edges, word=w, k=k, signed=signed, unsigned=unsigned)
 
 
@@ -166,17 +183,8 @@ def test_assemble_ring_reads_the_gadget_definition(monkeypatch):
     # C's a-b weight k^2 mutated to k must reach the assembled ring
     w, k = parse_word("PCE"), Rat(7, 3)
     before = assemble_ring(w, k)
-    real = graphs.build_module_gadget
-
-    def mutated(kind, k):
-        gadget = real(kind, k)
-        if kind != "C":
-            return gadget
-        p, q = Rat(k).as_integer_ratio()  # k over the scale q^2 is p q
-        return ModuleGadget(kind, tuple((x, y, p * q if {x, y} == {"a", "b"} else wt)
-                                        for x, y, wt in gadget.edges), gadget.scale)
-
-    monkeypatch.setattr(graphs, "build_module_gadget", mutated)
+    monkeypatch.setitem(graphs.GADGETS, "C", tuple(
+        (x, y, (0, 1, 0) if {x, y} == {"a", "b"} else coeffs) for x, y, coeffs in GADGETS["C"]))
     after = assemble_ring(w, k)
     a, b = before.unsigned[1]
     assert before.weight(a, b) == k * k and after.weight(a, b) == k
