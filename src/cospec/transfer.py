@@ -6,16 +6,18 @@ States are the subsets of a module's signed vertices that its local
 decomposition uses, ordered (empty, +, -, +/-).  The 0/1 transition
 matrix Q says which states may follow which; the diagonal weight
 matrices X_P, X_C, X_E carry the local contributions.  Conjugating by R
-compresses everything to 2x2 blocks Y_*, and the matrix U intertwines
+(held as the integer R2 = 2R, which conjugates alike) compresses
+everything to 2x2 blocks Y_*, and the matrix U intertwines
 Y_P with Y_C while commuting with Y_E, which forces trace invariance
 under toggling.  X_TABLE holds u^4 X_kind as integer polynomials in k and
 v = u^2, and the blocks Y_kind built from it are integer polynomials in
 (k, v) too (`_y_poly_block`).  `certify_identities` proves the identities
 on those blocks as polynomials, so for every k > 0 and t not in {0, 1, 2}
 at once, and the kernel evaluates the very same blocks at one k.  The
-route needs nothing from the other two: it carries its own small exact
-matrix products and inverse, and the long-cycle part as a closed-form
-monomial.
+route needs nothing from the other two and works in integers: Q, R2 and
+S are integer tables, the proof has one product and one determinant of
+(k, v) polynomial matrices, R^-1 enters as adj(R2) / det(R2), and the
+long-cycle part is a closed-form monomial.
 
 The short part is computed symbolically in u = t - 1 on the 2x2 blocks:
 S has zero rows 2 and 3, so tr prod_i Q X_i = tr prod_i Y_i.  Every
@@ -38,62 +40,16 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import CertificateError, IdentityCheckError, ParameterError, ShapeError
+from .errors import CertificateError, IdentityCheckError, ParameterError
 from .polynomials import balanced_digits, lowest_terms
-from .rationals import Rat, as_rat
+from .rationals import as_rat
 from .words import Word
 
 
-def mat_mul(a, b):
-    if len(a[0]) != len(b):
-        raise ShapeError("matrix dimensions do not match")
-    return [[sum((x * y for x, y in zip(row, col)), Rat(0)) for col in zip(*b)] for row in a]
-
-
-def mat_inv(matrix):
-    """Exact inverse via Gauss-Jordan; raises ShapeError if singular."""
-    n = len(matrix)
-    m = [list(row) + [Rat(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            raise ShapeError("matrix is singular")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [x / pivot for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def q_matrix():
-    """0/1 transition matrix between signed-vertex usage states."""
-    return [
-        [Rat(1), Rat(1), Rat(1), Rat(1)],
-        [Rat(1), Rat(1), Rat(1), Rat(1)],
-        [Rat(1), Rat(0), Rat(1), Rat(0)],
-        [Rat(1), Rat(0), Rat(1), Rat(0)],
-    ]
-
-
-def r_matrix():
-    half = Rat(1, 2)
-    return [
-        [Rat(1), Rat(-1), Rat(1), Rat(1)],
-        [Rat(1), Rat(-1), Rat(0), Rat(0)],
-        [half, Rat(1), Rat(0), Rat(-1)],
-        [half, Rat(1), Rat(-2), Rat(0)],
-    ]
-
-
-def s_matrix():
-    zero = Rat(0)
-    m = [[zero] * 4 for _ in range(4)]
-    m[0][0] = Rat(3)
-    m[1][2] = Rat(1)
-    return m
+# Q, then R2 = 2R (integral; conjugating by it is conjugating by R), then S.
+Q = ((1, 1, 1, 1), (1, 1, 1, 1), (1, 0, 1, 0), (1, 0, 1, 0))
+R2 = ((2, -2, 2, 2), (2, -2, 0, 0), (1, 2, 0, -2), (1, 2, -4, 0))
+S = ((3, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 0, 0))
 
 
 # u^4 X_kind times 4 (k+1)^2, one entry per state (empty, +, -, +/-): the
@@ -114,12 +70,16 @@ U_TABLE = (((-2, 20), (-4, -32)), ((1, 8), (2, -20)))
 def _y_weights():
     """(c, e) with integers c[i][j][s] = e (S R^-1)[i][s] R[s][j], so that
     Y_kind[i][j] = sum_s c[i][j][s] X_kind[s][s] / e: X_kind is diagonal.
-    A constant, built on first use."""
-    r = r_matrix()
-    left = mat_mul(s_matrix(), mat_inv(r))
-    weights = [[[left[i][s] * r[s][j] for s in range(4)] for j in range(2)] for i in range(2)]
-    e = math.lcm(*(int(x.denominator) for row in weights for entry in row for x in entry))
-    return [[[int(x * e) for x in entry] for entry in row] for row in weights], e
+    As R^-1 = 2 adj(R2) / det(R2), (S R^-1)[i][s] R[s][j] is
+    (S adj(R2))[i][s] R2[s][j] / det(R2), reduced here by the gcd of all of
+    them.  A constant, built on first use."""
+    r2 = _constant(R2)
+    left = _pmat_mul(_constant(S), _adj(r2))
+    weights = [[[left[i][s].get((0, 0), 0) * R2[s][j] for s in range(4)] for j in range(2)]
+               for i in range(2)]
+    det = _pdet(r2).get((0, 0), 0)
+    g = math.gcd(det, *(c for row in weights for entry in row for c in entry)) or 1
+    return [[[c // g for c in entry] for entry in row] for row in weights], det // g
 
 
 @functools.lru_cache(maxsize=21)
@@ -186,7 +146,8 @@ def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
     n = tau + 2 * (ell + m)
     low = 4 * tau - n
     if any(u_coeffs[:low]) or any(u_coeffs[low + n + 1:]):
-        raise CertificateError(f"u^{4 * tau} tr(prod) for {letters} at k={Rat(p, q)} is not "
+        k = p if q == 1 else f"{p}/{q}"
+        raise CertificateError(f"u^{4 * tau} tr(prod) for {letters} at k={k} is not "
                                f"u^{low} times a polynomial of degree <= {n}")
     return u_coeffs[low:low + n + 1], math.prod(blocks[kind][0] ** c for kind, c in counts)
 
@@ -246,6 +207,24 @@ def _pmat_mul(a, b):
             for arow in a]
 
 
+def _pdet(m) -> dict:
+    """The determinant of a square matrix of (k, v) polynomials, by Laplace
+    expansion along its first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return _padd(*(_pmul({key: (-1) ** j * c for key, c in x.items()},
+                         _pdet([row[:j] + row[j + 1:] for row in m[1:]]))
+                   for j, x in enumerate(m[0])))
+
+
+def _adj(m):
+    """The adjugate, adj(m)[i][j] = (-1)^(i+j) det(m less row j and column i),
+    so that m adj(m) = det(m) I."""
+    return [[_pmul({(0, 0): (-1) ** (i + j)},
+                   _pdet([row[:i] + row[i + 1:] for r, row in enumerate(m) if r != j]))
+             for j in range(len(m))] for i in range(len(m))]
+
+
 def _constant(matrix):
     return [[{(0, 0): c} if c else {} for c in row] for row in matrix]
 
@@ -265,7 +244,9 @@ def certify_identities() -> list:
     t not in {0, 1, 2}.
 
     Q = R S R^-1 and the zero rows 2 and 3 of S (which make
-    tr prod Q X = tr prod Y) are constant.  The blocks Y_kind are integer
+    tr prod Q X = tr prod Y) are constant.  With R = R2 / 2, the first is
+    det(R2) Q = R2 S adj(R2) in integers, and det(R2) = 72 is checked with
+    it, so R is invertible.  The blocks Y_kind are integer
     polynomials in (k, v), v = (t-1)^2, over the common denominator
     e 4(k+1)^2 v^2, which is nonzero for k > 0 and t != 1; so each U
     identity, checked as an identity of polynomials, holds at every such
@@ -274,18 +255,18 @@ def certify_identities() -> list:
     in v of its two sides, and whether it holds.  Raises IdentityCheckError
     naming every identity that fails.
     """
-    R, S = r_matrix(), s_matrix()
+    r2 = _constant(R2)
+    det_r2 = _pdet(r2)
     yp, yc, ye = (_y_poly_block(kind) for kind in "PCE")
     u = [[{(0, j): c for j, c in enumerate(entry) if c} for entry in row] for row in U_TABLE]
-    minus = {(0, 0): -1}
-    det_u = _padd(_pmul(u[0][0], u[1][1]), _pmul(minus, _pmul(u[0][1], u[1][0])))
     sides = {
-        "Q = R S R^-1": (_constant(q_matrix()), _constant(mat_mul(mat_mul(R, S), mat_inv(R)))),
+        "Q = R S R^-1": ([[det_r2]] + [[_pmul(det_r2, x) for x in row] for row in _constant(Q)],
+                         [[{(0, 0): 72}]] + _pmat_mul(_pmat_mul(r2, _constant(S)), _adj(r2))),
         "S rows 2-3 = 0": (_constant(S[2:]), [[{}] * 4] * 2),
         "U Y_P = Y_C U": (_pmat_mul(u, yp), _pmat_mul(yc, u)),
         "U Y_C = Y_P U": (_pmat_mul(u, yc), _pmat_mul(yp, u)),
         "U Y_E = Y_E U": (_pmat_mul(u, ye), _pmat_mul(ye, u)),
-        "det U = -144 v (v - 1)": ([[det_u]], [[{(0, 2): -144, (0, 1): 144}]]),
+        "det U = -144 v (v - 1)": ([[_pdet(u)]], [[{(0, 2): -144, (0, 1): 144}]]),
     }
     entries = []
     for name, (lhs, rhs) in sides.items():

@@ -11,7 +11,7 @@ from cospec.graphs import WeightedGraph, assemble_ring, random_walk_matrix
 from cospec.linalg import eigenvalues_numeric, exact_u
 from cospec.polynomials import lowest_terms, t_json
 from cospec.rationals import Rat
-from cospec.transfer import mat_inv, mat_mul, transfer_u
+from cospec.transfer import transfer_u
 from cospec.words import parse_word
 from polynomial_reference import (
     Polynomial,
@@ -181,11 +181,6 @@ def test_det_2x2():
 
 def test_det_singular():
     assert det_rational([[Rat(1), Rat(2)], [Rat(2), Rat(4)]]) == 0
-
-
-def test_mat_inv_roundtrip():
-    m = [[Rat(2), Rat(1)], [Rat(5), Rat(3)]]
-    assert mat_mul(m, mat_inv(m)) == [[1, 0], [0, 1]]
 
 
 # ---------------------------------------------------------------- charpoly

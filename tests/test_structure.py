@@ -41,6 +41,24 @@ def test_routes_import_none_of_each_other():
         assert not imports & others, (route, sorted(imports & others))
 
 
+def test_routes_work_in_integers():
+    # Fraction only parses and prints: a route takes k in through as_rat and
+    # imports nothing else of the rationals
+    for route in ROUTES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{route}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, ["cospec" if node.level else "", node.module]))
+                names = [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "fractions", (route, name)
+                assert name == "cospec.rationals.as_rat" or not name.startswith("cospec.rationals"), (
+                    route, name)
+
+
 def test_package_imports_no_test_code():
     for path in PACKAGE.glob("*.py"):
         for name in imported_modules(path):

@@ -7,17 +7,23 @@ from cospec.errors import CertificateError, IdentityCheckError, ParameterError
 from cospec.graphs import assemble_ring
 from cospec.polynomials import balanced_digits
 from cospec.rationals import Rat
-from cospec.transfer import certify_identities, mat_mul, q_matrix
+from cospec.transfer import certify_identities
 from cospec.words import canonical_words, parse_word, toggle
 from polynomial_reference import Polynomial, charpoly_exact, charpoly_via_transfer, short_part
 from transfer_reference import (
+    mat_inv,
+    mat_mul,
     poly_mat_mul,
+    q_matrix,
+    r_matrix,
+    s_matrix,
     short_part_via_qx,
     u_matrix,
     x_diagonal_v,
     x_matrix,
     y_block,
     y_block_reference,
+    y_weights,
 )
 
 words = st.text(alphabet="PCE", min_size=3, max_size=6).map(parse_word)
@@ -29,9 +35,24 @@ sample_ts = [Rat(3), Rat(4), Rat(5), Rat(-1), Rat(7, 2)]
 
 
 def test_q_rows():
-    Q = q_matrix()
-    assert Q[0] == [1, 1, 1, 1]
-    assert Q[2] == [1, 0, 1, 0]  # the "-" row
+    Q = transfer.Q
+    assert Q[0] == (1, 1, 1, 1)
+    assert Q[2] == (1, 0, 1, 0)  # the "-" row
+
+
+def test_mat_inv_roundtrip():
+    m = [[Rat(2), Rat(1)], [Rat(5), Rat(3)]]
+    assert mat_mul(m, mat_inv(m)) == [[1, 0], [0, 1]]
+
+
+def test_y_weights_match_the_gauss_jordan_derivation():
+    # the route's integer S adj(2R) against 2R, reduced by the gcd, against
+    # S R^-1 against R from the reference's rational matrices and inverse
+    assert [list(row) for row in transfer.Q] == q_matrix()
+    assert [list(row) for row in transfer.R2] == [[2 * x for x in row] for row in r_matrix()]
+    assert [list(row) for row in transfer.S] == s_matrix()
+    expected = ([[[8, 4, 4, 2], [-8, -4, 8, 4]], [[2, -2, 1, -1], [-2, 2, 2, -2]]], 6)
+    assert transfer._y_weights() == y_weights() == expected
 
 
 def test_x_e_corner_entry():
@@ -120,15 +141,23 @@ def test_build_transfer_identities(k, t):
 
 @pytest.fixture
 def fresh_weights():
-    """Weights cached from a patched S must not outlive the test."""
+    """Weights cached from a patched S or R2 must not outlive the test."""
     transfer._y_weights.cache_clear()
     yield
     transfer._y_weights.cache_clear()
 
 
 def test_identity_checks_raise(monkeypatch, fresh_weights):
-    monkeypatch.setattr("cospec.transfer.s_matrix", lambda: [[Rat(1)] * 4] * 4)
+    monkeypatch.setattr(transfer, "S", ((1,) * 4,) * 4)
     with pytest.raises(IdentityCheckError, match=r"Q = R S R\^-1; S rows 2-3 = 0"):
+        certify_identities()
+
+
+def test_singular_r2_fails_only_q(monkeypatch, fresh_weights):
+    # a rank-1 R2 has adj(R2) = 0, so every Y block is zero and the U
+    # identities hold; det(R2) = 72 is what rejects it
+    monkeypatch.setattr(transfer, "R2", (transfer.R2[0],) * 4)
+    with pytest.raises(IdentityCheckError, match=r": Q = R S R\^-1$"):
         certify_identities()
 
 
@@ -143,20 +172,25 @@ P_TABLE, C_TABLE, U_TABLE = transfer.X_TABLE["P"], transfer.X_TABLE["C"], transf
         # C's a-b weight k^2 -> k: the empty state's -4k^2 v -> -4k v
         ("C", (((), (0, -4), (4, 8, 4)),) + C_TABLE[1:]),
         # U[0][0] = 20v - 2 -> 21v - 2
-        ("U", (((-2, 21), (-4, -32)),) + U_TABLE[1:]),
+        ("U_TABLE", (((-2, 21), (-4, -32)),) + U_TABLE[1:]),
+        # 2R[3][3] = 0 -> 1, which also fails Q = R S R^-1
+        ("R2", transfer.R2[:3] + ((1, 2, -4, 1),)),
     ],
-    ids=["table-coefficient", "c-weight-k", "u-entry"],
+    ids=["table-coefficient", "c-weight-k", "u-entry", "r2-entry"],
 )
-def test_identities_mutation_exits_1(capsys, monkeypatch, name, value):
+def test_identities_mutation_exits_1(capsys, monkeypatch, fresh_weights, name, value):
     assert main(["identities"]) == 0
     capsys.readouterr()
-    if name == "U":
-        monkeypatch.setattr(transfer, "U_TABLE", value)
+    if name in ("U_TABLE", "R2"):
+        monkeypatch.setattr(transfer, name, value)
     else:
         monkeypatch.setitem(transfer.X_TABLE, name, value)
+    transfer._y_weights.cache_clear()  # the passing run above cached R2's weights
     assert main(["identities"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "U Y_P = Y_C U" in err
+    assert ("Q = R S R^-1" in err) == (name == "R2")
+    assert ("det U" in err) == (name == "U_TABLE")
 
 
 @pytest.mark.parametrize("kind", "PCE")
@@ -313,8 +347,10 @@ def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch, fres
     # u^4 X = constant means X ~ u^-4: (t-1)^n cannot clear tau such factors
     for kind in "PCE":  # 4(k+1)^2 u^4 X = 4(k+1)^2 in every state
         monkeypatch.setitem(transfer.X_TABLE, kind, (((4, 8, 4), (), ()),) * 4)
-    with pytest.raises(CertificateError):
-        short_part(parse_word("PCE"), 1)
+    # k prints as p, or as p/q when q > 1
+    for k, text in ((1, "1"), (Rat(7, 3), "7/3")):
+        with pytest.raises(CertificateError, match=rf"for PCE at k={text} is not u\^5 times"):
+            short_part(parse_word("PCE"), k)
 
 
 @pytest.mark.parametrize(
@@ -380,6 +416,15 @@ def test_charpoly_via_transfer_postcondition_raises(monkeypatch):
     )
     with pytest.raises(CertificateError):
         charpoly_via_transfer(parse_word("PCE"), 1)
+
+
+def test_route_rejects_k_and_counts_out_of_domain():
+    for k in (0, -2):
+        with pytest.raises(ParameterError, match="k must be positive"):
+            transfer.transfer_u(parse_word("PCE"), k)
+    for counts in ((3, 2, 2), (2, 0, 0)):  # more P and C than modules; tau < 3
+        with pytest.raises(ParameterError, match="invalid counts"):
+            transfer.long_cycle_monomial(*counts, 1)
 
 
 @pytest.mark.parametrize("k", [1, Rat(7, 3), Rat(2, 5), Rat(10**12, 7)])

@@ -2,8 +2,11 @@
 
 The route multiplies packed integers around the 2x2 blocks Y, which it
 evaluates at one k from the (k, v) polynomials that the identities are
-proven on; these helpers keep the older, independent forms: X_TABLE
-evaluated at one k in rationals, the 4x4 table u^4 Q X_kind, a product of
+proven on, and it holds Q, 2R and S as integer tables, inverting R only
+through adj(2R) / det(2R).  These helpers keep the older, independent
+forms, in rationals: Q, R and S as matrices of `Rat`, their products and a
+Gauss-Jordan inverse, the weights of Y = S R^-1 X R derived with them,
+X_TABLE evaluated at one k, the 4x4 table u^4 Q X_kind, a product of
 matrices whose entries are integer coefficient lists, and the matrices X,
 Y and U at one point, derived and written out by hand.
 """
@@ -11,10 +14,72 @@ Y and U at one point, derived and written out by hand.
 import functools
 import math
 
-from cospec.errors import ParameterError
+from cospec.errors import ParameterError, ShapeError
 from cospec.rationals import Rat
-from cospec.transfer import X_TABLE, mat_inv, mat_mul, q_matrix, r_matrix, s_matrix
+from cospec.transfer import X_TABLE
 from polynomial_reference import Polynomial
+
+
+def mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise ShapeError("matrix dimensions do not match")
+    return [[sum((x * y for x, y in zip(row, col)), Rat(0)) for col in zip(*b)] for row in a]
+
+
+def mat_inv(matrix):
+    """Exact inverse via Gauss-Jordan; raises ShapeError if singular."""
+    n = len(matrix)
+    m = [list(row) + [Rat(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            raise ShapeError("matrix is singular")
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        pivot = m[col][col]
+        m[col] = [x / pivot for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def q_matrix():
+    """0/1 transition matrix between signed-vertex usage states."""
+    return [
+        [Rat(1), Rat(1), Rat(1), Rat(1)],
+        [Rat(1), Rat(1), Rat(1), Rat(1)],
+        [Rat(1), Rat(0), Rat(1), Rat(0)],
+        [Rat(1), Rat(0), Rat(1), Rat(0)],
+    ]
+
+
+def r_matrix():
+    half = Rat(1, 2)
+    return [
+        [Rat(1), Rat(-1), Rat(1), Rat(1)],
+        [Rat(1), Rat(-1), Rat(0), Rat(0)],
+        [half, Rat(1), Rat(0), Rat(-1)],
+        [half, Rat(1), Rat(-2), Rat(0)],
+    ]
+
+
+def s_matrix():
+    zero = Rat(0)
+    m = [[zero] * 4 for _ in range(4)]
+    m[0][0] = Rat(3)
+    m[1][2] = Rat(1)
+    return m
+
+
+def y_weights():
+    """(c, e) with integers c[i][j][s] = e (S R^-1)[i][s] R[s][j] and e the
+    least common denominator, by the Gauss-Jordan inverse of R."""
+    r = r_matrix()
+    left = mat_mul(s_matrix(), mat_inv(r))
+    weights = [[[left[i][s] * r[s][j] for s in range(4)] for j in range(2)] for i in range(2)]
+    e = math.lcm(*(x.denominator for row in weights for entry in row for x in entry))
+    return [[[int(x * e) for x in entry] for entry in row] for row in weights], e
 
 
 def x_diagonal_v(kind: str, k):
