@@ -11,7 +11,7 @@ everything to 2x2 blocks Y_*, and the matrix U intertwines
 Y_P with Y_C while commuting with Y_E, which forces trace invariance
 under toggling.  X_TABLE holds u^4 X_kind as integer polynomials in k and
 v = u^2, and the blocks Y_kind built from it are integer polynomials in
-(k, v) too (`_y_poly_block`).  `certify_identities` proves the identities
+(k, v) too (`_y_blocks`).  `certify_identities` proves the identities
 on those blocks as polynomials, so for every k > 0 and t not in {0, 1, 2}
 at once, and the kernel evaluates the very same blocks at one k.  The
 route needs nothing from the other two and works in integers: Q, R2 and
@@ -29,10 +29,11 @@ the trace, which packs u^{4 tau} tr(prod).  The radix is proven wide
 enough: with |M| the largest row sum of the entries' coefficient
 1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
 chosen with 2^(B-1) above that, so balanced base-2^B digits read the
-coefficients back.  Each k's blocks are built once and packed once per
-radix.  Dividing by u^{4 tau - n} gives (t - 1)^n tr(prod) in u; the
-division must be exact and leave degree <= n, which certifies that
-(t - 1)^n clears every denominator.
+coefficients back.  The tables key every cache: the (k, v) blocks are
+derived once per table state, and built at each k once per state and
+packed once per radix.  Dividing by u^{4 tau - n} gives (t - 1)^n
+tr(prod) in u; the division must be exact and leave degree <= n, which
+certifies that (t - 1)^n clears every denominator.
 """
 
 from __future__ import annotations
@@ -66,35 +67,44 @@ X_TABLE = {
 U_TABLE = (((-2, 20), (-4, -32)), ((1, 8), (2, -20)))
 
 
-@functools.cache
-def _y_weights():
-    """(c, e) with integers c[i][j][s] = e (S R^-1)[i][s] R[s][j], so that
-    Y_kind[i][j] = sum_s c[i][j][s] X_kind[s][s] / e: X_kind is diagonal.
-    As R^-1 = 2 adj(R2) / det(R2), (S R^-1)[i][s] R[s][j] is
-    (S adj(R2))[i][s] R2[s][j] / det(R2), reduced here by the gcd of all of
-    them.  A constant, built on first use."""
-    r2 = _constant(R2)
-    left = _pmat_mul(_constant(S), _adj(r2))
-    weights = [[[left[i][s].get((0, 0), 0) * R2[s][j] for s in range(4)] for j in range(2)]
+def _tables() -> tuple:
+    """The tables as they stand, the key of every cache below."""
+    return R2, S, X_TABLE["P"], X_TABLE["C"], X_TABLE["E"]
+
+
+@functools.lru_cache(maxsize=1)
+def _y_blocks(tables: tuple) -> tuple:
+    """(e, blocks), derived once per value of its key, the tables from
+    `_tables()`: blocks[kind] = e 4(k+1)^2 u^4 Y_kind, 2x2 integer
+    polynomials in (k, v).  As X_kind is diagonal and R^-1 = 2 adj(R2) /
+    det(R2), Y_kind[i][j] sums (S adj(R2))[i][s] R2[s][j] X_kind[s][s] /
+    det(R2); e is det(R2) over the gcd of it and all those weights."""
+    r2, s_table, *x_tables = tables
+    left = _pmat_mul(_constant(s_table), _adj(_constant(r2)))
+    weights = [[[left[i][s].get((0, 0), 0) * r2[s][j] for s in range(4)] for j in range(2)]
                for i in range(2)]
-    det = _pdet(r2).get((0, 0), 0)
+    det = _pdet(_constant(r2)).get((0, 0), 0)
     g = math.gcd(det, *(c for row in weights for entry in row for c in entry)) or 1
-    return [[[c // g for c in entry] for entry in row] for row in weights], det // g
+    blocks = {}
+    for kind, x_table in zip("PCE", x_tables):
+        xs = [{(i, j): c for j, ks in enumerate(entry) for i, c in enumerate(ks) if c}
+              for entry in x_table]
+        blocks[kind] = [[_padd(*({key: w // g * c for key, c in x.items()}
+                                 for w, x in zip(ws, xs))) for ws in row] for row in weights]
+    return det // g, blocks
 
 
 @functools.lru_cache(maxsize=21)
-def _integral_blocks(p: int, q: int) -> tuple:
-    """(blocks, packed) at k = p/q > 0, built once per k and shared by every
-    caller, so only `_short_kernel` may change them: it adds to packed the
+def _integral_blocks(tables: tuple, p: int, q: int) -> tuple:
+    """(blocks, packed) at k = p/q > 0, built once per (`_tables()`, k) and
+    shared, so only `_short_kernel` may change them: it adds to packed the
     three blocks packed at each radix it meets.  blocks[kind] is (d, block,
-    norm): `_y_poly_block(kind)`, the block `certify_identities` proves, at k
-    (times q^D, D = max(2, its degree in k), each entry is an integer triple
-    in v over 4 e (p+q)^2 q^(D-2)) with the common factor d divided out, and
-    norm the largest row sum of the entries' coefficient 1-norms."""
-    _, e = _y_weights()
+    norm): `_y_blocks`' block at k (times q^D, D = max(2, its degree in k),
+    each entry an integer triple in v over 4 e (p+q)^2 q^(D-2)) with the
+    common factor d divided out, and norm the largest row sum of 1-norms."""
+    e, polys = _y_blocks(tables)
     blocks = {}
-    for kind in "PCE":
-        poly = _y_poly_block(kind)
+    for kind, poly in polys.items():
         deg = max([2] + [i for row in poly for entry in row for i, _ in entry])
         entries = [[[sum(c * p**i * q ** (deg - i) for (i, j), c in entry.items() if j == v)
                      for v in range(3)] for entry in row] for row in poly]
@@ -133,7 +143,7 @@ def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
     of the module docstring.  Raises CertificateError unless the trace is
     u^{4 tau - n} times a polynomial of degree <= n, i.e. unless (t-1)^n
     clears every denominator."""
-    blocks, packed = _integral_blocks(p, q)
+    blocks, packed = _integral_blocks(_tables(), p, q)
     tau = len(letters)
     counts = (("P", ell), ("C", m), ("E", tau - ell - m))
     bits = _radix_bits([blocks[kind][2] ** c for kind, c in counts])
@@ -229,16 +239,6 @@ def _constant(matrix):
     return [[{(0, 0): c} if c else {} for c in row] for row in matrix]
 
 
-def _y_poly_block(kind: str):
-    """e 4(k+1)^2 u^4 Y_kind, e from `_y_weights`, as a 2x2 matrix of
-    integer polynomials in (k, v), read from X_TABLE."""
-    xs = [{(i, j): c for j, ks in enumerate(entry) for i, c in enumerate(ks) if c}
-          for entry in X_TABLE[kind]]
-    weights, _ = _y_weights()
-    return [[_padd(*({key: w * c for key, c in x.items()} for w, x in zip(ws, xs)))
-             for ws in row] for row in weights]
-
-
 def certify_identities() -> list:
     """Prove the identities behind the toggle symmetry for every k > 0 and
     t not in {0, 1, 2}.
@@ -257,7 +257,7 @@ def certify_identities() -> list:
     """
     r2 = _constant(R2)
     det_r2 = _pdet(r2)
-    yp, yc, ye = (_y_poly_block(kind) for kind in "PCE")
+    yp, yc, ye = _y_blocks(_tables())[1].values()
     u = [[{(0, j): c for j, c in enumerate(entry) if c} for entry in row] for row in U_TABLE]
     sides = {
         "Q = R S R^-1": ([[det_r2]] + [[_pmul(det_r2, x) for x in row] for row in _constant(Q)],

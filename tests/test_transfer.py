@@ -51,8 +51,13 @@ def test_y_weights_match_the_gauss_jordan_derivation():
     assert [list(row) for row in transfer.Q] == q_matrix()
     assert [list(row) for row in transfer.R2] == [[2 * x for x in row] for row in r_matrix()]
     assert [list(row) for row in transfer.S] == s_matrix()
+    # with X = diag(1, k, k^2, k^3) in every kind, Y[i][j]'s k^s coefficient
+    # is the weight of state s
+    powers = tuple(((0,) * s + (1,), (), ()) for s in range(4))
+    e, blocks = transfer._y_blocks((transfer.R2, transfer.S) + (powers,) * 3)
+    weights = [[[entry.get((s, 0), 0) for s in range(4)] for entry in row] for row in blocks["P"]]
     expected = ([[[8, 4, 4, 2], [-8, -4, 8, 4]], [[2, -2, 1, -1], [-2, 2, 2, -2]]], 6)
-    assert transfer._y_weights() == y_weights() == expected
+    assert (weights, e) == y_weights() == expected
 
 
 def test_x_e_corner_entry():
@@ -131,29 +136,21 @@ def evaluate(poly, k, v):
 def test_build_transfer_identities(k, t):
     # the certificate's blocks, polynomials in (k, v) over e 4(k+1)^2 v^2,
     # are the hand-written closed forms at each sample point
-    _, e = transfer._y_weights()
+    e, blocks = transfer._y_blocks(transfer._tables())
     v = (t - 1) ** 2
     den = e * 4 * (k + 1) ** 2 * v * v
     for kind in "PCE":
-        block = [[evaluate(p, k, v) / den for p in row] for row in transfer._y_poly_block(kind)]
+        block = [[evaluate(p, k, v) / den for p in row] for row in blocks[kind]]
         assert block == y_block_reference(kind, k, t)
 
 
-@pytest.fixture
-def fresh_weights():
-    """Weights cached from a patched S or R2 must not outlive the test."""
-    transfer._y_weights.cache_clear()
-    yield
-    transfer._y_weights.cache_clear()
-
-
-def test_identity_checks_raise(monkeypatch, fresh_weights):
+def test_identity_checks_raise(monkeypatch):
     monkeypatch.setattr(transfer, "S", ((1,) * 4,) * 4)
     with pytest.raises(IdentityCheckError, match=r"Q = R S R\^-1; S rows 2-3 = 0"):
         certify_identities()
 
 
-def test_singular_r2_fails_only_q(monkeypatch, fresh_weights):
+def test_singular_r2_fails_only_q(monkeypatch):
     # a rank-1 R2 has adj(R2) = 0, so every Y block is zero and the U
     # identities hold; det(R2) = 72 is what rejects it
     monkeypatch.setattr(transfer, "R2", (transfer.R2[0],) * 4)
@@ -161,7 +158,8 @@ def test_singular_r2_fails_only_q(monkeypatch, fresh_weights):
         certify_identities()
 
 
-P_TABLE, C_TABLE, U_TABLE = transfer.X_TABLE["P"], transfer.X_TABLE["C"], transfer.U_TABLE
+P_TABLE, C_TABLE, E_TABLE = (transfer.X_TABLE[kind] for kind in "PCE")
+R2_TABLE, U_TABLE = transfer.R2, transfer.U_TABLE
 
 
 @pytest.mark.parametrize(
@@ -174,18 +172,17 @@ P_TABLE, C_TABLE, U_TABLE = transfer.X_TABLE["P"], transfer.X_TABLE["C"], transf
         # U[0][0] = 20v - 2 -> 21v - 2
         ("U_TABLE", (((-2, 21), (-4, -32)),) + U_TABLE[1:]),
         # 2R[3][3] = 0 -> 1, which also fails Q = R S R^-1
-        ("R2", transfer.R2[:3] + ((1, 2, -4, 1),)),
+        ("R2", R2_TABLE[:3] + ((1, 2, -4, 1),)),
     ],
     ids=["table-coefficient", "c-weight-k", "u-entry", "r2-entry"],
 )
-def test_identities_mutation_exits_1(capsys, monkeypatch, fresh_weights, name, value):
+def test_identities_mutation_exits_1(capsys, monkeypatch, name, value):
     assert main(["identities"]) == 0
     capsys.readouterr()
     if name in ("U_TABLE", "R2"):
         monkeypatch.setattr(transfer, name, value)
     else:
         monkeypatch.setitem(transfer.X_TABLE, name, value)
-    transfer._y_weights.cache_clear()  # the passing run above cached R2's weights
     assert main(["identities"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "U Y_P = Y_C U" in err
@@ -193,11 +190,55 @@ def test_identities_mutation_exits_1(capsys, monkeypatch, fresh_weights, name, v
     assert ("det U" in err) == (name == "U_TABLE")
 
 
+Q_AND_U_Y = "Q = R S R^-1; U Y_P = Y_C U; U Y_C = Y_P U; U Y_E = Y_E U"
+
+
+@pytest.mark.parametrize(
+    "name,value,word,failing",
+    [
+        ("R2", R2_TABLE[:3] + ((1, 2, -4, 1),), None, Q_AND_U_Y),  # 2R[3][3] = 0 -> 1
+        ("S", ((3, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 0), (0, 0, 0, 0)), None, Q_AND_U_Y),
+        ("U_TABLE", (((-2, 21), (-4, -32)),) + U_TABLE[1:], None,  # U[0][0] = 21v - 2
+         "U Y_P = Y_C U; U Y_C = Y_P U; U Y_E = Y_E U; det U = -144 v (v - 1)"),
+        # P's "+" entry -2k^2 v -> -3k^2 v; C's empty entry -4k^2 v -> -3k^2 v;
+        # E's "+/-" entry -k^2 v -> -2k^2 v
+        ("P", (P_TABLE[0], ((), (0, -2, -3), ())) + P_TABLE[2:], "PPP",
+         "U Y_P = Y_C U; U Y_C = Y_P U"),
+        ("C", (((), (0, 0, -3), (4, 8, 4)),) + C_TABLE[1:], "CCC", "U Y_P = Y_C U; U Y_C = Y_P U"),
+        ("E", E_TABLE[:3] + (((), (-1, -2, -2), ()),), "EEE", "U Y_E = Y_E U"),
+    ],
+    ids=["r2", "s", "u-table", "x-p", "x-c", "x-e"],
+)
+def test_a_table_patched_after_passing_runs_takes_effect(capsys, monkeypatch, name, value, word,
+                                                         failing):
+    # no cache is cleared: after passing runs, the patch fails the same
+    # identities, and verify, as it does when patched before a process's
+    # first call; restored, both pass again
+    argvs = [["identities"]]
+    if word:
+        argvs.append(["verify", "--word", word, "--k", "2", "--method", "all"])
+
+    def run():
+        codes = [main(argv) for argv in argvs]
+        return codes, capsys.readouterr().err
+
+    assert run()[0] == [0] * len(argvs)
+    if name in transfer.X_TABLE:
+        monkeypatch.setitem(transfer.X_TABLE, name, value)
+    else:
+        monkeypatch.setattr(transfer, name, value)
+    codes, err = run()
+    assert codes == [1] * len(argvs)
+    assert err.startswith(f"error: identities fail as polynomials in (k, v): {failing}\n")
+    monkeypatch.undo()
+    assert run()[0] == [0] * len(argvs)
+
+
 @pytest.mark.parametrize("kind", "PCE")
 @pytest.mark.parametrize("k", sample_ks)
 def test_y_blocks_match_reference_forms(kind, k):
     # the kernel's integer block d u^4 Y at v = (t-1)^2, over d u^4
-    d, block, _ = transfer._integral_blocks(k.numerator, k.denominator)[0][kind]
+    d, block, _ = transfer._integral_blocks(transfer._tables(), k.numerator, k.denominator)[0][kind]
     for t in sample_ts:
         v = (t - 1) ** 2
         kernel = [[sum(c * v**p for p, c in enumerate(entry)) / (d * v * v) for entry in row]
@@ -334,16 +375,7 @@ def test_transfer_u_matches_schoolbook_reference(w, k):
     assert Polynomial.from_u_coefficients(*charpoly) == expected
 
 
-@pytest.fixture
-def fresh_blocks():
-    """Integer blocks cached before a test that patches the tables would hide
-    the patch, and blocks built from the patch must not outlive the test."""
-    transfer._integral_blocks.cache_clear()
-    yield
-    transfer._integral_blocks.cache_clear()
-
-
-def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch, fresh_blocks):
+def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch):
     # u^4 X = constant means X ~ u^-4: (t-1)^n cannot clear tau such factors
     for kind in "PCE":  # 4(k+1)^2 u^4 X = 4(k+1)^2 in every state
         monkeypatch.setitem(transfer.X_TABLE, kind, (((4, 8, 4), (), ()),) * 4)
@@ -362,7 +394,7 @@ def test_short_part_certificate_rejects_uncleared_denominators(monkeypatch, fres
     ],
 )
 def test_one_table_coefficient_fails_the_proof_and_the_kernel(
-    capsys, monkeypatch, fresh_blocks, kind, state, power, value, word
+    capsys, monkeypatch, kind, state, power, value, word
 ):
     # the kernel multiplies the blocks the proof reads: a wrong table entry
     # fails both, the kernel against the exact route
@@ -374,7 +406,6 @@ def test_one_table_coefficient_fails_the_proof_and_the_kernel(
     table = list(transfer.X_TABLE[kind])
     table[state] = tuple(entry)
     monkeypatch.setitem(transfer.X_TABLE, kind, tuple(table))
-    transfer._integral_blocks.cache_clear()
     with pytest.raises(IdentityCheckError):
         certify_identities()
     assert main(argv) == 1
@@ -382,30 +413,44 @@ def test_one_table_coefficient_fails_the_proof_and_the_kernel(
     assert ('"transfer_matches_exact": false' in out) or err.startswith("error: ")
 
 
-def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch, fresh_blocks):
+def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch):
+    # -R2 conjugates as R2 does, so the blocks are the same, but it is a new
+    # table state, with nothing derived from it yet
+    monkeypatch.setattr(transfer, "R2", tuple(tuple(-x for x in row) for row in transfer.R2))
+    derived, evaluated, packs = [], [], []
+    adj, y_blocks, pack = transfer._adj, transfer._y_blocks, transfer._pack
+    # _adj runs once per (k, v) derivation, and each k's evaluation reads _y_blocks once
+    monkeypatch.setattr(transfer, "_adj", lambda m: derived.append(1) or adj(m))
+    monkeypatch.setattr(transfer, "_y_blocks", lambda tables: evaluated.append(1) or y_blocks(tables))
     k = Rat(5, 7)
     ws = [parse_word(s) for s in ("PCE", "PPCCE", "EEE", "CCCPEP")]
     polys = [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws]
     # blocks served from the cache give the same polynomials
     assert [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws] == polys
-    # one entry per k holds the three kinds' blocks, and at most 21 k are kept
-    assert transfer._integral_blocks.cache_info().misses == 1
-    assert transfer._integral_blocks.cache_info().maxsize == 21
     assert all(p == short_part_via_qx(w, k) for w, (p, _) in zip(ws, polys))
-    den, block, norm = transfer._integral_blocks(5, 7)[0]["P"]
+    assert (len(derived), len(evaluated)) == (1, 1)
+    _, block, _ = transfer._integral_blocks(transfer._tables(), 5, 7)[0]["P"]
     assert isinstance(block, tuple) and all(isinstance(row, tuple) for row in block)
     # a one-k scan builds the three kinds' blocks once and packs each of
     # them once at each radix its words need
-    transfer._integral_blocks.cache_clear()
-    packs, pack = [], transfer._pack
     monkeypatch.setattr(transfer, "_pack", lambda b, bits: packs.append((b, bits)) or pack(b, bits))
     assert main(["scan", "--tau-max", "4", "--k", "3/7", "--method", "transfer"]) == 0
     capsys.readouterr()
-    assert transfer._integral_blocks.cache_info().misses == 1
-    blocks = transfer._integral_blocks(3, 7)[0]
+    assert (len(derived), len(evaluated)) == (1, 2)
+    blocks = transfer._integral_blocks(transfer._tables(), 3, 7)[0]
     radices = {transfer._radix_bits([blocks[x][2] for x in w.letters])
                for w in canonical_words(3, 4)}
     assert sorted(packs) == sorted((b, bits) for bits in radices for _, b, _ in blocks.values())
+    # at most 21 k are kept, the least recently used going first: after 21
+    # more k, 1/11 is kept, 22/11 drops 2/11, and 2/11 is built again
+    for j in list(range(1, 22)) + [1, 22, 2, 1]:
+        transfer.transfer_u(ws[0], Rat(j, 11))
+    assert (len(derived), len(evaluated)) == (1, 2 + 23)
+    # the restored table is one more state, derived once
+    monkeypatch.setattr(transfer, "R2", R2_TABLE)
+    for k in (Rat(1, 11), Rat(5, 7)):
+        transfer.transfer_u(ws[0], k)
+    assert (len(derived), len(evaluated)) == (2, 2 + 23 + 2)
 
 
 def test_charpoly_via_transfer_postcondition_raises(monkeypatch):
