@@ -11,12 +11,13 @@ from .graphs import (
     WeightedGraph,
     assemble_ring,
     build_module_gadget,
+    eigenvalues_numeric,
     export_graph,
     normalized_laplacian,
     random_walk_matrix,
     subgraph_after_symmetry,
 )
-from .linalg import eigenvalues_numeric, exact_u
+from .linalg import exact_u
 from .rationals import Rat
 from .transfer import certify_identities, transfer_u
 from .words import Word, canonical_form, parse_word, toggle
@@ -25,9 +26,9 @@ __all__ = [
     "blow_up", "is_simple", "scale_weights", "simple_blowup_recipe",
     "oracle_u",
     "WeightedGraph", "assemble_ring", "build_module_gadget",
-    "export_graph", "normalized_laplacian", "random_walk_matrix",
-    "subgraph_after_symmetry",
-    "eigenvalues_numeric", "exact_u",
+    "eigenvalues_numeric", "export_graph", "normalized_laplacian",
+    "random_walk_matrix", "subgraph_after_symmetry",
+    "exact_u",
     "Rat",
     "certify_identities", "transfer_u",
     "Word", "canonical_form", "parse_word", "toggle",

@@ -36,11 +36,12 @@ from .errors import (
 )
 from .graphs import (
     assemble_ring,
+    eigenvalues_numeric,
     export_graph,
     non_isomorphism_witness,
     subgraph_after_symmetry,
 )
-from .linalg import eigenvalues_numeric, exact_u
+from .linalg import exact_u
 from .polynomials import t_json
 from .rationals import BACKEND, parse_rat, rat_str
 from .transfer import certify_identities, transfer_u

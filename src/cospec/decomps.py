@@ -5,7 +5,7 @@ Summing the weighted terms over all decompositions reproduces the
 characteristic polynomial of the normalized Laplacian.  The oracle reads
 only the graph, never its ring structure or the other two routes.  (The
 decompositions as objects, their terms one by one, the walk that lists
-them and the long-cycle references live with the tests, on `_parts`.)
+them and the long-cycle references live with the tests.)
 
 The term of D is (-1)^e 2^s u^j prod_{E(D)} w / prod_{V(D)} d with
 u = t - 1 and j = n - |V(D)| (isolated edges count twice in the weight
@@ -47,7 +47,7 @@ DEFAULT_BUDGET = 10_000_000
 
 def _parts(g: WeightedGraph, budget: int) -> tuple:
     """(heads, degree): heads[v] lists the parts whose least vertex is v,
-    as (vertex bitmask, vertex tuple, factor), and degree[v] is D_v.
+    as (vertex bitmask, factor), and degree[v] is D_v.
 
     The parts are the isolated edges (v, u) with -W^2, then the cycles with
     +-2 prod W.  Each cycle found counts against the budget, since a cycle
@@ -59,8 +59,7 @@ def _parts(g: WeightedGraph, budget: int) -> tuple:
     nbrs = [list(adj.items()) for adj in g.scaled_adj]  # [(u, W_uv)], W over L
     # a vertex of degree 0 is never covered, so its factor cancels; D_v = 1 keeps P nonzero
     degree = [d or 1 for d in g.scaled_degrees]
-    heads = [[(1 << v | 1 << u, (v, u), -w * w) for u, w in nbrs[v] if u > v]
-             for v in range(n)]
+    heads = [[(1 << v | 1 << u, -w * w) for u, w in nbrs[v] if u > v] for v in range(n)]
     ring = [[(v, w) for v, w in vs if len(nbrs[v]) > 1] for vs in nbrs]  # degree 1 closes no cycle
     found = 0
 
@@ -77,7 +76,7 @@ def _parts(g: WeightedGraph, budget: int) -> tuple:
                     if found > budget:
                         raise BudgetError(f"more than {budget} decompositions")
                     sign = -1 if len(path) % 2 == 0 else 1
-                    heads[start].append((mask, tuple(path), sign * product * w))
+                    heads[start].append((mask, sign * product * w))
             elif v > start and not mask >> v & 1:
                 path.append(v)
                 cycles(path, mask | 1 << v, product * w)
@@ -111,7 +110,7 @@ def oracle_u(g: WeightedGraph, budget: int = DEFAULT_BUDGET) -> tuple:
         key = decided | 1 << v
         rest, count = memo.get(key) or completions(key)  # v left out
         total = degree[v] * rest << bits
-        for mask, _, factor in heads[v]:
+        for mask, factor in heads[v]:
             if not decided & mask:
                 key = decided | mask
                 rest, more = memo.get(key) or completions(key)

@@ -38,7 +38,7 @@ class BudgetError(CospecError, RuntimeError):
 
 
 class NumericalError(CospecError, RuntimeError):
-    """Numeric eigensolver failed to converge, or numpy is not installed."""
+    """The numeric eigensolver failed to converge, or could not be loaded."""
 
 
 class CertificateError(CospecError, ArithmeticError):

@@ -1,4 +1,5 @@
-"""Module gadgets and ring assembly for the graph family.
+"""Module gadgets and ring assembly for the graph family, and the numeric
+spectrum (the package's only numpy use).
 
 `GADGETS` holds the P, C and E modules as edges on the poles +, - and the
 unsigned pair a, b, each weight the integer coefficients of 1, k and k^2.
@@ -157,6 +158,16 @@ def normalized_laplacian(g: WeightedGraph) -> "numpy.ndarray":
     for (u, v), x in g.scaled_weights.items():
         L[u, v] = L[v, u] = -math.sqrt(x * x / (d[u] * d[v]))
     return L
+
+
+def eigenvalues_numeric(g: WeightedGraph) -> "numpy.ndarray":
+    """Ascending real eigenvalues of `normalized_laplacian(g)`, which loads numpy."""
+    L = normalized_laplacian(g)
+    import numpy
+    try:
+        return numpy.linalg.eigvalsh(L)
+    except numpy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def random_walk_matrix(g: WeightedGraph):

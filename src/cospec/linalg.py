@@ -1,5 +1,4 @@
-"""The exact route: the characteristic polynomial from the matrix alone,
-and the numeric spectrum.
+"""The exact route: the characteristic polynomial from the matrix alone.
 
 The characteristic polynomial of the normalized Laplacian is computed
 without any floating point: L is similar to I - D^{-1}A, so
@@ -29,8 +28,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import CertificateError, DegreeError, NumericalError, ParameterError
-from .graphs import WeightedGraph, normalized_laplacian
+from .errors import CertificateError, DegreeError, ParameterError
+from .graphs import WeightedGraph
 from .polynomials import lowest_terms
 
 # Moduli for the multi-modular kernel.  Every bound B below 2^446 takes one
@@ -255,14 +254,3 @@ def exact_u(g: WeightedGraph) -> tuple:
             f"and t^{n - 1} coefficient {trace}/{den}, expected 0 and {-n}"
         )
     return coeffs, den
-
-
-def eigenvalues_numeric(g: WeightedGraph) -> "numpy.ndarray":
-    """Ascending real eigenvalues of the normalized Laplacian (numpy loads
-    in `normalized_laplacian`, which raises NumericalError without it)."""
-    L = normalized_laplacian(g)
-    import numpy
-    try:
-        return numpy.linalg.eigvalsh(L)
-    except numpy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc

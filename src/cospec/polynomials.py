@@ -40,9 +40,9 @@ def balanced_digits(value: int, bits: int, count: int) -> list:
 
 
 def t_json(coeffs, den) -> list:
-    """The t-coefficients of sum_i coeffs[i] (t - 1)^i / den, a pair in
-    lowest terms, as "p/q" strings, constant term first: a Pascal-triangle
-    Taylor shift in integers, then one gcd per coefficient with den."""
+    """The t-coefficients of sum_i coeffs[i] (t - 1)^i / den, den > 0, as
+    "p/q" strings, constant term first: a Pascal-triangle Taylor shift, then
+    one gcd per coefficient with den, so a pair prints as its lowest terms do."""
     a = list(coeffs)
     for i in range(len(a) - 1):
         for j in range(len(a) - 2, i - 1, -1):

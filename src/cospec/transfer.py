@@ -29,11 +29,11 @@ the trace, which packs u^{4 tau} tr(prod).  The radix is proven wide
 enough: with |M| the largest row sum of the entries' coefficient
 1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
 chosen with 2^(B-1) above that, so balanced base-2^B digits read the
-coefficients back.  The tables key every cache: the (k, v) blocks are
-derived once per table state, and built at each k once per state and
-packed once per radix.  Dividing by u^{4 tau - n} gives (t - 1)^n
-tr(prod) in u; the division must be exact and leave degree <= n, which
-certifies that (t - 1)^n clears every denominator.
+coefficients back.  The tables key both caches: the (k, v) blocks are
+derived once per table state and built at each k once per state; each
+call packs the kinds its word uses.  Dividing by u^{4 tau - n} gives
+(t - 1)^n tr(prod) in u; the division must be exact and leave degree
+<= n, which certifies that (t - 1)^n clears every denominator.
 """
 
 from __future__ import annotations
@@ -94,17 +94,16 @@ def _y_blocks(tables: tuple) -> tuple:
     return det // g, blocks
 
 
-@functools.lru_cache(maxsize=21)
+@functools.cache
 def _integral_blocks(tables: tuple, p: int, q: int) -> tuple:
-    """(blocks, packed) at k = p/q > 0, built once per (`_tables()`, k) and
-    shared, so only `_short_kernel` may change them: it adds to packed the
-    three blocks packed at each radix it meets.  blocks[kind] is (d, block,
-    norm): `_y_blocks`' block at k (times q^D, D = max(2, its degree in k),
-    each entry an integer triple in v over 4 e (p+q)^2 q^(D-2)) with the
-    common factor d divided out, and norm the largest row sum of 1-norms."""
+    """The (den, block, norm) triples of P, C and E at k = p/q > 0, built
+    once per (`_tables()`, k), as nested tuples: `_y_blocks`' block at k
+    (times q^D, D = max(2, its degree in k), each entry an integer triple
+    in v over 4 e (p+q)^2 q^(D-2)) with the common factor divided out of it
+    and den, and norm the largest row sum of its 1-norms."""
     e, polys = _y_blocks(tables)
-    blocks = {}
-    for kind, poly in polys.items():
+    triples = []
+    for poly in polys.values():
         deg = max([2] + [i for row in poly for entry in row for i, _ in entry])
         entries = [[[sum(c * p**i * q ** (deg - i) for (i, j), c in entry.items() if j == v)
                      for v in range(3)] for entry in row] for row in poly]
@@ -112,8 +111,8 @@ def _integral_blocks(tables: tuple, p: int, q: int) -> tuple:
         g = math.gcd(den, *(c for row in entries for entry in row for c in entry))
         block = tuple(tuple(tuple(c // g for c in entry) for entry in row) for row in entries)
         norm = max(sum(abs(c) for entry in row for c in entry) for row in block)
-        blocks[kind] = den // g, block, norm
-    return blocks, {}
+        triples.append((den // g, block, norm))
+    return tuple(triples)
 
 
 def _radix_bits(norms) -> int:
@@ -143,13 +142,11 @@ def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
     of the module docstring.  Raises CertificateError unless the trace is
     u^{4 tau - n} times a polynomial of degree <= n, i.e. unless (t-1)^n
     clears every denominator."""
-    blocks, packed = _integral_blocks(_tables(), p, q)
+    triples = _integral_blocks(_tables(), p, q)
     tau = len(letters)
-    counts = (("P", ell), ("C", m), ("E", tau - ell - m))
-    bits = _radix_bits([blocks[kind][2] ** c for kind, c in counts])
-    mats = packed.get(bits)
-    if mats is None:
-        mats = packed[bits] = {kind: _pack(block, bits) for kind, (_, block, _) in blocks.items()}
+    counts = (ell, m, tau - ell - m)
+    bits = _radix_bits([norm ** c for (_, _, norm), c in zip(triples, counts)])
+    mats = {kind: _pack(block, bits) for kind, (_, block, _), c in zip("PCE", triples, counts) if c}
     trace_v = balanced_digits(_packed_trace([mats[x] for x in letters]), bits, 2 * tau + 1)
     u_coeffs = [0] * (2 * len(trace_v))
     u_coeffs[::2] = trace_v
@@ -159,7 +156,7 @@ def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
         k = p if q == 1 else f"{p}/{q}"
         raise CertificateError(f"u^{4 * tau} tr(prod) for {letters} at k={k} is not "
                                f"u^{low} times a polynomial of degree <= {n}")
-    return u_coeffs[low:low + n + 1], math.prod(blocks[kind][0] ** c for kind, c in counts)
+    return u_coeffs[low:low + n + 1], math.prod(den ** c for (den, _, _), c in zip(triples, counts))
 
 
 def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:
@@ -178,11 +175,12 @@ def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:
 
 def transfer_u(w: Word, k) -> tuple:
     """(charpoly, short part) of G(w) from one kernel run, each as
-    (coeffs, den) in lowest terms: sum_i coeffs[i] u^i / den, u = t - 1.
+    (coeffs, den): sum_i coeffs[i] u^i / den, u = t - 1.
 
-    The charpoly is the kernel's short part plus the long-cycle monomial,
-    summed over one common denominator; it must be monic of degree n
-    (coeffs[n] = den), or CertificateError is raised.
+    The charpoly is the kernel's short part plus the long-cycle monomial
+    over one common denominator, in lowest terms; it must be monic of
+    degree n (coeffs[n] = den), or CertificateError is raised.  The short
+    part is handed on as computed (`t_json` prints it as its lowest terms).
     """
     k = as_rat(k)
     ell, m, n = w.ell, w.m, w.n
@@ -194,7 +192,7 @@ def transfer_u(w: Word, k) -> tuple:
     coeffs, den = lowest_terms(coeffs, den)
     if len(coeffs) != n + 1 or coeffs[-1] != den:
         raise CertificateError(f"transfer charpoly of {w} at k={k} is not monic of degree {n}")
-    return (coeffs, den), lowest_terms(short, scale)
+    return (coeffs, den), (short, scale)
 
 
 # Polynomials in (k, v) with integer coefficients: {(i, j): c} for c k^i v^j.

@@ -1,8 +1,9 @@
-"""The decomposition oracle's references, on its cycle table.
+"""The decomposition oracle's references, on a search of their own.
 
 `cospec.decomps` sums the terms over each walk state once and never
 builds a decomposition.  `_walk` here visits every decomposition, one
-leaf each, on the same table of parts (`decomps._parts`), and is the
+leaf each, on a table of edges and cycles that `_parts` finds by its own
+search (not `decomps._parts`, whose table it checks), and is the
 brute-force reference the summation is tested against.  On top of it
 these helpers build each decomposition as an object, its term as a
 rational (the reference the walk's integers are tested against), and the
@@ -13,13 +14,47 @@ beside the closed forms it must equal.
 import math
 from dataclasses import dataclass
 
-from cospec.decomps import DEFAULT_BUDGET, _parts
+from cospec.decomps import DEFAULT_BUDGET, MAX_VERTICES
 from cospec.errors import BudgetError, ParameterError, ShapeError
 from cospec.graphs import WeightedGraph
 from cospec.polynomials import lowest_terms
 from cospec.rationals import Rat
 from cospec.transfer import long_cycle_monomial
 from polynomial_reference import Polynomial
+
+
+def _parts(g: WeightedGraph, budget: int) -> tuple:
+    """(heads, degree): heads[v] lists the edges (v, u), u > v, then the
+    cycles whose least vertex is v, each as (vertex bitmask, vertex tuple,
+    factor), and degree[v] is D_v (1 if v is isolated).  An edge's factor
+    is -W^2, a cycle's (-1)^(its length + 1) 2 prod W.  A cycle is found
+    from its least vertex along both directions and kept in the one whose
+    second vertex is smaller than its last; each found counts against the
+    budget, since a cycle on its own is a decomposition."""
+    n = g.n
+    if n > MAX_VERTICES:
+        raise BudgetError(f"n={n} exceeds the oracle limit of {MAX_VERTICES}")
+    adj = g.scaled_adj
+    heads = [[(1 << v | 1 << u, (v, u), -w * w) for u, w in adj[v].items() if u > v]
+             for v in range(n)]
+    found = 0
+
+    def extend(path):
+        nonlocal found
+        for v in adj[path[-1]]:
+            if v == path[0] and len(path) >= 3 and path[1] < path[-1]:
+                found += 1
+                if found > budget:
+                    raise BudgetError(f"more than {budget} decompositions")
+                product = math.prod(adj[a][b] for a, b in zip(path, path[1:] + path[:1]))
+                heads[path[0]].append((sum(1 << x for x in path), tuple(path),
+                                       (-1) ** (len(path) + 1) * 2 * product))
+            elif v > path[0] and v not in path:
+                extend(path + [v])
+
+    for s in range(n):
+        extend([s])
+    return heads, [d or 1 for d in g.scaled_degrees]
 
 
 def _walk(g: WeightedGraph, budget: int, leaf) -> int:

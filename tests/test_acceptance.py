@@ -13,10 +13,10 @@ from cospec.blowup import blow_up, is_simple, scale_weights, simple_blowup_recip
 from cospec.graphs import (
     WeightedGraph,
     assemble_ring,
+    eigenvalues_numeric,
     normalized_laplacian,
     subgraph_after_symmetry,
 )
-from cospec.linalg import eigenvalues_numeric
 from cospec.rationals import Rat
 from cospec.transfer import certify_identities
 from cospec.words import Word, canonical_form, canonical_words, parse_word, toggle

@@ -10,8 +10,7 @@ from cospec.blowup import (
     solve_uniform_multiplicities,
 )
 from cospec.errors import ParameterError, RecipeError, ShapeError
-from cospec.graphs import WeightedGraph, assemble_ring, normalized_laplacian
-from cospec.linalg import eigenvalues_numeric
+from cospec.graphs import WeightedGraph, assemble_ring, eigenvalues_numeric, normalized_laplacian
 from cospec.rationals import Rat
 from cospec.words import parse_word
 from blowup_reference import split_e_chain

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from cospec import linalg
 from cospec.decomps import oracle_u
 from cospec.errors import CertificateError, DegreeError, ParameterError
-from cospec.graphs import WeightedGraph, assemble_ring, random_walk_matrix
-from cospec.linalg import eigenvalues_numeric, exact_u
+from cospec.graphs import WeightedGraph, assemble_ring, eigenvalues_numeric, random_walk_matrix
+from cospec.linalg import exact_u
 from cospec.polynomials import lowest_terms, t_json
 from cospec.rationals import Rat
 from cospec.transfer import transfer_u

@@ -41,22 +41,37 @@ def test_routes_import_none_of_each_other():
         assert not imports & others, (route, sorted(imports & others))
 
 
+def imported_names(path: Path) -> list:
+    """Every name a source file imports, in full: `cospec.graphs.WeightedGraph`
+    for `from .graphs import WeightedGraph`, `numpy` for `import numpy`."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cospec" if node.level else "", node.module]))
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    return names
+
+
 def test_routes_work_in_integers():
     # Fraction only parses and prints: a route takes k in through as_rat and
     # imports nothing else of the rationals
     for route in ROUTES:
-        for node in ast.walk(ast.parse((PACKAGE / f"{route}.py").read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = ".".join(filter(None, ["cospec" if node.level else "", node.module]))
-                names = [f"{module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            for name in names:
-                assert name.split(".")[0] != "fractions", (route, name)
-                assert name == "cospec.rationals.as_rat" or not name.startswith("cospec.rationals"), (
-                    route, name)
+        for name in imported_names(PACKAGE / f"{route}.py"):
+            assert name.split(".")[0] != "fractions", (route, name)
+            assert name == "cospec.rationals.as_rat" or not name.startswith("cospec.rationals"), (
+                route, name)
+
+
+def test_routes_import_no_numpy_and_only_the_graph_class():
+    # the numeric spectrum lives in graphs: a route is exact arithmetic on
+    # a WeightedGraph (or a word) and takes nothing else from graphs
+    for route in ROUTES:
+        for name in imported_names(PACKAGE / f"{route}.py"):
+            assert name.split(".")[0] != "numpy", (route, name)
+            assert name == "cospec.graphs.WeightedGraph" or not name.startswith("cospec.graphs"), (
+                route, name)
 
 
 def test_package_imports_no_test_code():

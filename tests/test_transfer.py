@@ -5,10 +5,10 @@ from cospec import transfer
 from cospec.cli import main
 from cospec.errors import CertificateError, IdentityCheckError, ParameterError
 from cospec.graphs import assemble_ring
-from cospec.polynomials import balanced_digits
+from cospec.polynomials import balanced_digits, lowest_terms, t_json
 from cospec.rationals import Rat
 from cospec.transfer import certify_identities
-from cospec.words import canonical_words, parse_word, toggle
+from cospec.words import canonical_words, parse_word, toggle, toggle_classes
 from polynomial_reference import Polynomial, charpoly_exact, charpoly_via_transfer, short_part
 from transfer_reference import (
     mat_inv,
@@ -238,7 +238,8 @@ def test_a_table_patched_after_passing_runs_takes_effect(capsys, monkeypatch, na
 @pytest.mark.parametrize("k", sample_ks)
 def test_y_blocks_match_reference_forms(kind, k):
     # the kernel's integer block d u^4 Y at v = (t-1)^2, over d u^4
-    d, block, _ = transfer._integral_blocks(transfer._tables(), k.numerator, k.denominator)[0][kind]
+    blocks = transfer._integral_blocks(transfer._tables(), k.numerator, k.denominator)
+    d, block, _ = blocks["PCE".index(kind)]
     for t in sample_ts:
         v = (t - 1) ** 2
         kernel = [[sum(c * v**p for p, c in enumerate(entry)) / (d * v * v) for entry in row]
@@ -417,8 +418,8 @@ def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch):
     # -R2 conjugates as R2 does, so the blocks are the same, but it is a new
     # table state, with nothing derived from it yet
     monkeypatch.setattr(transfer, "R2", tuple(tuple(-x for x in row) for row in transfer.R2))
-    derived, evaluated, packs = [], [], []
-    adj, y_blocks, pack = transfer._adj, transfer._y_blocks, transfer._pack
+    derived, evaluated = [], []
+    adj, y_blocks = transfer._adj, transfer._y_blocks
     # _adj runs once per (k, v) derivation, and each k's evaluation reads _y_blocks once
     monkeypatch.setattr(transfer, "_adj", lambda m: derived.append(1) or adj(m))
     monkeypatch.setattr(transfer, "_y_blocks", lambda tables: evaluated.append(1) or y_blocks(tables))
@@ -429,28 +430,32 @@ def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch):
     assert [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws] == polys
     assert all(p == short_part_via_qx(w, k) for w, (p, _) in zip(ws, polys))
     assert (len(derived), len(evaluated)) == (1, 1)
-    _, block, _ = transfer._integral_blocks(transfer._tables(), 5, 7)[0]["P"]
-    assert isinstance(block, tuple) and all(isinstance(row, tuple) for row in block)
-    # a one-k scan builds the three kinds' blocks once and packs each of
-    # them once at each radix its words need
-    monkeypatch.setattr(transfer, "_pack", lambda b, bits: packs.append((b, bits)) or pack(b, bits))
-    assert main(["scan", "--tau-max", "4", "--k", "3/7", "--method", "transfer"]) == 0
+    # the cached value is nested tuples: it hashes (else TypeError), and nothing can change it
+    hash(transfer._integral_blocks(transfer._tables(), 5, 7))
+    # a scan names each k once per class: over 22 k, each k's blocks are
+    # still built once (2,046 times under a 21-k bound)
+    ks = ",".join(f"{j}/29" for j in range(1, 23))
+    assert main(["scan", "--tau-max", "6", "--k", ks, "--method", "transfer"]) == 0
     capsys.readouterr()
-    assert (len(derived), len(evaluated)) == (1, 2)
-    blocks = transfer._integral_blocks(transfer._tables(), 3, 7)[0]
-    radices = {transfer._radix_bits([blocks[x][2] for x in w.letters])
-               for w in canonical_words(3, 4)}
-    assert sorted(packs) == sorted((b, bits) for bits in radices for _, b, _ in blocks.values())
-    # at most 21 k are kept, the least recently used going first: after 21
-    # more k, 1/11 is kept, 22/11 drops 2/11, and 2/11 is built again
-    for j in list(range(1, 22)) + [1, 22, 2, 1]:
-        transfer.transfer_u(ws[0], Rat(j, 11))
-    assert (len(derived), len(evaluated)) == (1, 2 + 23)
+    assert (len(derived), len(evaluated)) == (1, 1 + 22)
     # the restored table is one more state, derived once
     monkeypatch.setattr(transfer, "R2", R2_TABLE)
-    for k in (Rat(1, 11), Rat(5, 7)):
+    for k in (Rat(1, 31), Rat(2, 31)):
         transfer.transfer_u(ws[0], k)
-    assert (len(derived), len(evaluated)) == (2, 2 + 23 + 2)
+    assert (len(derived), len(evaluated)) == (2, 1 + 22 + 2)
+
+
+@pytest.mark.parametrize("k", [Rat(1), Rat(7, 3), Rat(5, 7), Rat(997, 13)])
+def test_short_part_prints_as_its_lowest_terms(k):
+    # transfer_u hands the short part on as the kernel computed it
+    reduced = 0
+    for w, _ in toggle_classes(3, 7):
+        for x in (w, toggle(w)):
+            short = transfer.transfer_u(x, k)[1]
+            lowest = lowest_terms(*short)
+            assert t_json(*short) == t_json(*lowest)
+            reduced += lowest != (tuple(short[0]), short[1])
+    assert reduced > 0
 
 
 def test_charpoly_via_transfer_postcondition_raises(monkeypatch):
