@@ -14,7 +14,6 @@ from .graphs import (
     eigenvalues_numeric,
     export_graph,
     normalized_laplacian,
-    random_walk_matrix,
     subgraph_after_symmetry,
 )
 from .linalg import exact_u
@@ -27,7 +26,7 @@ __all__ = [
     "oracle_u",
     "WeightedGraph", "assemble_ring", "build_module_gadget",
     "eigenvalues_numeric", "export_graph", "normalized_laplacian",
-    "random_walk_matrix", "subgraph_after_symmetry",
+    "subgraph_after_symmetry",
     "exact_u",
     "Rat",
     "certify_identities", "transfer_u",

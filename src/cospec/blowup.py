@@ -1,6 +1,11 @@
 """From weighted graphs to simple graphs: scaling, independent-set
-blowups, and splitting chains of edge modules into parallel paths, all on
-a graph's integer weights W over its scale s (W / s is integral iff s | W).
+blowups, and the recipe that makes a ring simple at integer k, all on a
+graph's integer weights W over its scale s (W / s is integral iff s | W).
+
+The recipe splits each run of two or more E modules, a path of weight
+k + 1 edges, into k + 1 parallel unit paths, and gives every unsigned
+vertex multiplicity k.  A lone E module raises RecipeError; a ring of E
+modules only is rescaled to unit weights instead.
 """
 
 from __future__ import annotations
@@ -69,67 +74,6 @@ def blow_up(g: WeightedGraph, multiplicity: dict) -> WeightedGraph:
     return WeightedGraph(total, edges, scale=g.scale * c)
 
 
-def _split_chains(g: WeightedGraph, chains):
-    """Replace each chain (a vertex path) by w parallel unit-weight paths.
-
-    Returns (new_graph, old_to_new vertex map); interior chain vertices
-    have no image.  Chains must be vertex-disjoint paths of length >= 2
-    whose edges all carry one equal integer weight >= 2 and whose
-    interior vertices have no other incident edges.
-    """
-    s = g.scale
-    interior = set()
-    removed_edges = set()
-    new_vertices = new_edges = 0
-    for chain in chains:
-        if len(chain) < 3:
-            raise ShapeError("chain must contain at least two edges")
-        ws = set()
-        for x, y in zip(chain, chain[1:]):
-            key = (x, y) if x < y else (y, x)
-            if key not in g.scaled_weights:
-                raise ShapeError(f"chain step ({x},{y}) is not an edge")
-            ws.add(g.scaled_weights[key])
-            removed_edges.add(key)
-        if len(ws) != 1:
-            raise ShapeError(f"chain edges carry unequal weights {sorted(str(Rat(w, s)) for w in ws)}")
-        (w,) = ws
-        if w % s or w < 2 * s:
-            raise ParameterError(f"chain weight must be an integer >= 2, got {Rat(w, s)}")
-        new_vertices += w // s * (len(chain) - 2)
-        new_edges += w // s * (len(chain) - 1)
-        for x in chain[1:-1]:
-            if x in interior:
-                raise ShapeError("chains must be vertex-disjoint")
-            if len(g.scaled_adj[x]) != 2:
-                raise ShapeError(f"interior chain vertex {x} has extra edges")
-            interior.add(x)
-    _check_size(g.n - len(interior) + new_vertices, g.edge_count - len(removed_edges) + new_edges)
-
-    old_to_new = {}
-    next_id = 0
-    for v in range(g.n):
-        if v not in interior:
-            old_to_new[v] = next_id
-            next_id += 1
-    edges = [
-        (old_to_new[u], old_to_new[v], x)
-        for (u, v), x in g.scaled_weights.items()
-        if (u, v) not in removed_edges
-    ]
-    for chain in chains:
-        a, b = old_to_new[chain[0]], old_to_new[chain[-1]]
-        hops = len(chain) - 1
-        for _ in range(g.scaled_adj[chain[0]][chain[1]] // s):
-            prev = a
-            for _step in range(hops - 1):
-                edges.append((prev, next_id, s))
-                prev = next_id
-                next_id += 1
-            edges.append((prev, b, s))
-    return WeightedGraph(next_id, edges, scale=s), old_to_new
-
-
 def is_simple(g: WeightedGraph) -> bool:
     """True iff every edge weight is exactly 1."""
     return all(x == g.scale for x in g.scaled_weights.values())
@@ -155,19 +99,35 @@ def _recipe_one(word: Word, k: int) -> WeightedGraph:
         # uniform-weight cycle: rescaling to unit weights already gives a
         # simple graph with the same normalized Laplacian
         return scale_weights(g, Rat(1, k + 1))
-    chains = []
-    for run in _edge_module_runs(word):
+    runs = _edge_module_runs(word)
+    for run in runs:
         if len(run) == 1:
             raise RecipeError(
                 f"isolated E module at position {run[0]} keeps weight {k + 1}; "
                 "a lone edge cannot be split into parallel paths "
                 "(scale the weights first and use a plain blowup instead)"
             )
-        # the signed vertices from the run's first "+" pole to its last "-" pole
-        chains.append(tuple(g.signed[i % word.tau] for i in range(run[0], run[0] + len(run) + 1)))
-    split, old_to_new = _split_chains(g, chains)
-    multiplicity = {old_to_new[v]: k for pair in g.unsigned if pair is not None for v in pair}
-    result = blow_up(split, multiplicity)
+    # a run of E modules spans the signed vertices from its first "+" pole to
+    # its last "-" pole; those strictly inside touch only the run's edges,
+    # and the split makes k + 1 of each of them and of each run edge
+    interior = {g.signed[i] for run in runs for i in run[1:]}
+    _check_size(g.n + k * len(interior), g.edge_count + k * (len(interior) + len(runs)))
+    index = {v: i for i, v in enumerate(v for v in range(g.n) if v not in interior)}
+    edges = [(index[u], index[v], x) for (u, v), x in g.scaled_weights.items()
+             if u in index and v in index]
+    # each run's weight-(k+1) path becomes k+1 parallel unit paths
+    n = len(index)
+    for run in runs:
+        a, b = index[g.signed[run[0]]], index[g.signed[(run[-1] + 1) % word.tau]]
+        for _copy in range(k + 1):
+            prev = a
+            for _step in range(len(run) - 1):
+                edges.append((prev, n, g.scale))
+                prev = n
+                n += 1
+            edges.append((prev, b, g.scale))
+    multiplicity = {index[v]: k for pair in g.unsigned if pair is not None for v in pair}
+    result = blow_up(WeightedGraph(n, edges, scale=g.scale), multiplicity)
     if not is_simple(result):
         raise RecipeError(f"blowup of {word} at k={k} left non-unit weights")
     return result
@@ -176,8 +136,8 @@ def _recipe_one(word: Word, k: int) -> WeightedGraph:
 def simple_blowup_recipe(w: Word, k: int):
     """Blow both G(W) and G(W^T) up into certified simple graphs.
 
-    Unsigned vertices get multiplicity k and maximal chains of at least
-    two consecutive E edges become k+1 parallel paths.
+    Unsigned vertices get multiplicity k and each maximal run of at least
+    two E modules becomes k+1 parallel unit paths.
     """
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"recipe needs a positive integer k, got {k!r}")

@@ -170,14 +170,6 @@ def eigenvalues_numeric(g: WeightedGraph) -> "numpy.ndarray":
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def random_walk_matrix(g: WeightedGraph):
-    """Row-stochastic transition matrix D^{-1}A as exact rationals."""
-    if g.has_isolated_vertex():
-        raise DegreeError("graph has an isolated vertex")
-    return [[Rat(g.scaled_adj[i].get(j, 0), g.scaled_degrees[i]) for j in range(g.n)]
-            for i in range(g.n)]
-
-
 def _alignment_map(g1: WeightedGraph, g2: WeightedGraph, offset: int, reverse: bool):
     """Vertex map g1 -> g2 aligning module i to offset+i (or offset-i)."""
     tau = g1.word.tau

@@ -4,12 +4,15 @@
 denominator, u = t - 1, and prints t only in its JSON (`t_json`).
 `Polynomial` holds exact rational coefficients in t, with the arithmetic
 the references and the tests build expected values with; the wrappers
-below shift each route's (coeffs, den) pair into it.
+below shift each route's (coeffs, den) pair into it.  `random_walk_matrix`
+is D^-1 A as rationals, the matrix the tests eliminate over at single
+points to check the exact route.
 """
 
 import math
 
 from cospec import decomps, linalg, transfer
+from cospec.errors import DegreeError
 from cospec.rationals import Rat, rat_str
 
 _ZERO = Rat(0)
@@ -124,6 +127,14 @@ class Polynomial:
 def charpoly_exact(g) -> Polynomial:
     """The exact route's characteristic polynomial of L, in t."""
     return Polynomial.from_u_coefficients(*linalg.exact_u(g))
+
+
+def random_walk_matrix(g):
+    """Row-stochastic transition matrix D^{-1}A as exact rationals."""
+    if g.has_isolated_vertex():
+        raise DegreeError("graph has an isolated vertex")
+    return [[Rat(g.scaled_adj[i].get(j, 0), g.scaled_degrees[i]) for j in range(g.n)]
+            for i in range(g.n)]
 
 
 def charpoly_random_walk(g) -> Polynomial:

@@ -12,8 +12,8 @@ from cospec.blowup import (
 from cospec.errors import ParameterError, RecipeError, ShapeError
 from cospec.graphs import WeightedGraph, assemble_ring, eigenvalues_numeric, normalized_laplacian
 from cospec.rationals import Rat
-from cospec.words import parse_word
-from blowup_reference import split_e_chain
+from cospec.words import MIN_LENGTH, Word, canonical_words, parse_word, toggle
+from blowup_reference import recipe_by_chains, split_e_chain
 
 
 def ring(word, k=1):
@@ -168,6 +168,28 @@ def test_recipe_rejects_noninteger_k():
         simple_blowup_recipe(parse_word("PPP"), Rat(1, 2))
 
 
+def split_words(tau_max):
+    """Every spelling (rotation or reflection) of every class with tau <= tau_max
+    whose E modules all lie in runs of two or more, with at least one run."""
+    for w in canonical_words(MIN_LENGTH, tau_max):
+        spellings = {s[i:] + s[:i] for s in (w.letters, w.letters[::-1]) for i in range(w.tau)}
+        for letters in sorted(spellings):
+            runs = blowup._edge_module_runs(Word(letters))  # none for an all-E word
+            if runs and all(len(run) >= 2 for run in runs):
+                yield Word(letters)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_recipe_equals_the_general_chain_splitter(k):
+    words = list(split_words(6))
+    # runs that wrap past vertex 0 are included
+    assert {"EEP", "EPE", "EEPE", "EPPE"} <= {w.letters for w in words}
+    for w in words:
+        want = recipe_by_chains(w, k), recipe_by_chains(toggle(w), k)
+        for got, ref in zip(simple_blowup_recipe(w, k), want):
+            assert (got.n, got.scale, got.scaled_weights) == (ref.n, ref.scale, ref.scaled_weights), (w, k)
+
+
 def test_recipe_all_e_word():
     b1, b2 = simple_blowup_recipe(parse_word("EEEE"), 2)
     assert is_simple(b1) and spectra_match(b1, b2)
@@ -193,18 +215,24 @@ def test_solver_scaled_ecc():
 
 @pytest.mark.parametrize("build", [
     lambda: blow_up(ring("CCC", 2), {v: 3 for v in range(0, 9, 2)}),
-    lambda: split_e_chain(WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 3)]), [0, 1, 2, 3]),
+    # at k = 1 every multiplicity is 1: the recipe's own split stage meets the limit first
+    lambda: simple_blowup_recipe(parse_word("EEEPCC"), 1)[0],
 ])
 def test_size_limits_count_the_graph_before_building_it(monkeypatch, build):
     g = build()
     monkeypatch.setattr(blowup, "MAX_BLOWUP_VERTICES", g.n)
     monkeypatch.setattr(blowup, "MAX_BLOWUP_EDGES", g.edge_count)
     assert build().edge_count == g.edge_count
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built past the size limit")
+
     for name, limit in (("MAX_BLOWUP_VERTICES", g.n), ("MAX_BLOWUP_EDGES", g.edge_count)):
-        monkeypatch.setattr(blowup, name, limit - 1)
-        with pytest.raises(RecipeError, match=f"{g.n} vertices and {g.edge_count} edges"):
-            build()
-        monkeypatch.setattr(blowup, name, limit)
+        with monkeypatch.context() as m:
+            m.setattr(blowup, name, limit - 1)
+            m.setattr(blowup, "WeightedGraph", refuse)
+            with pytest.raises(RecipeError, match=f"{g.n} vertices and {g.edge_count} edges"):
+                build()
 
 
 def test_solver_takes_the_least_r0():

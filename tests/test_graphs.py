@@ -15,11 +15,11 @@ from cospec.graphs import (
     export_graph,
     non_isomorphism_witness,
     normalized_laplacian,
-    random_walk_matrix,
     subgraph_after_symmetry,
 )
 from cospec.rationals import Rat
 from cospec.words import canonical_words, parse_word, toggle, toggle_classes
+from polynomial_reference import random_walk_matrix
 
 words = st.text(alphabet="PCE", min_size=3, max_size=8).map(parse_word)
 ks = st.sampled_from([Rat(1), Rat(2), Rat(1, 2), Rat(7, 3)])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from cospec import linalg
 from cospec.decomps import oracle_u
 from cospec.errors import CertificateError, DegreeError, ParameterError
-from cospec.graphs import WeightedGraph, assemble_ring, eigenvalues_numeric, random_walk_matrix
+from cospec.graphs import WeightedGraph, assemble_ring, eigenvalues_numeric
 from cospec.linalg import exact_u
 from cospec.polynomials import lowest_terms, t_json
 from cospec.rationals import Rat
@@ -18,6 +18,7 @@ from polynomial_reference import (
     charpoly_exact,
     charpoly_random_walk,
     charpoly_via_decompositions,
+    random_walk_matrix,
 )
 
 words = st.text(alphabet="PCE", min_size=3, max_size=6).map(parse_word)
