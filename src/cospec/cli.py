@@ -6,6 +6,9 @@ prints its graph as indented JSON, or as DOT or CSV with `--format`.
 Exit codes live on the error classes (`cospec.errors`): an error prints
 one `error:` line and exits with its `exit_code`; a failed check exits as
 a failed certificate does, and a `scan` that skipped a pair as a budget.
+
+`verify` and `scan` decide by the routes' exact charpolys alone; only
+`spectrum` and `blowup` compute a float spectrum, and so load numpy.
 """
 
 from __future__ import annotations
@@ -61,11 +64,6 @@ def _report(args, payload: dict, summary: str, *, passed=True, skipped=False) ->
     return BudgetError.exit_code if skipped else 0
 
 
-def _eig_gap(g1, g2) -> float:
-    e1, e2 = eigenvalues_numeric(g1), eigenvalues_numeric(g2)
-    return float(abs(e1 - e2).max())
-
-
 def _compare(checks: dict, route: str, pairs: list, exact) -> None:
     """Record a route's checks: its polynomials, as (coeffs, den) pairs in
     lowest terms, agree on the two sides, and on G(w) it matches the exact
@@ -76,9 +74,12 @@ def _compare(checks: dict, route: str, pairs: list, exact) -> None:
         checks[f"{route}_matches_exact"] = pairs[0] == exact
 
 
-def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *, trivial: bool,
+def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
                  compare_trivial: bool = True) -> dict:
     """Check G(w) against G(toggle(w)) by each route `method` names; trivial = is_self_toggle(w).
+
+    The verdict is the routes' exact charpolys alone: equal charpolys are
+    equal spectra, multiplicities included, so no float check is made.
 
     With compare_trivial=False a self-toggle class, whose two graphs are
     one graph relabelled, is checked alone: only the cross-route checks
@@ -123,9 +124,6 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *, trivial: b
             _compare(checks, "oracle", oracles, exact)
     if len(sides) == 2:
         g1, g2 = graphs
-        gap = _eig_gap(g1, g2)
-        entry["eigenvalue_gap"] = gap
-        checks["eigenvalues_agree"] = gap <= tol
         sparse, dense = (g1, g2) if g1.edge_count <= g2.edge_count else (g2, g1)
         entry["subgraph_sparse_in_dense"] = subgraph_after_symmetry(sparse, dense)
         entry["witness"] = non_isomorphism_witness(g1, g2)
@@ -138,7 +136,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, tol: float, *, trivial: b
 def cmd_verify(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
     k = parse_rat(args.k)
-    entry = _verify_pair(w, k, args.method, args.budget, args.tol, trivial=is_self_toggle(w))
+    entry = _verify_pair(w, k, args.method, args.budget, trivial=is_self_toggle(w))
     status = "PASS" if entry["pass"] else "FAIL"
     summary = f"verify {w} vs {entry['toggled_word']} (k={rat_str(k)}): {status}"
     return _report(args, {"backend": BACKEND, "result": entry}, summary, passed=entry["pass"])
@@ -155,8 +153,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for w, trivial in toggle_classes(3, args.tau_max):
         for k in ks:
             try:
-                entry = _verify_pair(w, k, args.method, args.budget, args.tol,
-                                     trivial=trivial, compare_trivial=False)
+                entry = _verify_pair(w, k, args.method, args.budget, trivial=trivial,
+                                     compare_trivial=False)
             except BudgetError as exc:
                 entries.append({"word": str(w), "k": rat_str(k),
                                 "trivial": trivial, "skipped": str(exc)})
@@ -227,7 +225,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
             pair.append(blow_up(g, reps))
         b1, b2 = pair
         specs = {"recipe": "scale-then-blowup", "scale": rat_str(scale)}
-    gap = _eig_gap(b1, b2)
+    gap = float(abs(eigenvalues_numeric(b1) - eigenvalues_numeric(b2)).max())
     simple = [is_simple(b1), is_simple(b2)]
     ok = all(simple) and gap <= args.tol
     if args.out:
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, run, help, *, word=False, k=False, fmt=False, method=False,
-            budget=False, tol=False, out=None):
+            budget=False, out=None):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         if word:
@@ -333,21 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="most decompositions the oracle may enumerate")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-9,
-                           help="largest accepted numeric eigenvalue gap")
         if out:
             p.add_argument("--out", default="", help=out)
         return p
 
     add("verify", cmd_verify, "check one toggled pair by all methods", word=True, k=True,
-        method=True, budget=True, tol=True)
+        method=True, budget=True)
     scan = add("scan", cmd_scan, "verify every cyclic word class up to a length", method=True,
-               budget=True, tol=True)
+               budget=True)
     scan.add_argument("--tau-max", type=int, required=True)
     scan.add_argument("--k", default="1/1,2/1,1/2", help="comma-separated k values")
     blow = add("blowup", cmd_blowup, "emit a simple cospectral pair of blowups", word=True,
-               k=True, fmt=True, tol=True, out="directory for the two blowup files")
+               k=True, fmt=True)
+    blow.add_argument("--tol", type=float, default=1e-9,
+                      help="largest accepted numeric eigenvalue gap")
+    blow.add_argument("--out", default="", help="directory for the two blowup files")
     blow.add_argument("--scale", default="1", help="pre-scale edge weights")
     add("identities", cmd_identities,
         "prove the transfer-matrix identities for all k > 0, t not in {0, 1, 2}")

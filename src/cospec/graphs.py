@@ -1,5 +1,5 @@
 """Module gadgets and ring assembly for the graph family, and the numeric
-spectrum (the package's only numpy use).
+spectrum (the package's only numpy use; only `spectrum` and `blowup` read it).
 
 `GADGETS` holds the P, C and E modules as edges on the poles +, - and the
 unsigned pair a, b, each weight the integer coefficients of 1, k and k^2.

@@ -55,7 +55,7 @@ def test_verify_bad_k(capsys):
     "argv",
     [
         ["verify", "--word", "PCE", "--k", "1/0"],
-        ["verify", "--word", "PCE", "--k", "1", "--tol", "nan", "--method", "exact"],
+        ["blowup", "--word", "EEEPCC", "--k", "2", "--tol", "nan"],
         ["blowup", "--word", "PCPC", "--k", "2", "--out", "{missing}"],
         ["verify", "--word", "PCE", "--k", ""],
         ["charpoly", "--word", "PCE", "--k", " "],
@@ -94,9 +94,11 @@ def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
         ["identities", "--k", "1"],
         ["identities", "--t", "3"],
         ["charpoly", "--word", "PCE", "--tol", "1"],
+        ["verify", "--word", "PCE", "--tol", "1e-9"],
+        ["scan", "--tau-max", "3", "--tol", "1e-9"],
     ],
     ids=["spectrum-out", "export-tol-budget", "identities-budget", "identities-k", "identities-t",
-         "charpoly-tol"],
+         "charpoly-tol", "verify-tol", "scan-tol"],
 )
 def test_options_a_command_does_not_read_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -122,8 +124,8 @@ def test_each_error_raised_in_a_command_exits_with_its_code(capsys, monkeypatch,
     assert captured.err == "error: raised inside the command\n"
 
 
-def test_tau_max_is_checked_before_tol(capsys):
-    code = main(["scan", "--tau-max", "13", "--tol", "nan"])
+def test_tau_max_is_checked_before_budget(capsys):
+    code = main(["scan", "--tau-max", "13", "--budget", "0"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: --tau-max must be in [3, 12], got 13\n"
@@ -239,7 +241,7 @@ def test_scan_trivial_entry_checks_one_graph(capsys):
         assert e["pass"] is True
         assert e["charpoly_exact"] == charpoly_exact(g).to_json()
         assert "short_part" in e
-        assert not {"eigenvalue_gap", "subgraph_sparse_in_dense", "witness"} & set(e)
+        assert not {"subgraph_sparse_in_dense", "witness"} & set(e)
     assert payload["summary"]["subgraph_hits"] == sum(
         1 for e in payload["entries"] if e.get("subgraph_sparse_in_dense"))
 
@@ -263,7 +265,33 @@ def test_verify_self_toggle_runs_every_check(capsys):
     assert code == 0
     result = payload["result"]
     assert result["trivial"] is True and result["witness"] is None
-    assert result["checks"] == {"exact_equal": True, "eigenvalues_agree": True}
+    assert result["checks"] == {"exact_equal": True}
+
+
+ROUTE_CHECKS = {
+    "exact": {"exact_equal"},
+    "transfer": {"transfer_equal"},
+    "oracle": {"oracle_equal"},
+    "all": {"exact_equal", "transfer_equal", "transfer_matches_exact", "oracle_equal",
+            "oracle_matches_exact"},
+}
+
+
+@pytest.mark.parametrize("method", sorted(ROUTE_CHECKS))
+def test_checks_are_the_routes_exact_comparisons_alone(capsys, method):
+    # no float check rides along: a pair passes on its exact charpolys
+    checks = ROUTE_CHECKS[method]
+    for word in ("PCE", "PCEE"):
+        code, payload, _ = run(capsys, "verify", "--word", word, "--k", "7/3", "--method", method)
+        result = payload["result"]
+        assert code == 0 and set(result["checks"]) == checks and "eigenvalue_gap" not in result
+    code, payload, _ = run(capsys, "scan", "--tau-max", "4", "--k", "7/3", "--method", method)
+    assert code == 0
+    for e in payload["entries"]:
+        # a trivial entry keeps only the cross-route checks
+        expected = {c for c in checks if c.endswith("_matches_exact")} if e["trivial"] else checks
+        assert set(e["checks"]) == expected, e["word"]
+        assert "eigenvalue_gap" not in e
 
 
 def test_scan_with_oracle_skipped_inside_pairs_exits_0(capsys):
@@ -407,6 +435,17 @@ def test_gadget_table_mutation_fails_only_the_transfer_comparison(capsys, monkey
     assert checks["oracle_matches_exact"] is True and checks["exact_equal"] is True
 
 
+@pytest.mark.parametrize("method, code, failures",
+                         [("transfer", 0, 0), ("exact", 1, 69), ("oracle", 1, 69), ("all", 1, 89)])
+def test_gadget_table_mutation_is_caught_by_the_routes_that_read_the_ring(
+        capsys, monkeypatch, method, code, failures):
+    # the transfer route reads its own table, not the ring, so alone it
+    # proves the pairs from that table; the other routes see the mutation
+    mutate_c_ab_weight(monkeypatch)
+    got, payload, _ = run(capsys, "scan", "--tau-max", "6", "--k", "2", "--method", method)
+    assert (got, payload["summary"]["failures"]) == (code, failures)
+
+
 def test_gadget_table_mutation_is_invisible_at_k_1(capsys, monkeypatch):
     # k^2 = k at k = 1, so the mutated table builds the same rings
     mutate_c_ab_weight(monkeypatch)
@@ -513,8 +552,8 @@ OPTION_VALUES = {
     "--out": (st.sampled_from(["{dir}", "{dir}/g.out"]), st.just("{dir}/missing/g.out")),
 }
 COMMAND_OPTIONS = {
-    "verify": ["--word", "--k", "--method", "--budget", "--tol"],
-    "scan": ["--tau-max", "--k", "--method", "--budget", "--tol"],
+    "verify": ["--word", "--k", "--method", "--budget"],
+    "scan": ["--tau-max", "--k", "--method", "--budget"],
     "blowup": ["--word", "--k", "--format", "--tol", "--out", "--scale"],
     "identities": [],
     "export": ["--word", "--k", "--format", "--out"],

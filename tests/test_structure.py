@@ -111,7 +111,8 @@ def test_exact_commands_never_load_numpy():
 import contextlib, io, sys
 from cospec.cli import main
 for argv in (["charpoly", "--word", "PCEP", "--k", "3/5", "--method", "all"],
-             ["identities"], ["export", "--word", "PCE"]):
+             ["identities"], ["export", "--word", "PCE"], ["verify", "--word", "PCE", "--k", "2"],
+             ["scan", "--tau-max", "4", "--k", "1,7/3", "--method", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     if code != 0:
@@ -124,16 +125,20 @@ if "numpy" in sys.modules:
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("argv", [["spectrum", "--word", "EEE"], ["verify", "--word", "PCE", "--k", "2"],
-                                  ["scan", "--tau-max", "3", "--k", "1"],
-                                  ["blowup", "--word", "EEEPCC", "--k", "2"]])
-def test_numeric_spectrum_without_numpy_exits_2(argv):
+@pytest.mark.parametrize("argv", [["spectrum", "--word", "EEE"],
+                                  ["blowup", "--word", "EEEPCC", "--k", "2"],
+                                  ["blowup", "--word", "ECC", "--k", "1", "--scale", "2"],
+                                  ["blowup", "--word", "EEEPCC", "--k", "2", "--out", "{dir}"]])
+def test_numeric_spectrum_without_numpy_exits_2(tmp_path, argv):
     # numpy blocked before cospec.cli is imported, as in a broken install
     script = ('import sys; sys.modules["numpy"] = None; from cospec.cli import main; '
               'sys.exit(main(sys.argv[1:]))')
+    argv = [a.format(dir=tmp_path) for a in argv]
     result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
     assert "Traceback" not in result.stderr
+    # blowup computes the gap before it writes either graph
+    assert not any(tmp_path.iterdir())
