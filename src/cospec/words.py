@@ -9,6 +9,7 @@ rotations, which names a class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import AlphabetError, LengthError
 
@@ -73,8 +74,10 @@ def toggle(w: Word) -> Word:
 
 
 def _least_spelling(s: str) -> str:
-    """The least string among all rotations of s and of its reversal."""
-    return min(t[i:] + t[:i] for t in (s, s[::-1]) for i in range(len(s)))
+    """The least string among all rotations of s and of its reversal; only
+    those that start with s's least letter can be least."""
+    low = min(s)
+    return min(t[i:] + t[:i] for t in (s, s[::-1]) for i in range(len(s)) if t[i] == low)
 
 
 def canonical_form(w: Word) -> Word:
@@ -92,7 +95,9 @@ def canonical_words(tau_min: int, tau_max: int):
     """Canonical representatives of all cyclic classes with tau in range, in
     order of each class's least P < C < E spelling: the FKM necklaces (Ruskey,
     Savage & Wang 1992) over 0 < 1 < 2, Lyndon words repeated to length tau, kept
-    when no rotation of their reversal is less, re-spelled as in canonical_form."""
+    when no rotation of their reversal is less, re-spelled as in canonical_form.
+    A necklace starts with its least digit, so only the rotations of its
+    reversal that start with that digit can be less."""
     for tau in range(tau_min, tau_max + 1):
         a = [-1]
         while a:
@@ -100,9 +105,9 @@ def canonical_words(tau_min: int, tau_max: int):
             if tau % len(a) == 0:
                 s = "".join(map(str, a)) * (tau // len(a))
                 r = s[::-1] * 2
-                if all(s <= r[i:i + tau] for i in range(tau)):
+                if all(s <= r[i:i + tau] for i in range(tau) if r[i] == s[0]):
                     yield Word(_least_spelling(s.translate(_SPELL)))
-            a = (a * tau)[:tau]
+            a = (a * (tau // len(a) + 1))[:tau]
             while a and a[-1] == 2:
                 a.pop()
 
@@ -110,10 +115,21 @@ def canonical_words(tau_min: int, tau_max: int):
 def toggle_classes(tau_min: int, tau_max: int):
     """(w, is_self_toggle(w)) for one canonical word w per unordered pair
     {w, toggle(w)} of classes, in canonical_words order: a class is left out
-    when its toggle partner's class came earlier (a self-toggle class is its own)."""
+    when its toggle partner's class came earlier (a self-toggle class is its own).
+    Each length's table is built once per process and yielded from then on."""
+    for tau in range(tau_min, tau_max + 1):
+        yield from _toggle_table(tau)
+
+
+@cache
+def _toggle_table(tau: int) -> tuple[tuple[Word, bool], ...]:
+    """toggle_classes(tau, tau) as a tuple. Toggling keeps a word's length,
+    so a partner never falls in another length's table."""
     partners = set()
-    for w in canonical_words(tau_min, tau_max):
+    table = []
+    for w in canonical_words(tau, tau):
         if w.letters not in partners:
             partner = _least_spelling(w.letters.translate(_TOGGLE))
             partners.add(partner)
-            yield w, partner == w.letters
+            table.append((w, partner == w.letters))
+    return tuple(table)

@@ -537,6 +537,17 @@ def test_cached_parser_is_reused_without_leaking_values(capsys):
     assert {"exact_equal", "transfer_equal", "oracle_equal"} <= set(verify["checks"])
 
 
+def test_scans_in_one_process_reuse_the_class_tables_unchanged(capsys, monkeypatch):
+    argv = ["scan", "--tau-max", "5", "--k", "7/3", "--method", "all"]
+    first = _outcome(capsys, argv)
+    assert first[0] == 0
+    assert _outcome(capsys, argv) == first
+    # the held tables list words only, so a later gadget mutation still reaches the rings
+    mutate_c_ab_weight(monkeypatch)
+    code, payload, _ = run(capsys, "scan", "--tau-max", "6", "--k", "2", "--method", "exact")
+    assert (code, payload["summary"]["failures"]) == (1, 69)
+
+
 # (usual values, malformed or out-of-domain values) for each option
 OPTION_VALUES = {
     "--word": (st.text(alphabet="PCE", min_size=3, max_size=5),

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from cospec import words as words_module
 from cospec.errors import AlphabetError, LengthError
 from cospec.graphs import assemble_ring, non_isomorphism_witness, subgraph_after_symmetry
 from cospec.words import (
@@ -131,6 +132,32 @@ def test_enumeration_matches_the_every_word_reference(tau):
     classes = list(toggle_classes(tau, tau))
     assert classes == list(words_reference.toggle_classes(tau, tau))
     assert all(trivial == is_self_toggle(w) for w, trivial in classes)
+
+
+@pytest.mark.parametrize("tau_min, tau_max", [(3, 8), (5, 7)])
+def test_toggle_classes_over_a_range_match_the_reference(tau_min, tau_max):
+    # the per-length tables chain into one sequence, as one pass over the range would
+    assert list(toggle_classes(tau_min, tau_max)) == list(
+        words_reference.toggle_classes(tau_min, tau_max))
+
+
+def test_toggle_classes_build_each_length_once(monkeypatch):
+    lengths = []
+    original = words_module.canonical_words
+
+    def counted(tau_min, tau_max):
+        lengths.append((tau_min, tau_max))
+        return original(tau_min, tau_max)
+
+    monkeypatch.setattr(words_module, "canonical_words", counted)
+    words_module._toggle_table.cache_clear()
+    first = list(toggle_classes(3, 6))
+    second = list(toggle_classes(3, 6))
+    assert len(first) == len(second) == 93
+    assert all(a is b for pair, again in zip(first, second) for a, b in zip(pair, again))
+    assert lengths == [(3, 3), (4, 4), (5, 5), (6, 6)]
+    list(toggle_classes(5, 8))
+    assert lengths[4:] == [(7, 7), (8, 8)]
 
 
 def test_self_toggle_classes_tau7():
