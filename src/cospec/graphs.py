@@ -12,6 +12,7 @@ pole of module i and the "-" pole of module i-1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Optional
@@ -31,16 +32,23 @@ GADGETS = {
 
 def build_module_gadget(kind: str, k) -> tuple:
     """`GADGETS[kind]` at k = p/q > 0 as (edges, scale): edges (label, label, x)
-    of weight x / scale, with scale = q^2."""
+    of weight x / scale, with scale = q^2.  The row is evaluated once per
+    (row value, k) and kept, so a patched `GADGETS` row takes effect at the
+    next call."""
     k = as_rat(k)
     p, q = k.numerator, k.denominator
     if p <= 0:
         raise ParameterError(f"module parameter k must be positive, got {k}")
     if kind not in GADGETS:
         raise ParameterError(f"unknown module kind {kind!r}")
+    return _gadget_at(GADGETS[kind], p, q)
+
+
+@functools.cache
+def _gadget_at(row: tuple, p: int, q: int) -> tuple:
+    """A `GADGETS` row at k = p/q as `build_module_gadget` returns it."""
     qq, pq, pp = q * q, p * q, p * p
-    edges = tuple((a, b, c0 * qq + c1 * pq + c2 * pp) for a, b, (c0, c1, c2) in GADGETS[kind])
-    return edges, qq
+    return tuple((a, b, c0 * qq + c1 * pq + c2 * pp) for a, b, (c0, c1, c2) in row), qq
 
 
 class WeightedGraph:

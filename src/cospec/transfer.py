@@ -29,11 +29,13 @@ the trace, which packs u^{4 tau} tr(prod).  The radix is proven wide
 enough: with |M| the largest row sum of the entries' coefficient
 1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
 chosen with 2^(B-1) above that, so balanced base-2^B digits read the
-coefficients back.  The tables key both caches: the (k, v) blocks are
-derived once per table state and built at each k once per state; each
-call packs the kinds its word uses.  Dividing by u^{4 tau - n} gives
-(t - 1)^n tr(prod) in u; the division must be exact and leave degree
-<= n, which certifies that (t - 1)^n clears every denominator.
+coefficients back.  The tables key every cache: the (k, v) blocks are
+derived once per table state, built at each k once per state, and packed
+once per (state, k, letter counts) at the radix of those counts, so a
+call forms only the packed trace and reads its digits back.  Dividing by
+u^{4 tau - n} gives (t - 1)^n tr(prod) in u; the division must be exact
+and leave degree <= n, which certifies that (t - 1)^n clears every
+denominator.
 """
 
 from __future__ import annotations
@@ -136,17 +138,31 @@ def _packed_trace(mats) -> int:
     return a * e + b * g + c * f + d * h
 
 
+@functools.cache
+def _packed_blocks(tables: tuple, p: int, q: int, counts: tuple) -> tuple:
+    """(bits, mats, den) for a word with counts = (ell, m, e) P, C and E
+    modules at k = p/q > 0, built once per (`_tables()`, k, counts) from
+    `_integral_blocks`, as nested tuples: bits the word's radix, `_radix_bits`
+    of norm^count over the kinds; mats a (kind, block packed at v = 2^bits)
+    pair for each kind the word uses; den the product of den^count."""
+    triples = _integral_blocks(tables, p, q)
+    bits = _radix_bits([norm ** c for (_, _, norm), c in zip(triples, counts)])
+    mats = tuple((kind, _pack(block, bits))
+                 for kind, (_, block, _), c in zip("PCE", triples, counts) if c)
+    return bits, mats, math.prod(den ** c for (den, _, _), c in zip(triples, counts))
+
+
 def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
     """(c, d) with (t-1)^n tr(prod_i Y_{letter_i}) = sum_i c[i] u^i / d for
     the word with ell P and m C modules at k = p/q > 0, by the packed product
-    of the module docstring.  Raises CertificateError unless the trace is
-    u^{4 tau - n} times a polynomial of degree <= n, i.e. unless (t-1)^n
-    clears every denominator."""
-    triples = _integral_blocks(_tables(), p, q)
+    of the module docstring.  The radix, the packed blocks and d depend only
+    on k and the letter counts, and come from `_packed_blocks`; each call
+    forms the trace and reads its digits back.  Raises CertificateError
+    unless the trace is u^{4 tau - n} times a polynomial of degree <= n,
+    i.e. unless (t-1)^n clears every denominator."""
     tau = len(letters)
-    counts = (ell, m, tau - ell - m)
-    bits = _radix_bits([norm ** c for (_, _, norm), c in zip(triples, counts)])
-    mats = {kind: _pack(block, bits) for kind, (_, block, _), c in zip("PCE", triples, counts) if c}
+    bits, mats, den = _packed_blocks(_tables(), p, q, (ell, m, tau - ell - m))
+    mats = dict(mats)
     trace_v = balanced_digits(_packed_trace([mats[x] for x in letters]), bits, 2 * tau + 1)
     u_coeffs = [0] * (2 * len(trace_v))
     u_coeffs[::2] = trace_v
@@ -156,7 +172,7 @@ def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
         k = p if q == 1 else f"{p}/{q}"
         raise CertificateError(f"u^{4 * tau} tr(prod) for {letters} at k={k} is not "
                                f"u^{low} times a polynomial of degree <= {n}")
-    return u_coeffs[low:low + n + 1], math.prod(den ** c for (den, _, _), c in zip(triples, counts))
+    return u_coeffs[low:low + n + 1], den
 
 
 def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:

@@ -446,6 +446,18 @@ def test_gadget_table_mutation_is_caught_by_the_routes_that_read_the_ring(
     assert (got, payload["summary"]["failures"]) == (code, failures)
 
 
+def test_gadget_table_mutation_after_a_passing_run_at_the_same_k_takes_effect(capsys, monkeypatch):
+    # the evaluated gadget rows are kept per row value and k, not per (kind, k):
+    # a row patched after a run at k = 2 must reach the next ring at k = 2
+    # (PPC, not PCE: the mutated PCE pair stays cospectral)
+    argv = ("verify", "--word", "PPC", "--k", "2", "--method", "exact")
+    code, payload, _ = run(capsys, *argv)
+    assert code == 0 and payload["result"]["checks"]["exact_equal"] is True
+    mutate_c_ab_weight(monkeypatch)
+    code, payload, _ = run(capsys, *argv)
+    assert code == 1 and payload["result"]["checks"]["exact_equal"] is False
+
+
 def test_gadget_table_mutation_is_invisible_at_k_1(capsys, monkeypatch):
     # k^2 = k at k = 1, so the mutated table builds the same rings
     mutate_c_ab_weight(monkeypatch)

@@ -445,6 +445,45 @@ def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch):
     assert (len(derived), len(evaluated)) == (2, 1 + 22 + 2)
 
 
+def test_blocks_packed_once_per_table_state_k_and_letter_counts(capsys, monkeypatch):
+    # a new table state (-R2 conjugates as R2 does), so nothing is packed yet
+    monkeypatch.setattr(transfer, "R2", tuple(tuple(-x for x in row) for row in transfer.R2))
+    packed, counts, radices = [], [], []
+    pack, kernel, digits = transfer._pack, transfer._short_kernel, transfer.balanced_digits
+    monkeypatch.setattr(transfer, "_pack", lambda block, bits: packed.append((block, bits))
+                        or pack(block, bits))
+    monkeypatch.setattr(transfer, "_short_kernel", lambda letters, ell, m, p, q:
+                        counts.append((ell, m, len(letters) - ell - m))
+                        or kernel(letters, ell, m, p, q))
+    monkeypatch.setattr(transfer, "balanced_digits", lambda x, bits, count:
+                        radices.append(bits) or digits(x, bits, count))
+    argv = ["scan", "--tau-max", "6", "--k", "3/41", "--method", "transfer"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    tables = transfer._tables()
+    triples = transfer._integral_blocks(tables, 3, 41)
+
+    def radix(cs):
+        return transfer._radix_bits([norm ** c for (_, _, norm), c in zip(triples, cs)])
+
+    # each word's radix is its own counts' proven radix
+    assert len(counts) > len(set(counts)) > 1
+    assert radices == [radix(cs) for cs in counts]
+    # each kind a word uses is packed once per distinct letter-count triple
+    expected = sorted((block, radix(cs))
+                      for cs in set(counts) for (_, block, _), c in zip(triples, cs) if c)
+    assert sorted(packed) == expected
+    # a second scan at the same k packs nothing, and its kernel reads the same radices
+    first = len(counts)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts[first:] == counts[:first] and radices[first:] == radices[:first]
+    assert len(packed) == len(expected)
+    # the cached value is nested tuples: it hashes (else TypeError)
+    for cs in set(counts):
+        hash(transfer._packed_blocks(tables, 3, 41, cs))
+
+
 @pytest.mark.parametrize("k", [Rat(1), Rat(7, 3), Rat(5, 7), Rat(997, 13)])
 def test_short_part_prints_as_its_lowest_terms(k):
     # transfer_u hands the short part on as the kernel computed it
