@@ -6,22 +6,26 @@ det(tI - L) = det(uI + D^{-1}A) with u = t - 1.  Scaling D^{-1}A by the
 least common denominator c of its entries gives an integer matrix M, built
 straight from the adjacency rows as its nonzeros, row by row (86 of 1,444
 entries on the ring CCEECECPEECPPPPP, n = 38); the polynomial stays in u.
+c takes one gcd per row, and M's rows one pass over the adjacency.
 
 The integer charpoly det(xI - M) is multi-modular, and each pass reads
 only M's nonzeros.  Hadamard's bound on the principal minors bounds every
 coefficient by B = prod_i (2 + isqrt(|row i|^2)).  The modulus is the
 first prime of a ladder above 2B: the Mersenne primes 2^61 - 1 to
 2^127 - 1, then Proth primes h 2^s + 1 of 160 to 448 bits; so one pass
-serves every bound below 2^446.  Wider bounds take the Mersenne primes
-from 2^521 - 1 up, as many as needed.  Modulo each, M is reduced to upper
-Hessenberg form and the Hessenberg recurrence gives the charpoly; CRT
-with symmetric residues rebuilds the integers.  A point certificate
-checks the result: det(x0 I - M) by Gaussian elimination modulo
-2^31 - 1, a prime outside every modulus set, must equal the rebuilt
-polynomial at x0, or CertificateError is raised.  `exact_u` hands the
-result on as integer u-coefficients over one denominator in lowest
-terms.  The kernel sees only M, never the ring structure, so the exact
-route stays an independent reference for the other two.
+serves every bound below 2^446, and its residues are read back as
+symmetric residues directly.  Wider bounds take the Mersenne primes from
+2^521 - 1 up, as many as needed, and CRT with symmetric residues
+rebuilds the integers.  Modulo each prime, M is reduced to upper
+Hessenberg form and the Hessenberg recurrence gives the charpoly.  A
+point certificate checks the result: det(x0 I - M) by Gaussian
+elimination modulo 2^31 - 1, a prime outside every modulus set, must
+equal the rebuilt polynomial at x0, or CertificateError is raised.
+`exact_u` hands the result on as integer u-coefficients over one
+denominator in lowest terms, the powers of c built one from the last,
+and checks det L = 0 and tr L = n on them.  The kernel sees only M,
+never the ring structure, so the exact route stays an independent
+reference for the other two.
 """
 
 from __future__ import annotations
@@ -78,7 +82,13 @@ def _coefficient_bound(rows) -> int:
     r_i = 1 + isqrt(|row i|^2) >= |row i|, and the sum over all S of those
     products is prod_i (1 + r_i).
     """
-    return math.prod(2 + math.isqrt(sum(x * x for _, x in row)) for row in rows)
+    bound = 1
+    for row in rows:
+        squares = 0
+        for _, x in row:
+            squares += x * x
+        bound *= 2 + math.isqrt(squares)
+    return bound
 
 
 def _moduli(bound: int) -> tuple:
@@ -96,10 +106,11 @@ def _charpoly_mod(rows, p: int) -> list:
     """Coefficients of det(xI - m) modulo the prime p, constant term first.
 
     h, filled from m's nonzeros modulo p, is reduced to upper Hessenberg
-    form by similarities, column k by column k with any nonzero pivot: a row
-    swap with the matching column swap, then row_i -= f_i row_{k+1} for every
-    row i below the pivot row, then column_{k+1} += sum_i f_i column_i; with
-    no such row, the pivot needs no inverse.  The charpolys p_j of the
+    form by similarities, column k by column k with any nonzero pivot, which
+    one scan of column k finds together with the rows below it: a row swap
+    with the matching column swap, then row_i -= f_i row_{k+1} for every row
+    i below the pivot row, then column_{k+1} += sum_i f_i column_i; with no
+    such row, the pivot needs no inverse.  The charpolys p_j of the
     leading j x j blocks of h then follow by the Hessenberg recurrence
     p_{j+1} = x p_j - sum_{i<=j} h_ij t_ij p_i, t_ij = h_{i+1,i} ... h_{j,j-1},
     each t_ij a ratio of prefix products.  Graph matrices stay sparse under
@@ -112,20 +123,20 @@ def _charpoly_mod(rows, p: int) -> list:
             r[c] = x % p
     for k in range(n - 2):
         k1 = k + 1
-        pivot = next((i for i in range(k1, n) if h[i][k]), None)
-        if pivot is None:
+        column = [(i, h[i][k]) for i in range(k1, n) if h[i][k]]
+        if not column:
             continue
+        pivot, lead = column[0]
         if pivot != k1:
             h[pivot], h[k1] = h[k1], h[pivot]
             for row in h:
                 row[pivot], row[k1] = row[k1], row[pivot]
-        below = [i for i in range(k + 2, n) if h[i][k]]
-        if not below:
+        if len(column) == 1:
             continue
         top = h[k1]
-        inv = pow(top[k], -1, p)
+        inv = pow(lead, -1, p)
         nonzero = [(c, top[c]) for c in range(k1, n) if top[c]]
-        factors = [(i, h[i][k] * inv % p) for i in below]
+        factors = [(i, x * inv % p) for i, x in column[1:]]
         for i, f in factors:
             row = h[i]
             row[k] = 0
@@ -133,8 +144,9 @@ def _charpoly_mod(rows, p: int) -> list:
                 row[c] = (row[c] - f * x) % p
         for i, f in factors:
             for r in h:
-                if r[i]:
-                    r[k1] = (r[k1] + f * r[i]) % p
+                x = r[i]
+                if x:
+                    r[k1] = (r[k1] + f * x) % p
     # the chain h_{i+1,i} ... h_{j,j-1} is pre[j] / pre[i] for i >= start[j], else 0
     pre, start, inverse = [1], [0], [1]
     for j in range(1, n):
@@ -191,19 +203,25 @@ def _charpoly_integer(rows) -> list:
     integer matrix m given by its nonzeros: rows[i] lists (j, m_ij), m_ij != 0.
 
     Every coefficient lies in [-B, B] (`_coefficient_bound`), so its
-    residues modulo primes whose product P exceeds 2B fix it: CRT, then the
-    symmetric residue in (-P/2, P/2].  The result is certified at one point:
+    residues modulo primes whose product P exceeds 2B fix it: the symmetric
+    residue in (-P/2, P/2], read straight off the residues modulo a single
+    prime, and after CRT for several.  The result is certified at one point:
     it must agree with det(x0 I - m) by Gaussian elimination modulo a prime
     outside the modulus set, or CertificateError is raised.
     """
     moduli = _moduli(_coefficient_bound(rows))
-    product = math.prod(moduli)
-    weights = [product // p * pow(product // p, -1, p) for p in moduli]
-    residues = [_charpoly_mod(rows, p) for p in moduli]
-    coeffs = []
-    for column in zip(*residues):
-        x = sum(w * c for w, c in zip(weights, column)) % product
-        coeffs.append(x - product if 2 * x > product else x)
+    if len(moduli) == 1:
+        p = moduli[0]
+        half = p >> 1
+        coeffs = [x - p if x > half else x for x in _charpoly_mod(rows, p)]
+    else:
+        product = math.prod(moduli)
+        weights = [product // p * pow(product // p, -1, p) for p in moduli]
+        residues = [_charpoly_mod(rows, p) for p in moduli]
+        coeffs = []
+        for column in zip(*residues):
+            x = sum(w * c for w, c in zip(weights, column)) % product
+            coeffs.append(x - product if 2 * x > product else x)
     q, x0 = _CHECK_PRIME, _CHECK_POINT
     value = 0
     for c in reversed(coeffs):
@@ -223,14 +241,20 @@ def _walk_charpoly(g: WeightedGraph):
     With c the least common denominator of the entries W_uv / D_u of D^{-1}A
     (the graph's scaled integers), the kernel gives det(yI + cD^{-1}A) =
     c^n det((y/c)I + D^{-1}A), so the coefficient of u^i is b_i c^i / c^n.
+    Row u's entries have the least common denominator D_u / gcd(D_u, W_u.),
+    so c takes one gcd per row.
     """
     if g.has_isolated_vertex():
         raise DegreeError("graph has an isolated vertex")
     degree_adj = list(zip(g.scaled_degrees, g.scaled_adj))
-    c = math.lcm(*(d // math.gcd(w, d) for d, adj in degree_adj for w in adj.values()))
+    c = math.lcm(*[d // math.gcd(d, *adj.values()) for d, adj in degree_adj])
     rows = [[(v, -w * c // d) for v, w in adj.items()] for d, adj in degree_adj]
     b = _charpoly_integer(rows)
-    return [bi * c**i for i, bi in enumerate(b)], c**g.n
+    coeffs, power = [b[0]], 1
+    for bi in b[1:]:
+        power *= c
+        coeffs.append(bi * power)
+    return coeffs, power
 
 
 def exact_u(g: WeightedGraph) -> tuple:
@@ -242,11 +266,14 @@ def exact_u(g: WeightedGraph) -> tuple:
     by construction; the postcondition checks, in integers, the two facts
     of every loop-free graph without isolated vertices that the arithmetic
     could still get wrong: det L = 0 (sum_i (-1)^i coeffs[i] = 0) and
-    tr L = n (coeffs[n-1] - n coeffs[n] = -n den).
+    tr L = n (coeffs[n-1] - n coeffs[n] = -n den).  Both need n >= 1: the
+    empty graph gives det of the empty matrix, ((1,), 1), as `oracle_u` does.
     """
     coeffs, den = lowest_terms(*_walk_charpoly(g))
     n = g.n
-    at_zero = sum(c if i % 2 == 0 else -c for i, c in enumerate(coeffs))
+    if n == 0:
+        return coeffs, den
+    at_zero = sum(coeffs[::2]) - sum(coeffs[1::2])
     trace = coeffs[n - 1] - n * coeffs[n]
     if at_zero != 0 or trace != -n * den:
         raise CertificateError(

@@ -12,7 +12,7 @@ from cospec.linalg import exact_u
 from cospec.polynomials import lowest_terms, t_json
 from cospec.rationals import Rat
 from cospec.transfer import transfer_u
-from cospec.words import parse_word
+from cospec.words import parse_word, toggle, toggle_classes
 from polynomial_reference import (
     Polynomial,
     charpoly_exact,
@@ -493,6 +493,48 @@ def test_one_modulus_too_few_fails_the_point_certificate(monkeypatch):
         linalg._charpoly_integer(single)
     with pytest.raises(CertificateError):
         charpoly_exact(g)
+
+
+def test_one_prime_read_back_equals_crt(monkeypatch):
+    # every bound here takes one prime; the same graphs rebuilt by CRT from
+    # two primes whose product also exceeds twice the bound
+    two = ((1 << 61) - 1, (1 << 89) - 1)
+    graphs = [assemble_ring(x, k) for k in (Rat(1), Rat(7, 3))
+              for w, _ in toggle_classes(3, 6) for x in (w, toggle(w))]
+    moduli = linalg._moduli
+    seen = []
+
+    def record(bound):
+        seen.append(moduli(bound))
+        assert 2 * bound < math.prod(two)
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "_moduli", record)
+    single = [exact_u(g) for g in graphs]
+    assert len(seen) == len(graphs) and all(len(s) == 1 for s in seen)
+    monkeypatch.setattr(linalg, "_moduli", lambda bound: two)
+    assert [exact_u(g) for g in graphs] == single
+
+
+@pytest.mark.parametrize("word, moduli_bits", [
+    (WIDE, (160,)),  # one Proth prime
+    ("PCE" * 20, (521, 607)),  # a 2^566 bound: two Mersenne primes, then CRT
+])
+def test_exact_u_runs_each_elimination_once_per_modulus(monkeypatch, word, moduli_bits):
+    calls = []
+    for name in ("_charpoly_mod", "_det_mod"):
+        def counted(rows, *args, kernel=getattr(linalg, name), name=name):
+            calls.append((name, args[-1].bit_length()))  # the prime
+            return kernel(rows, *args)
+        monkeypatch.setattr(linalg, name, counted)
+    exact_u(ring(word, Rat(7, 3)))
+    assert [bits for name, bits in calls if name == "_charpoly_mod"] == list(moduli_bits)
+    assert len(calls) == len(moduli_bits) + 1 and calls[-1] == ("_det_mod", 31)
+
+
+def test_empty_graph_is_the_empty_determinant():
+    g = WeightedGraph(0, [])
+    assert exact_u(g) == oracle_u(g) == ((1,), 1)
 
 
 # ---------------------------------------------------------------- eigenvalues
