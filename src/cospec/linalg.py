@@ -13,11 +13,11 @@ only M's nonzeros.  Hadamard's bound on the principal minors bounds every
 coefficient by B = prod_i (2 + isqrt(|row i|^2)).  The modulus is the
 first prime of a ladder above 2B: the Mersenne primes 2^61 - 1 to
 2^127 - 1, then Proth primes h 2^s + 1 of 160 to 448 bits; so one pass
-serves every bound below 2^446, and its residues are read back as
-symmetric residues directly.  Wider bounds take the Mersenne primes from
-2^521 - 1 up, as many as needed, and CRT with symmetric residues
-rebuilds the integers.  Modulo each prime, M is reduced to upper
-Hessenberg form and the Hessenberg recurrence gives the charpoly.  A
+serves every bound below 2^446.  Wider bounds take the Mersenne primes
+from 2^521 - 1 up, as many as needed.  Modulo each prime, M is reduced
+to upper Hessenberg form and the Hessenberg recurrence gives the
+charpoly; CRT folds in each prime after the first, which leaves a single
+prime's residues as they are, and symmetric residues give the integers.  A
 point certificate checks the result: det(x0 I - M) by Gaussian
 elimination modulo 2^31 - 1, a prime outside every modulus set, must
 equal the rebuilt polynomial at x0, or CertificateError is raised.
@@ -82,13 +82,7 @@ def _coefficient_bound(rows) -> int:
     r_i = 1 + isqrt(|row i|^2) >= |row i|, and the sum over all S of those
     products is prod_i (1 + r_i).
     """
-    bound = 1
-    for row in rows:
-        squares = 0
-        for _, x in row:
-            squares += x * x
-        bound *= 2 + math.isqrt(squares)
-    return bound
+    return math.prod(2 + math.isqrt(sum(x * x for _, x in row)) for row in rows)
 
 
 def _moduli(bound: int) -> tuple:
@@ -203,25 +197,23 @@ def _charpoly_integer(rows) -> list:
     integer matrix m given by its nonzeros: rows[i] lists (j, m_ij), m_ij != 0.
 
     Every coefficient lies in [-B, B] (`_coefficient_bound`), so its
-    residues modulo primes whose product P exceeds 2B fix it: the symmetric
-    residue in (-P/2, P/2], read straight off the residues modulo a single
-    prime, and after CRT for several.  The result is certified at one point:
-    it must agree with det(x0 I - m) by Gaussian elimination modulo a prime
-    outside the modulus set, or CertificateError is raised.
+    residues modulo primes whose product P exceeds 2B fix it: CRT folds in
+    each prime after the first (Garner's form, no work for a single prime),
+    then the symmetric residue in (-P/2, P/2] gives it.  The result is
+    certified at one point: it must agree with det(x0 I - m) by Gaussian
+    elimination modulo a prime outside the modulus set, or CertificateError
+    is raised.
     """
     moduli = _moduli(_coefficient_bound(rows))
-    if len(moduli) == 1:
-        p = moduli[0]
-        half = p >> 1
-        coeffs = [x - p if x > half else x for x in _charpoly_mod(rows, p)]
-    else:
-        product = math.prod(moduli)
-        weights = [product // p * pow(product // p, -1, p) for p in moduli]
-        residues = [_charpoly_mod(rows, p) for p in moduli]
-        coeffs = []
-        for column in zip(*residues):
-            x = sum(w * c for w, c in zip(weights, column)) % product
-            coeffs.append(x - product if 2 * x > product else x)
+    product = moduli[0]
+    coeffs = _charpoly_mod(rows, product)
+    for p in moduli[1:]:
+        inv = pow(product, -1, p)
+        residues = _charpoly_mod(rows, p)
+        coeffs = [x + product * ((y - x) * inv % p) for x, y in zip(coeffs, residues)]
+        product *= p
+    half = product >> 1
+    coeffs = [x - product if x > half else x for x in coeffs]
     q, x0 = _CHECK_PRIME, _CHECK_POINT
     value = 0
     for c in reversed(coeffs):
