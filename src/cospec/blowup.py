@@ -152,8 +152,8 @@ def solve_uniform_multiplicities(g: WeightedGraph):
     increasing order (the graph must be connected).  Any such blowup has one
     edge per unit of weight: past MAX_BLOWUP_EDGES, RecipeError comes first.
     """
-    if g.n == 0:
-        return {}
+    if g.n < 2:  # no edges: unit multiplicities make it simple
+        return dict.fromkeys(range(g.n), 1)
     if not g.is_connected():
         raise ShapeError("graph must be connected")
     s = g.scale

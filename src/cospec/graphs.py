@@ -64,6 +64,10 @@ class WeightedGraph:
 
     def __init__(self, n: int, edges, *, scale: Optional[int] = None,
                  word: Optional[Word] = None, k=None, signed=None, unsigned=None):
+        if n < 0:
+            raise ShapeError(f"negative vertex count {n}")
+        if scale is not None and scale <= 0:
+            raise ParameterError(f"scale must be positive, got {scale}")
         if scale is None:
             edges = [(u, v, Rat(w)) for u, v, w in edges]
             scale = math.lcm(*(w.denominator for _, _, w in edges))

@@ -29,10 +29,10 @@ the trace, which packs u^{4 tau} tr(prod).  The radix is proven wide
 enough: with |M| the largest row sum of the entries' coefficient
 1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
 chosen with 2^(B-1) above that, so balanced base-2^B digits read the
-coefficients back.  The tables key every cache: the (k, v) blocks are
-derived once per table state, built at each k once per state, and packed
-once per (state, k, letter counts) at the radix of those counts, so a
-call forms only the packed trace and reads its digits back.  Dividing by
+coefficients back.  One memo, `_state`, keyed on the tables, holds the
+(k, v) blocks of the table state and its packings, one per (k, letter
+counts) at their radix, so a call forms only the packed trace and reads
+its digits back; a patched table replaces the whole entry.  Dividing by
 u^{4 tau - n} gives (t - 1)^n tr(prod) in u; the division must be exact
 and leave degree <= n, which certifies that (t - 1)^n clears every
 denominator.
@@ -70,17 +70,24 @@ U_TABLE = (((-2, 20), (-4, -32)), ((1, 8), (2, -20)))
 
 
 def _tables() -> tuple:
-    """The tables as they stand, the key of every cache below."""
+    """The tables as they stand, the key of `_state`."""
     return R2, S, X_TABLE["P"], X_TABLE["C"], X_TABLE["E"]
 
 
 @functools.lru_cache(maxsize=1)
+def _state(tables: tuple) -> tuple:
+    """(e, blocks, packed) for the tables from `_tables()`: `_y_blocks`, and
+    `_short_kernel`'s packings by (p, q, ell, m, tau).  Only the latest table
+    state is held, so a patched table drops the old state's packings."""
+    return *_y_blocks(tables), {}
+
+
 def _y_blocks(tables: tuple) -> tuple:
-    """(e, blocks), derived once per value of its key, the tables from
-    `_tables()`: blocks[kind] = e 4(k+1)^2 u^4 Y_kind, 2x2 integer
-    polynomials in (k, v).  As X_kind is diagonal and R^-1 = 2 adj(R2) /
-    det(R2), Y_kind[i][j] sums (S adj(R2))[i][s] R2[s][j] X_kind[s][s] /
-    det(R2); e is det(R2) over the gcd of it and all those weights."""
+    """(e, blocks) for the tables from `_tables()`: blocks[kind] =
+    e 4(k+1)^2 u^4 Y_kind, 2x2 integer polynomials in (k, v).  As X_kind is
+    diagonal and R^-1 = 2 adj(R2) / det(R2), Y_kind[i][j] sums
+    (S adj(R2))[i][s] R2[s][j] X_kind[s][s] / det(R2); e is det(R2) over
+    the gcd of it and all those weights."""
     r2, s_table, *x_tables = tables
     left = _pmat_mul(_constant(s_table), _adj(_constant(r2)))
     weights = [[[left[i][s].get((0, 0), 0) * r2[s][j] for s in range(4)] for j in range(2)]
@@ -96,14 +103,12 @@ def _y_blocks(tables: tuple) -> tuple:
     return det // g, blocks
 
 
-@functools.cache
 def _integral_blocks(tables: tuple, p: int, q: int) -> tuple:
-    """The (den, block, norm) triples of P, C and E at k = p/q > 0, built
-    once per (`_tables()`, k), as nested tuples: `_y_blocks`' block at k
-    (times q^D, D = max(2, its degree in k), each entry an integer triple
-    in v over 4 e (p+q)^2 q^(D-2)) with the common factor divided out of it
-    and den, and norm the largest row sum of its 1-norms."""
-    e, polys = _y_blocks(tables)
+    """The (den, block, norm) triples of P, C and E at k = p/q > 0, as nested
+    tuples: `_state`'s block at k (times q^D, D = max(2, its degree in k), each
+    entry an integer triple in v over 4 e (p+q)^2 q^(D-2)) with the common
+    factor divided out of it and den, and norm the largest row sum of its 1-norms."""
+    e, polys, _ = _state(tables)
     triples = []
     for poly in polys.values():
         deg = max([2] + [i for row in poly for entry in row for i, _ in entry])
@@ -138,31 +143,26 @@ def _packed_trace(mats) -> int:
     return a * e + b * g + c * f + d * h
 
 
-@functools.cache
-def _packed_blocks(tables: tuple, p: int, q: int, counts: tuple) -> tuple:
-    """(bits, mats, den) for a word with counts = (ell, m, e) P, C and E
-    modules at k = p/q > 0, built once per (`_tables()`, k, counts) from
-    `_integral_blocks`, as nested tuples: bits the word's radix, `_radix_bits`
-    of norm^count over the kinds; mats a (kind, block packed at v = 2^bits)
-    pair for each kind the word uses; den the product of den^count."""
-    triples = _integral_blocks(tables, p, q)
-    bits = _radix_bits([norm ** c for (_, _, norm), c in zip(triples, counts)])
-    mats = tuple((kind, _pack(block, bits))
-                 for kind, (_, block, _), c in zip("PCE", triples, counts) if c)
-    return bits, mats, math.prod(den ** c for (den, _, _), c in zip(triples, counts))
-
-
 def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
     """(c, d) with (t-1)^n tr(prod_i Y_{letter_i}) = sum_i c[i] u^i / d for
     the word with ell P and m C modules at k = p/q > 0, by the packed product
-    of the module docstring.  The radix, the packed blocks and d depend only
-    on k and the letter counts, and come from `_packed_blocks`; each call
-    forms the trace and reads its digits back.  Raises CertificateError
-    unless the trace is u^{4 tau - n} times a polynomial of degree <= n,
-    i.e. unless (t-1)^n clears every denominator."""
+    of the module docstring.  The radix, d and the packed blocks depend only on
+    k and the counts: the first such call builds them from `_integral_blocks`
+    into `_state`'s packings.  Raises CertificateError unless the trace is
+    u^{4 tau - n} times a polynomial of degree <= n, i.e. unless (t-1)^n
+    clears every denominator."""
     tau = len(letters)
-    bits, mats, den = _packed_blocks(_tables(), p, q, (ell, m, tau - ell - m))
-    mats = dict(mats)
+    tables = _tables()
+    packed = _state(tables)[2]
+    entry = packed.get((p, q, ell, m, tau))
+    if entry is None:
+        triples = _integral_blocks(tables, p, q)
+        counts = (ell, m, tau - ell - m)
+        bits = _radix_bits([norm ** c for (_, _, norm), c in zip(triples, counts)])
+        den = math.prod(d ** c for (d, _, _), c in zip(triples, counts))
+        mats = {x: _pack(block, bits) for x, (_, block, _), c in zip("PCE", triples, counts) if c}
+        entry = packed[p, q, ell, m, tau] = bits, den, mats
+    bits, den, mats = entry
     trace_v = balanced_digits(_packed_trace([mats[x] for x in letters]), bits, 2 * tau + 1)
     u_coeffs = [0] * (2 * len(trace_v))
     u_coeffs[::2] = trace_v
@@ -271,7 +271,7 @@ def certify_identities() -> list:
     """
     r2 = _constant(R2)
     det_r2 = _pdet(r2)
-    yp, yc, ye = _y_blocks(_tables())[1].values()
+    yp, yc, ye = _state(_tables())[1].values()
     u = [[{(0, j): c for j, c in enumerate(entry) if c} for entry in row] for row in U_TABLE]
     sides = {
         "Q = R S R^-1": ([[det_r2]] + [[_pmul(det_r2, x) for x in row] for row in _constant(Q)],

@@ -243,6 +243,12 @@ def test_solver_takes_the_least_r0():
     assert solve_uniform_multiplicities(cycle) == {0: 2, 1: 3, 2: 1, 3: 2}
 
 
+def test_solver_takes_unit_multiplicities_without_edges():
+    # the one-vertex graph is simple as it stands, and so is the empty one
+    assert solve_uniform_multiplicities(WeightedGraph(1, [])) == {0: 1}
+    assert solve_uniform_multiplicities(WeightedGraph(0, [])) == {}
+
+
 def test_solver_no_solution():
     g = WeightedGraph(3, [(0, 1, 2), (1, 2, 3), (0, 2, 5)])
     assert solve_uniform_multiplicities(g) is None

@@ -374,6 +374,17 @@ def test_blowup_obstruction(capsys):
     assert "lone edge" in err or "parallel paths" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--word", "EEE", "--k", "3/2"], "blowup recipe needs integer k, got 3/2"),
+    (["--word", "PPP", "--k", "1", "--scale", "3"],
+     "no integer multiplicities make the scaled G(PPP) simple"),
+])
+def test_blowup_recipe_errors_exit_2_with_one_line(capsys, argv, message):
+    code, payload, err = run(capsys, "blowup", *argv)
+    assert code == 2 and payload is None
+    assert err == f"error: {message}\n"
+
+
 def test_blowup_too_large_exits_2_before_building(capsys):
     # PCC at k = 100000 would blow up into about 2 * 10^10 unit edges
     start = time.perf_counter()

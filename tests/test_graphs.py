@@ -309,6 +309,21 @@ def test_laplacian_scaling_invariance():
     assert np.array_equal(normalized_laplacian(g), normalized_laplacian(scaled))
 
 
+@pytest.mark.parametrize("n, edges, scale, error, message", [
+    (2, [(1, 1, 1)], None, ShapeError, "self-loop at vertex 1"),
+    (2, [(0, 2, 1)], None, ShapeError, r"edge \(0,2\) out of range for n=2"),
+    (2, [(0, 1, -1)], None, ParameterError, r"edge \(0,1\) has non-positive weight -1"),
+    (2, [(0, 1, 1), (1, 0, 2)], None, ShapeError, r"duplicate edge \(0, 1\)"),
+    # n and scale are checked before any edge is read, the self-loop included
+    (-1, [(0, 0, 1)], None, ShapeError, "negative vertex count -1"),
+    (2, [(0, 0, 1)], -2, ParameterError, "scale must be positive, got -2"),
+    (2, [(0, 1, 1)], 0, ParameterError, "scale must be positive, got 0"),
+])
+def test_graph_rejects_malformed_input(n, edges, scale, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        WeightedGraph(n, edges, scale=scale)
+
+
 # ---------------------------------------------------------------- subgraph
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -419,37 +421,45 @@ def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch):
     # table state, with nothing derived from it yet
     monkeypatch.setattr(transfer, "R2", tuple(tuple(-x for x in row) for row in transfer.R2))
     derived, evaluated = [], []
-    adj, y_blocks = transfer._adj, transfer._y_blocks
-    # _adj runs once per (k, v) derivation, and each k's evaluation reads _y_blocks once
+    adj, integral_blocks = transfer._adj, transfer._integral_blocks
+    # _adj runs once per (k, v) derivation, and each packing evaluates its k once
     monkeypatch.setattr(transfer, "_adj", lambda m: derived.append(1) or adj(m))
-    monkeypatch.setattr(transfer, "_y_blocks", lambda tables: evaluated.append(1) or y_blocks(tables))
+    monkeypatch.setattr(transfer, "_integral_blocks", lambda tables, p, q:
+                        evaluated.append((p, q)) or integral_blocks(tables, p, q))
+
+    def packings():
+        return transfer._state(transfer._tables())[2]
+
     k = Rat(5, 7)
     ws = [parse_word(s) for s in ("PCE", "PPCCE", "EEE", "CCCPEP")]
     polys = [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws]
-    # blocks served from the cache give the same polynomials
+    # blocks served from the memo give the same polynomials
     assert [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws] == polys
     assert all(p == short_part_via_qx(w, k) for w, (p, _) in zip(ws, polys))
-    assert (len(derived), len(evaluated)) == (1, 1)
-    # the cached value is nested tuples: it hashes (else TypeError), and nothing can change it
+    assert (len(derived), len(evaluated)) == (1, len(ws)) == (1, len(packings()))
+    # the triples are nested tuples: they hash (else TypeError), and nothing can change them
     hash(transfer._integral_blocks(transfer._tables(), 5, 7))
-    # a scan names each k once per class: over 22 k, each k's blocks are
-    # still built once (2,046 times under a 21-k bound)
+    # a scan at 22 k still derives the (k, v) blocks once, and evaluates a
+    # k once per packing (and once for the hash above): the state holds
+    # every k's packings
     ks = ",".join(f"{j}/29" for j in range(1, 23))
     assert main(["scan", "--tau-max", "6", "--k", ks, "--method", "transfer"]) == 0
     capsys.readouterr()
-    assert (len(derived), len(evaluated)) == (1, 1 + 22)
+    assert len(derived) == 1 and len(evaluated) == len(packings()) + 1
+    assert {(p, q) for p, q, *_ in packings()} == {(5, 7)} | {(j, 29) for j in range(1, 23)}
     # the restored table is one more state, derived once
     monkeypatch.setattr(transfer, "R2", R2_TABLE)
     for k in (Rat(1, 31), Rat(2, 31)):
         transfer.transfer_u(ws[0], k)
-    assert (len(derived), len(evaluated)) == (2, 1 + 22 + 2)
+    assert len(derived) == 2 and sorted(packings()) == [(1, 31, 1, 1, 3), (2, 31, 1, 1, 3)]
 
 
 def test_blocks_packed_once_per_table_state_k_and_letter_counts(capsys, monkeypatch):
     # a new table state (-R2 conjugates as R2 does), so nothing is packed yet
     monkeypatch.setattr(transfer, "R2", tuple(tuple(-x for x in row) for row in transfer.R2))
-    packed, counts, radices = [], [], []
-    pack, kernel, digits = transfer._pack, transfer._short_kernel, transfer.balanced_digits
+    packed, counts, radices, derived = [], [], [], []
+    pack, kernel, digits, adj = (transfer._pack, transfer._short_kernel,
+                                 transfer.balanced_digits, transfer._adj)
     monkeypatch.setattr(transfer, "_pack", lambda block, bits: packed.append((block, bits))
                         or pack(block, bits))
     monkeypatch.setattr(transfer, "_short_kernel", lambda letters, ell, m, p, q:
@@ -457,6 +467,7 @@ def test_blocks_packed_once_per_table_state_k_and_letter_counts(capsys, monkeypa
                         or kernel(letters, ell, m, p, q))
     monkeypatch.setattr(transfer, "balanced_digits", lambda x, bits, count:
                         radices.append(bits) or digits(x, bits, count))
+    monkeypatch.setattr(transfer, "_adj", lambda m: derived.append(1) or adj(m))
     argv = ["scan", "--tau-max", "6", "--k", "3/41", "--method", "transfer"]
     assert main(argv) == 0
     capsys.readouterr()
@@ -473,15 +484,32 @@ def test_blocks_packed_once_per_table_state_k_and_letter_counts(capsys, monkeypa
     expected = sorted((block, radix(cs))
                       for cs in set(counts) for (_, block, _), c in zip(triples, cs) if c)
     assert sorted(packed) == expected
+    # the state holds one packing per (k, counts): the radix, the denominator
+    # and the packed blocks by letter
+    old = transfer._state(tables)[2]
+    assert sorted(old) == sorted((3, 41, ell, m, ell + m + e) for ell, m, e in set(counts))
+    for (_, _, ell, m, tau), (bits, den, mats) in old.items():
+        cs = (ell, m, tau - ell - m)
+        assert bits == radix(cs)
+        assert den == math.prod(d ** c for (d, _, _), c in zip(triples, cs))
+        assert mats == {x: pack(block, bits)
+                        for x, (_, block, _), c in zip("PCE", triples, cs) if c}
     # a second scan at the same k packs nothing, and its kernel reads the same radices
     first = len(counts)
     assert main(argv) == 0
     capsys.readouterr()
     assert counts[first:] == counts[:first] and radices[first:] == radices[:first]
-    assert len(packed) == len(expected)
-    # the cached value is nested tuples: it hashes (else TypeError)
-    for cs in set(counts):
-        hash(transfer._packed_blocks(tables, 3, 41, cs))
+    assert len(packed) == len(expected) and len(derived) == 1
+    # a table change replaces the whole state: the old packings are not
+    # held, and the restored table is derived once more and packs afresh
+    held = len(old)
+    monkeypatch.setattr(transfer, "R2", R2_TABLE)
+    transfer.transfer_u(parse_word("PCE"), Rat(3, 41))
+    assert transfer._state.cache_info().currsize == 1 and len(derived) == 2
+    assert transfer._state(transfer._tables())[2] is not old and len(old) == held
+    assert list(transfer._state(transfer._tables())[2]) == [(3, 41, 1, 1, 3)]
+    assert sorted(packed[len(expected):]) == sorted((block, radix((1, 1, 1)))
+                                                    for _, block, _ in triples)
 
 
 @pytest.mark.parametrize("k", [Rat(1), Rat(7, 3), Rat(5, 7), Rat(997, 13)])
