@@ -14,7 +14,7 @@ from .graphs import (
     eigenvalues_numeric,
     export_graph,
     normalized_laplacian,
-    subgraph_after_symmetry,
+    ring_embeds,
 )
 from .linalg import exact_u
 from .rationals import Rat
@@ -26,7 +26,7 @@ __all__ = [
     "oracle_u",
     "WeightedGraph", "assemble_ring", "build_module_gadget",
     "eigenvalues_numeric", "export_graph", "normalized_laplacian",
-    "subgraph_after_symmetry",
+    "ring_embeds",
     "exact_u",
     "Rat",
     "certify_identities", "transfer_u",

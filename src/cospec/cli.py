@@ -41,8 +41,10 @@ from .graphs import (
     assemble_ring,
     eigenvalues_numeric,
     export_graph,
+    module_parameter,
     non_isomorphism_witness,
-    subgraph_after_symmetry,
+    ring_edge_count,
+    ring_embeds,
 )
 from .linalg import exact_u
 from .polynomials import t_json
@@ -74,12 +76,25 @@ def _compare(checks: dict, route: str, pairs: list, exact) -> None:
         checks[f"{route}_matches_exact"] = pairs[0] == exact
 
 
+def _witness(sides: tuple, counts: list, graphs, k):
+    """Why G(w) and G(toggle(w)) are not isomorphic: "edge_count" when the
+    words' edge counts differ, else the graphs' `non_isomorphism_witness`
+    (built here when no route built them)."""
+    if counts[0] != counts[1]:
+        return "edge_count"
+    return non_isomorphism_witness(*(graphs or [assemble_ring(x, k) for x in sides]))
+
+
 def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
                  compare_trivial: bool = True) -> dict:
     """Check G(w) against G(toggle(w)) by each route `method` names; trivial = is_self_toggle(w).
+    k > 0 is the caller's check (`module_parameter`).
 
     The verdict is the routes' exact charpolys alone: equal charpolys are
     equal spectra, multiplicities included, so no float check is made.
+    n, the edge counts and the subgraph relation are read from the words;
+    the graphs are built only for the routes that read them (exact and
+    oracle) or for the WL witness of a pair with equal edge counts.
 
     With compare_trivial=False a self-toggle class, whose two graphs are
     one graph relabelled, is checked alone: only the cross-route checks
@@ -90,14 +105,15 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     start = time.perf_counter()
     wt = toggle(w)
     sides = (w,) if trivial and not compare_trivial else (w, wt)
-    graphs = [assemble_ring(x, k) for x in sides]
+    counts = [ring_edge_count(x) for x in sides]
+    graphs = None if method == "transfer" else [assemble_ring(x, k) for x in sides]
     entry = {
         "word": str(w),
         "toggled_word": str(wt),
         "k": rat_str(k),
-        "n": graphs[0].n,
+        "n": w.n,
         "trivial": trivial,
-        "edge_counts": [g.edge_count for g in graphs],
+        "edge_counts": counts,
     }
     checks = {}
     exact = None
@@ -123,10 +139,9 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
         else:
             _compare(checks, "oracle", oracles, exact)
     if len(sides) == 2:
-        g1, g2 = graphs
-        sparse, dense = (g1, g2) if g1.edge_count <= g2.edge_count else (g2, g1)
-        entry["subgraph_sparse_in_dense"] = subgraph_after_symmetry(sparse, dense)
-        entry["witness"] = non_isomorphism_witness(g1, g2)
+        sparse, dense = sides if counts[0] <= counts[1] else sides[::-1]
+        entry["subgraph_sparse_in_dense"] = ring_embeds(sparse, dense, k)
+        entry["witness"] = _witness(sides, counts, graphs, k)
     entry["checks"] = checks
     entry["pass"] = all(v for v in checks.values() if v is not None)
     entry["seconds"] = round(time.perf_counter() - start, 6)
@@ -135,7 +150,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
 
 def cmd_verify(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
-    k = parse_rat(args.k)
+    k = module_parameter(parse_rat(args.k))
     entry = _verify_pair(w, k, args.method, args.budget, trivial=is_self_toggle(w))
     status = "PASS" if entry["pass"] else "FAIL"
     summary = f"verify {w} vs {entry['toggled_word']} (k={rat_str(k)}): {status}"
@@ -147,7 +162,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if not items:
         raise ParameterError(f"--k needs at least one value, got {args.k!r}")
     # one k per value, in first-seen order: "1" and "1/1" are one k
-    ks = list(dict.fromkeys(parse_rat(s) for s in items))
+    ks = [module_parameter(k) for k in dict.fromkeys(parse_rat(s) for s in items)]
     entries = []
     failures = skipped = 0
     for w, trivial in toggle_classes(3, args.tau_max):

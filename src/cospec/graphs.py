@@ -1,5 +1,7 @@
-"""Module gadgets and ring assembly for the graph family, and the numeric
-spectrum (the package's only numpy use; only `spectrum` and `blowup` read it).
+"""Module gadgets and ring assembly for the graph family, what a word says
+of its ring without building it (the edge count and the subgraph relation),
+and the numeric spectrum (the package's only numpy use; only `spectrum` and
+`blowup` read it).
 
 `GADGETS` holds the P, C and E modules as edges on the poles +, - and the
 unsigned pair a, b, each weight the integer coefficients of 1, k and k^2.
@@ -19,7 +21,7 @@ from typing import Optional
 
 from .errors import DegreeError, FormatError, NumericalError, ParameterError, ShapeError
 from .rationals import Rat, as_rat, rat_str
-from .words import Word
+from .words import ALPHABET, Word
 
 # weights k = (0, 1, 0), 1 = (1, 0, 0), k + 1 = (1, 1, 0) and k^2 = (0, 0, 1)
 GADGETS = {
@@ -30,18 +32,25 @@ GADGETS = {
 }
 
 
+def module_parameter(k):
+    """k as an exact rational, or ParameterError unless k > 0: the one check
+    of the module parameter, made by `build_module_gadget` and by the
+    commands before any route runs."""
+    k = as_rat(k)
+    if k.numerator <= 0:
+        raise ParameterError(f"module parameter k must be positive, got {k}")
+    return k
+
+
 def build_module_gadget(kind: str, k) -> tuple:
     """`GADGETS[kind]` at k = p/q > 0 as (edges, scale): edges (label, label, x)
     of weight x / scale, with scale = q^2.  The row is evaluated once per
     (row value, k) and kept, so a patched `GADGETS` row takes effect at the
     next call."""
-    k = as_rat(k)
-    p, q = k.numerator, k.denominator
-    if p <= 0:
-        raise ParameterError(f"module parameter k must be positive, got {k}")
+    k = module_parameter(k)
     if kind not in GADGETS:
         raise ParameterError(f"unknown module kind {kind!r}")
-    return _gadget_at(GADGETS[kind], p, q)
+    return _gadget_at(GADGETS[kind], k.numerator, k.denominator)
 
 
 @functools.cache
@@ -182,52 +191,74 @@ def eigenvalues_numeric(g: WeightedGraph) -> "numpy.ndarray":
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _alignment_map(g1: WeightedGraph, g2: WeightedGraph, offset: int, reverse: bool):
-    """Vertex map g1 -> g2 aligning module i to offset+i (or offset-i)."""
-    tau = g1.word.tau
-    mapping = {}
-    for i in range(tau):
-        j = (offset - i) % tau if reverse else (offset + i) % tau
-        s_target = (j + 1) % tau if reverse else j
-        mapping[g1.signed[i]] = g2.signed[s_target]
-        if g1.unsigned[i] is not None:
-            if g2.unsigned[j] is None:
-                return None
-            a, b = g1.unsigned[i]
-            a2, b2 = g2.unsigned[j]
-            if reverse:
-                a2, b2 = b2, a2
-            mapping[a] = a2
-            mapping[b] = b2
-    return mapping
+def ring_edge_count(w: Word) -> int:
+    """The edge count of G(w), read from the word: each letter adds the
+    length of its `GADGETS` row."""
+    return sum(len(row) * w.letters.count(kind) for kind, row in GADGETS.items())
 
 
-def subgraph_after_symmetry(g1: WeightedGraph, g2: WeightedGraph) -> bool:
-    """True iff some module rotation/reflection embeds g1's edges into g2.
+def ring_embeds(w1: Word, w2: Word, k) -> bool:
+    """True iff some module rotation or reflection embeds G(w1) into G(w2) at
+    k: module i onto module offset + i (or offset - i), each edge onto an
+    edge of equal weight.  Read from the words, with no graph built: a
+    module fits on another when it has an unsigned pair only if the other
+    has, and every edge of its `GADGETS` row at k, with its weight, is an
+    edge of the other's row; reflected, + and - swap, and so do a and b."""
+    if w1.tau != w2.tau:
+        raise ShapeError(f"ring lengths differ: {w1.tau} vs {w2.tau}")
+    k = module_parameter(k)
+    rows = tuple(map(GADGETS.__getitem__, ALPHABET))
+    forward, reflected = _letter_fits(rows, k.numerator, k.denominator)
+    s, d = w1.letters, w2.letters
+    # module i onto offset - i is module i onto a rotation of the reversed word
+    return _fits_rotated(s, d, forward) or _fits_rotated(s, d[::-1], reflected)
 
-    Every edge of g1 must land on an edge of g2 with equal weight.
-    """
-    if g1.word is None or g2.word is None:
-        raise ShapeError("both graphs must carry ring metadata")
-    if g1.word.tau != g2.word.tau:
-        raise ShapeError(f"ring lengths differ: {g1.word.tau} vs {g2.word.tau}")
-    if g1.edge_count > g2.edge_count:
-        return False
-    # both graphs' integer weights over one denominator, g2's in both orientations
-    scale = math.lcm(g1.scale, g2.scale)
-    edges1 = [(u, v, x * (scale // g1.scale)) for (u, v), x in g1.scaled_weights.items()]
-    weights2 = {}
-    for (u, v), x in g2.scaled_weights.items():
-        weights2[u, v] = weights2[v, u] = x * (scale // g2.scale)
-    tau = g1.word.tau
-    for reverse in (False, True):
-        for offset in range(tau):
-            mapping = _alignment_map(g1, g2, offset, reverse)
-            if mapping is None:
-                continue
-            if all(weights2.get((mapping[u], mapping[v])) == x for u, v, x in edges1):
-                return True
-    return False
+
+_REFLECT = {"+": "-", "-": "+", "a": "b", "b": "a"}
+
+
+@functools.cache
+def _letter_fits(rows: tuple, p: int, q: int) -> tuple:
+    """For the `GADGETS` rows in `ALPHABET` order, at k = p/q > 0 (each
+    through `_gadget_at`): the forward and the reflected fit, each the
+    `_spelling` tables of the letters X in `ALPHABET` order, where a letter
+    Y reads "1" when X fits on Y."""
+    edges = [{(frozenset((a, b)), x) for a, b, x in _gadget_at(row, p, q)[0]} for row in rows]
+    fits = []
+    for turn in ({}, _REFLECT):
+        tables = []
+        for x, own in zip(ALPHABET, edges):
+            moved = {(frozenset(turn.get(v, v) for v in pair), c) for pair, c in own}
+            tables.append(_spelling("".join(
+                "1" if (x not in "PC" or y in "PC") and moved <= other else "0"
+                for y, other in zip(ALPHABET, edges))))
+        fits.append(tuple(tables))
+    return tuple(fits)
+
+
+@functools.cache
+def _spelling(digits: str) -> dict:
+    """The `str.translate` table spelling the letters of `ALPHABET` as digits;
+    there are at most eight, shared by every k."""
+    return str.maketrans(ALPHABET, digits)
+
+
+def _fits_rotated(s: str, d: str, fits: tuple) -> bool:
+    """True iff some rotation of d puts at each position i a letter that
+    s[i] fits on.  Bit j of d's mask for a letter X says that X fits on
+    d[tau - 1 - j]; doubled, it reads every rotation, and the bits that
+    survive the AND over i are the rotations that fit so far."""
+    tau = len(s)
+    masks = {}
+    for x, table in zip(ALPHABET, fits):
+        mask = int(d.translate(table), 2)
+        masks[x] = mask | mask << tau
+    live = (1 << tau) - 1
+    for i, x in enumerate(s):
+        live &= masks[x] >> (tau - i)
+        if not live:
+            return False
+    return True
 
 
 def non_isomorphism_witness(g1: WeightedGraph, g2: WeightedGraph) -> Optional[str]:

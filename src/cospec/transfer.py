@@ -40,7 +40,6 @@ denominator.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import CertificateError, IdentityCheckError, ParameterError
@@ -74,12 +73,22 @@ def _tables() -> tuple:
     return R2, S, X_TABLE["P"], X_TABLE["C"], X_TABLE["E"]
 
 
-@functools.lru_cache(maxsize=1)
+# The tables `_state` last read, and their state.
+_held = None, None
+
+
 def _state(tables: tuple) -> tuple:
     """(e, blocks, packed) for the tables from `_tables()`: `_y_blocks`, and
     `_short_kernel`'s packings by (p, q, ell, m, tau).  Only the latest table
-    state is held, so a patched table drops the old state's packings."""
-    return *_y_blocks(tables), {}
+    state is held, so a patched table drops the old state's packings.  The
+    tables are compared with `==`, which short-circuits on the same table
+    objects, so a call hashes nothing."""
+    global _held
+    held, state = _held
+    if tables != held:
+        state = *_y_blocks(tables), {}
+        _held = tables, state
+    return state
 
 
 def _y_blocks(tables: tuple) -> tuple:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cospec import cli, errors, graphs
 from cospec.cli import main
 from cospec.graphs import assemble_ring
-from cospec.rationals import Rat
+from cospec.rationals import Rat, rat_str
 from cospec.words import canonical_form, canonical_words, is_self_toggle, parse_word, toggle
 from polynomial_reference import charpoly_exact
 
@@ -49,6 +49,20 @@ def test_verify_usage_error_short_word(capsys):
 def test_verify_bad_k(capsys):
     code, *_ = run(capsys, "verify", "--word", "PPP", "--k", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("method", ["transfer", "exact", "oracle", "all"])
+@pytest.mark.parametrize("argv", [["scan", "--tau-max", "3", "--k", "0"],
+                                  ["scan", "--tau-max", "4", "--k", "1,-1/2"],
+                                  ["verify", "--word", "PPE", "--k", "0"]])
+def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, method):
+    # one message for every method, though the transfer route builds no graph
+    monkeypatch.setattr(cli, "_verify_pair", lambda *a, **kw: pytest.fail("a route ran"))
+    assert main(argv + ["--method", method]) == 2
+    captured = capsys.readouterr()
+    bad = argv[-1].split(",")[-1]
+    assert captured.out == ""
+    assert captured.err == f"error: module parameter k must be positive, got {bad}\n"
 
 
 @pytest.mark.parametrize(
@@ -221,8 +235,27 @@ def test_scan_one_entry_per_unordered_pair_and_k(capsys):
     assert "24 trivial" in err and "58 witnessed, 0 unwitnessed" in err
 
 
+def test_transfer_scan_builds_only_the_graphs_wl_reads(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "assemble_ring", lambda w, k: built.append((w, k))
+                        or assemble_ring(w, k))
+    code, payload, _ = run(capsys, "scan", "--tau-max", "5", "--k", "1,7/3", "--method", "transfer")
+    assert code == 0
+    wl = [(e["word"], e["toggled_word"], e["k"]) for e in payload["entries"]
+          if e.get("witness") == "wl"]
+    assert len(wl) == 2
+    assert sorted((str(w), rat_str(k)) for w, k in built) == sorted(
+        (x, k) for w, wt, k in wl for x in (w, wt))
+    # the entries hold what the graphs hold
+    for e in payload["entries"]:
+        graphs = [assemble_ring(parse_word(x), Rat(e["k"])) for x in (e["word"], e["toggled_word"])]
+        assert e["n"] == graphs[0].n
+        assert e["edge_counts"] == [g.edge_count for g in graphs[:1 if e["trivial"] else 2]]
+
+
 def test_scan_unwitnessed_pair_is_counted_and_named(capsys, monkeypatch):
-    monkeypatch.setattr("cospec.cli.non_isomorphism_witness", lambda g1, g2: None)
+    # the witness of a pair: the words' edge counts, else WL on the graphs
+    monkeypatch.setattr("cospec.cli._witness", lambda sides, counts, graphs, k: None)
     code, payload, err = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "exact")
     assert code == 0
     assert (payload["summary"]["witnessed"], payload["summary"]["unwitnessed"]) == (0, 4)

@@ -15,10 +15,12 @@ from cospec.graphs import (
     export_graph,
     non_isomorphism_witness,
     normalized_laplacian,
-    subgraph_after_symmetry,
+    ring_edge_count,
+    ring_embeds,
 )
 from cospec.rationals import Rat
 from cospec.words import canonical_words, parse_word, toggle, toggle_classes
+from graphs_reference import subgraph_after_symmetry
 from polynomial_reference import random_walk_matrix
 
 words = st.text(alphabet="PCE", min_size=3, max_size=8).map(parse_word)
@@ -327,34 +329,92 @@ def test_graph_rejects_malformed_input(n, edges, scale, error, message):
 # ---------------------------------------------------------------- subgraph
 
 
+def embeds(w1, w2, k=1):
+    return ring_embeds(parse_word(w1), parse_word(w2), k)
+
+
 def test_subgraph_ppp_in_ccc():
-    assert subgraph_after_symmetry(ring("PPP"), ring("CCC"))
+    assert embeds("PPP", "CCC")
 
 
 def test_subgraph_known_pair():
-    assert subgraph_after_symmetry(ring("PPCCPPPC"), ring("CCPPCCCP"))
+    assert embeds("PPCCPPPC", "CCPPCCCP")
 
 
 def test_subgraph_ccc_not_in_ppp():
-    assert not subgraph_after_symmetry(ring("CCC"), ring("PPP"))
+    assert not embeds("CCC", "PPP")
 
 
 def test_subgraph_compares_weights_over_one_denominator():
-    # at k = 7/3 PPP has scale 3 and CCC scale 9
+    # at k = 7/3 PPP has scale 3 and CCC scale 9; the word rule compares
+    # the rows over q^2, and the graph reference over the lcm of the scales
     g1, g2 = ring("PPP", Rat(7, 3)), ring("CCC", Rat(7, 3))
     assert (g1.scale, g2.scale) == (3, 9)
     assert subgraph_after_symmetry(g1, g2)
+    assert embeds("PPP", "CCC", Rat(7, 3))
 
 
 def test_subgraph_requires_same_tau():
+    with pytest.raises(ShapeError):
+        embeds("PPP", "PPPP")
     with pytest.raises(ShapeError):
         subgraph_after_symmetry(ring("PPP"), ring("PPPP"))
 
 
 def test_subgraph_rotated_alignment():
     # ECP is a reflected rotation of PCE: identical graph up to relabeling
-    assert subgraph_after_symmetry(ring("PCE"), ring("ECP"))
-    assert subgraph_after_symmetry(ring("PCE"), ring("CCE"))
+    assert embeds("PCE", "ECP")
+    assert embeds("PCE", "CCE")
+
+
+def test_subgraph_rejects_k_at_most_0():
+    with pytest.raises(ParameterError, match="^module parameter k must be positive, got 0$"):
+        embeds("PPP", "CCC", 0)
+
+
+# GADGETS rows patched as (kind, edit of its row), and the pairs w in
+# toggle(w) that the graph reference finds at each k of KS (the other way
+# round it finds none).  C's a-b weight k^2 -> k keeps P in C; P's +/-
+# weight 1 -> k breaks it but at k = 1; with - b weight 1 in P and C, both
+# rows differ from their reflections, so at k != 1 only forward alignments
+# fit (a rule that ignored the orientation would find 211); a P whose row
+# is E's keeps its unsigned pair, so it still does not fit on E
+KS = (Rat(1), Rat(7, 3), Rat(2), Rat(1, 2))
+PATCHED_ROWS = {
+    "today": ({}, (211, 211, 211, 211)),
+    "C a-b k": ({"C": lambda row: row[:3] + (("a", "b", (0, 1, 0)),)}, (211, 211, 211, 211)),
+    "P +- k": ({"P": lambda row: (row[0], ("+", "-", (0, 1, 0)), row[2])}, (211, 0, 0, 0)),
+    "P C -b 1": ({"P": lambda row: row[:2] + (("-", "b", (1, 0, 0)),),
+                  "C": lambda row: row[:2] + (("-", "b", (1, 0, 0)), row[3])},
+                 (211, 109, 109, 109)),
+    "P as E": ({"P": lambda row: (("+", "-", (1, 1, 0)),)}, (0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("patch", PATCHED_ROWS)
+def test_word_rule_matches_the_graph_reference(monkeypatch, patch):
+    edits, expected_hits = PATCHED_ROWS[patch]
+    for kind, edit in edits.items():
+        monkeypatch.setitem(graphs.GADGETS, kind, edit(GADGETS[kind]))
+    pairs = [w for w, trivial in toggle_classes(3, 8) if not trivial]
+    assert len(pairs) * len(KS) == 1572
+    hits = []
+    for k in KS:
+        found = [0, 0]
+        for w in pairs:
+            wt = toggle(w)
+            g, gt = assemble_ring(w, k), assemble_ring(wt, k)
+            for i, (a, b, ga, gb) in enumerate(((w, wt, g, gt), (wt, w, gt, g))):
+                expected = subgraph_after_symmetry(ga, gb)
+                assert ring_embeds(a, b, k) == expected, (a, b, k)
+                found[i] += expected
+        hits.append(tuple(found))
+    assert hits == [(h, 0) for h in expected_hits]
+
+
+@given(words, ks)
+def test_word_edge_count_is_the_ring_edge_count(w, k):
+    assert ring_edge_count(w) == assemble_ring(w, k).edge_count
 
 
 # ---------------------------------------------------------------- export
