@@ -3,9 +3,10 @@
 One compact JSON line goes to stdout (`python -m json.tool` pretty-prints
 it), a short human summary to stderr.  `export` is the exception: it
 prints its graph as indented JSON, or as DOT or CSV with `--format`.
-Exit codes live on the error classes (`cospec.errors`): an error prints
-one `error:` line and exits with its `exit_code`; a failed check exits as
-a failed certificate does, and a `scan` that skipped a pair as a budget.
+Exit codes live on the error classes (`cospec.errors`): an error, a usage
+error included, prints one `error:` line and exits with its `exit_code`; a
+failed check exits as a failed certificate does, and a `scan` that skipped
+a pair as a budget.
 
 `verify` and `scan` decide by the routes' exact charpolys alone; only
 `spectrum` and `blowup` compute a float spectrum, and so load numpy.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 
@@ -53,14 +53,14 @@ from .transfer import certify_identities, transfer_u
 from .words import Word, is_self_toggle, parse_word, toggle, toggle_classes
 
 
-def _emit(payload: dict, summary: str) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
-    print(summary, file=sys.stderr)
+# largest numeric eigenvalue gap a blowup pair may show and pass
+BLOWUP_GAP_TOL = 1e-9
 
 
 def _report(args, payload: dict, summary: str, *, passed=True, skipped=False) -> int:
-    """Emit the report headed by the command and version; return its exit code."""
-    _emit({"command": args.command, "version": __version__, **payload}, summary)
+    """Print the report headed by the command and version, then its summary; return the code."""
+    print(json.dumps({"command": args.command, "version": __version__, **payload}))
+    print(summary, file=sys.stderr)
     if not passed:
         return CertificateError.exit_code
     return BudgetError.exit_code if skipped else 0
@@ -242,7 +242,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
         specs = {"recipe": "scale-then-blowup", "scale": rat_str(scale)}
     gap = float(abs(eigenvalues_numeric(b1) - eigenvalues_numeric(b2)).max())
     simple = [is_simple(b1), is_simple(b2)]
-    ok = all(simple) and gap <= args.tol
+    ok = all(simple) and gap <= BLOWUP_GAP_TOL
     if args.out:
         for name, g in (("blowup_1", b1), ("blowup_2", b2)):
             _write_or_print(export_graph(g, args.format), f"{args.out}/{name}.{args.format}")
@@ -296,8 +296,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_charpoly(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
-    k = parse_rat(args.k)
-    g = assemble_ring(w, k)
+    k = module_parameter(parse_rat(args.k))
+    # the transfer route reads the word alone
+    g = None if args.method == "transfer" else assemble_ring(w, k)
     pairs = {}
     if args.method in ("all", "exact"):
         pairs["exact"] = exact_u(g)
@@ -311,7 +312,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
         "backend": BACKEND,
         "word": str(w),
         "k": rat_str(k),
-        "n": g.n,
+        "n": w.n,
         "coefficients": {name: t_json(*pair) for name, pair in pairs.items()},
         "methods_agree": agree,
     }
@@ -320,17 +321,24 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
                    passed=agree)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors for `main` to report; its subparsers share the class."""
+
+    def error(self, message):
+        # an unknown argument is quoted raw, and may hold a line break
+        raise CospecError(message.replace("\n", "\\n"))
+
+
 @functools.cache  # built on first use; parsing leaves it unchanged for the next call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cospec",
         description="Build ring-of-modules graphs and verify their cospectrality.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, run, help, *, word=False, k=False, fmt=False, method=False,
-            budget=False, out=None):
+    def add(name, run, help, *, word=False, k=False, fmt=False, routes=False, out=None):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         if word:
@@ -339,11 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", default="1", help='module parameter as "p/q"')
         if fmt:
             p.add_argument("--format", default="json", choices=["json", "dot", "csv"])
-        if method:
+        if routes:
             p.add_argument(
                 "--method", default="all", choices=["all", "exact", "transfer", "oracle"]
             )
-        if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="most decompositions the oracle may enumerate")
         if out:
@@ -351,16 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("verify", cmd_verify, "check one toggled pair by all methods", word=True, k=True,
-        method=True, budget=True)
-    scan = add("scan", cmd_scan, "verify every cyclic word class up to a length", method=True,
-               budget=True)
+        routes=True)
+    scan = add("scan", cmd_scan, "verify every cyclic word class up to a length", routes=True)
     scan.add_argument("--tau-max", type=int, required=True)
     scan.add_argument("--k", default="1/1,2/1,1/2", help="comma-separated k values")
     blow = add("blowup", cmd_blowup, "emit a simple cospectral pair of blowups", word=True,
-               k=True, fmt=True)
-    blow.add_argument("--tol", type=float, default=1e-9,
-                      help="largest accepted numeric eigenvalue gap")
-    blow.add_argument("--out", default="", help="directory for the two blowup files")
+               k=True, fmt=True, out="directory for the two blowup files")
     blow.add_argument("--scale", default="1", help="pre-scale edge weights")
     add("identities", cmd_identities,
         "prove the transfer-matrix identities for all k > 0, t not in {0, 1, 2}")
@@ -368,25 +371,21 @@ def build_parser() -> argparse.ArgumentParser:
         out="output file (default: stdout)")
     add("spectrum", cmd_spectrum, "numeric normalized-Laplacian eigenvalues", word=True, k=True)
     add("charpoly", cmd_charpoly, "exact characteristic polynomial", word=True, k=True,
-        method=True, budget=True)
+        routes=True)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return CospecError.exit_code if exc.code not in (0, None) else 0
-    try:
         if args.command == "scan" and not (3 <= args.tau_max <= 12):
             raise ParameterError(f"--tau-max must be in [3, 12], got {args.tau_max}")
-        tol = getattr(args, "tol", 0.0)
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ParameterError(f"--tol must be a finite non-negative number, got {tol}")
         budget = getattr(args, "budget", 1)
         if budget < 1:
             raise ParameterError(f"--budget must be at least 1, got {budget}")
         return args.run(args)
+    except SystemExit:  # --help and --version: usage errors raise CospecError
+        return 0
     except (CospecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", CospecError.exit_code)

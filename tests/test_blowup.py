@@ -249,6 +249,12 @@ def test_solver_takes_unit_multiplicities_without_edges():
     assert solve_uniform_multiplicities(WeightedGraph(0, [])) == {}
 
 
+def test_solver_rejects_a_disconnected_graph():
+    # propagation from vertex 0 would never reach the edge 2-3
+    with pytest.raises(ShapeError, match="connected"):
+        solve_uniform_multiplicities(WeightedGraph(4, [(0, 1, 1), (2, 3, 1)]))
+
+
 def test_solver_no_solution():
     g = WeightedGraph(3, [(0, 1, 2), (1, 2, 3), (0, 2, 5)])
     assert solve_uniform_multiplicities(g) is None

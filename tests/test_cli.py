@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec import cli, errors, graphs
+from cospec import __version__, cli, errors, graphs
 from cospec.cli import main
 from cospec.graphs import assemble_ring
 from cospec.rationals import Rat, rat_str
@@ -54,7 +54,8 @@ def test_verify_bad_k(capsys):
 @pytest.mark.parametrize("method", ["transfer", "exact", "oracle", "all"])
 @pytest.mark.parametrize("argv", [["scan", "--tau-max", "3", "--k", "0"],
                                   ["scan", "--tau-max", "4", "--k", "1,-1/2"],
-                                  ["verify", "--word", "PPE", "--k", "0"]])
+                                  ["verify", "--word", "PPE", "--k", "0"],
+                                  ["charpoly", "--word", "PPE", "--k", "0"]])
 def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, method):
     # one message for every method, though the transfer route builds no graph
     monkeypatch.setattr(cli, "_verify_pair", lambda *a, **kw: pytest.fail("a route ran"))
@@ -69,7 +70,6 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
     "argv",
     [
         ["verify", "--word", "PCE", "--k", "1/0"],
-        ["blowup", "--word", "EEEPCC", "--k", "2", "--tol", "nan"],
         ["blowup", "--word", "PCPC", "--k", "2", "--out", "{missing}"],
         ["verify", "--word", "PCE", "--k", ""],
         ["charpoly", "--word", "PCE", "--k", " "],
@@ -85,18 +85,30 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
         ["spectrum", "--word", "PCE", "--k", "1,2"],
         ["charpoly", "--word", "PCE", "--method", "oracle", "--budget", "-1"],
         ["verify", "--word", "PCE", "--budget", "0"],
+        # usage errors, which argparse words differently on each Python
+        [],
+        ["verify"],
+        ["export", "--word", "PCE", "--format", "xml"],
+        ["verify", "--word", "PCE", "--budget", "x"],
+        ["verify", "--word", "PCE", "--k", "-3/2"],
+        ["verify", "--word", "PCE", "--bogus", "1"],
+        ["verify", "--word", "PCE", "a\nb"],
+        ["blowup", "--word", "EEEPCC", "--k", "2", "--tol", "1e-9"],
     ],
-    ids=["k-zero-denominator", "tol-nan", "out-missing-dir", "verify-k-empty",
+    ids=["k-zero-denominator", "out-missing-dir", "verify-k-empty",
          "charpoly-k-blank", "blowup-k-empty", "export-k-blank", "spectrum-k-empty",
          "scan-k-comma", "word-empty",
          "verify-k-list", "charpoly-k-list", "blowup-k-list", "export-k-list",
-         "spectrum-k-list", "budget-negative", "budget-zero"],
+         "spectrum-k-list", "budget-negative", "budget-zero",
+         "no-command", "word-missing", "format-xml", "budget-not-int", "k-read-as-option",
+         "unknown-option", "unknown-argument-with-line-break", "blowup-tol"],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -115,9 +127,21 @@ def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
          "charpoly-tol", "verify-tol", "scan-tol"],
 )
 def test_options_a_command_does_not_read_exit_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert sum("error:" in line for line in err.splitlines()) == 1
+    code, payload, err = run(capsys, *argv)
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"], ["--version"]],
+                         ids=["help", "scan-help", "version"])
+def test_help_and_version_exit_0_on_stdout(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv == ["--version"]:
+        assert captured.out == f"{__version__}\n"
+    else:
+        assert captured.out.startswith(" ".join(["usage: cospec"] + argv[:-1]))
 
 
 ERROR_CLASSES = [c for c in vars(errors).values()
@@ -502,6 +526,15 @@ def test_gadget_table_mutation_after_a_passing_run_at_the_same_k_takes_effect(ca
     assert code == 1 and payload["result"]["checks"]["exact_equal"] is False
 
 
+def test_blowup_recipe_with_a_non_unit_weight_left_exits_2(capsys, monkeypatch):
+    # with C's a-b weight k, not k^2, the blown-up a-b edges of each C weigh
+    # 2 / (2 * 2) = 1/2 at k = 2
+    mutate_c_ab_weight(monkeypatch)
+    code, payload, err = run(capsys, "blowup", "--word", "PCC", "--k", "2")
+    assert code == 2 and payload is None
+    assert err == "error: blowup of PCC at k=2 left non-unit weights\n"
+
+
 def test_gadget_table_mutation_is_invisible_at_k_1(capsys, monkeypatch):
     # k^2 = k at k = 1, so the mutated table builds the same rings
     mutate_c_ab_weight(monkeypatch)
@@ -513,6 +546,22 @@ def test_spectrum(capsys):
     code, payload, _ = run(capsys, "spectrum", "--word", "EEE", "--k", "1")
     assert code == 0
     assert payload["eigenvalues"] == pytest.approx([0, 1.5, 1.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("method, builds", [("transfer", 0), ("exact", 1), ("oracle", 1),
+                                             ("all", 1)])
+def test_charpoly_builds_the_graph_only_for_the_routes_that_read_it(
+        capsys, monkeypatch, method, builds):
+    argv = ["charpoly", "--word", "PCEP", "--k", "3/5"]
+    _, every, _ = run(capsys, *argv)
+    calls = []
+    build = cli.assemble_ring
+    monkeypatch.setattr(cli, "assemble_ring", lambda w, k: calls.append(w) or build(w, k))
+    code, payload, _ = run(capsys, *argv, "--method", method)
+    assert code == 0 and len(calls) == builds
+    assert payload["n"] == every["n"] == assemble_ring(parse_word("PCEP"), Rat(3, 5)).n
+    assert all(payload["coefficients"][m] == every["coefficients"][m]
+               for m in payload["coefficients"])
 
 
 def test_charpoly_methods_agree(capsys):
@@ -538,17 +587,17 @@ def test_charpoly_methods_agree(capsys):
 )
 def test_stdout_is_one_json_line_of_the_payload(capsys, monkeypatch, argv):
     emitted = []
-    emit = cli._emit
+    report = cli._report
 
-    def spy(payload, summary):
+    def spy(args, payload, summary, **kw):
         emitted.append(payload)
-        emit(payload, summary)
+        return report(args, payload, summary, **kw)
 
-    monkeypatch.setattr(cli, "_emit", spy)
+    monkeypatch.setattr(cli, "_report", spy)
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.endswith("\n") and out.count("\n") == 1
-    assert json.loads(out) == emitted[0]
+    assert json.loads(out) == {"command": argv[0], "version": __version__, **emitted[0]}
 
 
 def _without_timings(value):
@@ -621,7 +670,7 @@ OPTION_VALUES = {
 COMMAND_OPTIONS = {
     "verify": ["--word", "--k", "--method", "--budget"],
     "scan": ["--tau-max", "--k", "--method", "--budget"],
-    "blowup": ["--word", "--k", "--format", "--tol", "--out", "--scale"],
+    "blowup": ["--word", "--k", "--format", "--out", "--scale"],
     "identities": [],
     "export": ["--word", "--k", "--format", "--out"],
     "spectrum": ["--word", "--k"],
@@ -654,3 +703,6 @@ def test_cli_fuzz_exit_codes(argv):
             code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code == 2:  # usage errors too: one error line and nothing else
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
