@@ -93,8 +93,9 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     The verdict is the routes' exact charpolys alone: equal charpolys are
     equal spectra, multiplicities included, so no float check is made.
     n, the edge counts and the subgraph relation are read from the words;
-    the graphs are built only for the routes that read them (exact and
-    oracle) or for the WL witness of a pair with equal edge counts.
+    the graphs are built only when a route that reads them runs (exact, or
+    the oracle), and the WL witness of a pair with equal edge counts builds
+    its own when none did.
 
     With compare_trivial=False a self-toggle class, whose two graphs are
     one graph relabelled, is checked alone: only the cross-route checks
@@ -106,7 +107,10 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     wt = toggle(w)
     sides = (w,) if trivial and not compare_trivial else (w, wt)
     counts = [ring_edge_count(x) for x in sides]
-    graphs = None if method == "transfer" else [assemble_ring(x, k) for x in sides]
+    exact_runs = method in ("all", "exact")
+    # a trivial entry reads the oracle only through oracle_matches_exact
+    oracle_runs = method in ("all", "oracle") and (len(sides) == 2 or exact_runs)
+    graphs = [assemble_ring(x, k) for x in sides] if exact_runs or oracle_runs else None
     entry = {
         "word": str(w),
         "toggled_word": str(wt),
@@ -117,7 +121,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     }
     checks = {}
     exact = None
-    if method in ("all", "exact"):
+    if exact_runs:
         exacts = [exact_u(g) for g in graphs]
         _compare(checks, "exact", exacts, None)
         exact = exacts[0]
@@ -126,8 +130,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
         transfers = [transfer_u(x, k) for x in sides]
         _compare(checks, "transfer", [charpoly for charpoly, _ in transfers], exact)
         entry["short_part"] = t_json(*transfers[0][1])
-    # a trivial entry reads the oracle only through oracle_matches_exact
-    if method in ("all", "oracle") and (len(sides) == 2 or exact is not None):
+    if oracle_runs:
         try:
             oracles = [oracle_u(g, budget) for g in graphs]
         except BudgetError as exc:
@@ -333,13 +336,14 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cospec",
+        allow_abbrev=False,  # an abbreviated option is a usage error, as in every subparser
         description="Build ring-of-modules graphs and verify their cospectrality.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, run, help, *, word=False, k=False, fmt=False, routes=False, out=None):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         if word:
             p.add_argument("--word", required=True, help="module word over P/C/E")

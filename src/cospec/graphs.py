@@ -221,26 +221,19 @@ _REFLECT = {"+": "-", "-": "+", "a": "b", "b": "a"}
 def _letter_fits(rows: tuple, p: int, q: int) -> tuple:
     """For the `GADGETS` rows in `ALPHABET` order, at k = p/q > 0 (each
     through `_gadget_at`): the forward and the reflected fit, each the
-    `_spelling` tables of the letters X in `ALPHABET` order, where a letter
-    Y reads "1" when X fits on Y."""
+    `str.translate` tables of the letters X in `ALPHABET` order, where a
+    letter Y reads "1" when X fits on Y."""
     edges = [{(frozenset((a, b)), x) for a, b, x in _gadget_at(row, p, q)[0]} for row in rows]
     fits = []
     for turn in ({}, _REFLECT):
         tables = []
         for x, own in zip(ALPHABET, edges):
             moved = {(frozenset(turn.get(v, v) for v in pair), c) for pair, c in own}
-            tables.append(_spelling("".join(
+            tables.append(str.maketrans(ALPHABET, "".join(
                 "1" if (x not in "PC" or y in "PC") and moved <= other else "0"
                 for y, other in zip(ALPHABET, edges))))
         fits.append(tuple(tables))
     return tuple(fits)
-
-
-@functools.cache
-def _spelling(digits: str) -> dict:
-    """The `str.translate` table spelling the letters of `ALPHABET` as digits;
-    there are at most eight, shared by every k."""
-    return str.maketrans(ALPHABET, digits)
 
 
 def _fits_rotated(s: str, d: str, fits: tuple) -> bool:

@@ -15,9 +15,8 @@ v = u^2, and the blocks Y_kind built from it are integer polynomials in
 on those blocks as polynomials, so for every k > 0 and t not in {0, 1, 2}
 at once, and the kernel evaluates the very same blocks at one k.  The
 route needs nothing from the other two and works in integers: Q, R2 and
-S are integer tables, the proof has one product and one determinant of
-(k, v) polynomial matrices, R^-1 enters as adj(R2) / det(R2), and the
-long-cycle part is a closed-form monomial.
+S are integer tables, R^-1 enters the blocks as adj(R2) / det(R2), and
+the long-cycle part is a closed-form monomial.
 
 The short part is computed symbolically in u = t - 1 on the 2x2 blocks:
 S has zero rows 2 and 3, so tr prod_i Q X_i = tr prod_i Y_i.  Every
@@ -29,13 +28,13 @@ the trace, which packs u^{4 tau} tr(prod).  The radix is proven wide
 enough: with |M| the largest row sum of the entries' coefficient
 1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
 chosen with 2^(B-1) above that, so balanced base-2^B digits read the
-coefficients back.  One memo, `_state`, keyed on the tables, holds the
-(k, v) blocks of the table state and its packings, one per (k, letter
-counts) at their radix, so a call forms only the packed trace and reads
-its digits back; a patched table replaces the whole entry.  Dividing by
-u^{4 tau - n} gives (t - 1)^n tr(prod) in u; the division must be exact
-and leave degree <= n, which certifies that (t - 1)^n clears every
-denominator.
+coefficients back.  One memo, `_state`, reads the tables and holds the
+(k, v) blocks of their state and, per k, the blocks evaluated at k and
+their packings, one per letter-count triple at that triple's radix, so a
+call forms only the packed trace and reads its digits back; a patched
+table replaces the whole state.  Dividing by u^{4 tau - n} gives
+(t - 1)^n tr(prod) in u; the division must be exact and leave degree
+<= n, which certifies that (t - 1)^n clears every denominator.
 """
 
 from __future__ import annotations
@@ -68,22 +67,19 @@ X_TABLE = {
 U_TABLE = (((-2, 20), (-4, -32)), ((1, 8), (2, -20)))
 
 
-def _tables() -> tuple:
-    """The tables as they stand, the key of `_state`."""
-    return R2, S, X_TABLE["P"], X_TABLE["C"], X_TABLE["E"]
-
-
 # The tables `_state` last read, and their state.
 _held = None, None
 
 
-def _state(tables: tuple) -> tuple:
-    """(e, blocks, packed) for the tables from `_tables()`: `_y_blocks`, and
-    `_short_kernel`'s packings by (p, q, ell, m, tau).  Only the latest table
-    state is held, so a patched table drops the old state's packings.  The
-    tables are compared with `==`, which short-circuits on the same table
-    objects, so a call hashes nothing."""
+def _state() -> tuple:
+    """(e, blocks, ks) for R2, S and X_TABLE as they stand: `_y_blocks`, and
+    ks[p, q] = (`_integral_blocks(p, q)`, {(ell, m, tau): (bits, den, mats)}),
+    the blocks at k = p/q and `_short_kernel`'s packings of them.  Only the
+    latest table state is held, so a patched table drops every k of the old
+    one.  The tables are compared with `==`, which short-circuits on the
+    same table objects, so a call hashes nothing."""
     global _held
+    tables = R2, S, X_TABLE["P"], X_TABLE["C"], X_TABLE["E"]
     held, state = _held
     if tables != held:
         state = *_y_blocks(tables), {}
@@ -92,7 +88,7 @@ def _state(tables: tuple) -> tuple:
 
 
 def _y_blocks(tables: tuple) -> tuple:
-    """(e, blocks) for the tables from `_tables()`: blocks[kind] =
+    """(e, blocks) for the tables (R2, S, X_P, X_C, X_E): blocks[kind] =
     e 4(k+1)^2 u^4 Y_kind, 2x2 integer polynomials in (k, v).  As X_kind is
     diagonal and R^-1 = 2 adj(R2) / det(R2), Y_kind[i][j] sums
     (S adj(R2))[i][s] R2[s][j] X_kind[s][s] / det(R2); e is det(R2) over
@@ -112,12 +108,12 @@ def _y_blocks(tables: tuple) -> tuple:
     return det // g, blocks
 
 
-def _integral_blocks(tables: tuple, p: int, q: int) -> tuple:
+def _integral_blocks(p: int, q: int) -> tuple:
     """The (den, block, norm) triples of P, C and E at k = p/q > 0, as nested
     tuples: `_state`'s block at k (times q^D, D = max(2, its degree in k), each
     entry an integer triple in v over 4 e (p+q)^2 q^(D-2)) with the common
     factor divided out of it and den, and norm the largest row sum of its 1-norms."""
-    e, polys, _ = _state(tables)
+    e, polys, _ = _state()
     triples = []
     for poly in polys.values():
         deg = max([2] + [i for row in poly for entry in row for i, _ in entry])
@@ -155,22 +151,24 @@ def _packed_trace(mats) -> int:
 def _short_kernel(letters: str, ell: int, m: int, p: int, q: int) -> tuple:
     """(c, d) with (t-1)^n tr(prod_i Y_{letter_i}) = sum_i c[i] u^i / d for
     the word with ell P and m C modules at k = p/q > 0, by the packed product
-    of the module docstring.  The radix, d and the packed blocks depend only on
-    k and the counts: the first such call builds them from `_integral_blocks`
-    into `_state`'s packings.  Raises CertificateError unless the trace is
-    u^{4 tau - n} times a polynomial of degree <= n, i.e. unless (t-1)^n
-    clears every denominator."""
+    of the module docstring.  The first call at k evaluates the blocks there
+    (`_integral_blocks`); the radix, d and the packed blocks depend only on k
+    and the counts, and the first call at both packs them.  Raises
+    CertificateError unless the trace is u^{4 tau - n} times a polynomial of
+    degree <= n, i.e. unless (t-1)^n clears every denominator."""
     tau = len(letters)
-    tables = _tables()
-    packed = _state(tables)[2]
-    entry = packed.get((p, q, ell, m, tau))
+    ks = _state()[2]
+    at_k = ks.get((p, q))
+    if at_k is None:
+        at_k = ks[p, q] = _integral_blocks(p, q), {}
+    triples, packed = at_k
+    entry = packed.get((ell, m, tau))
     if entry is None:
-        triples = _integral_blocks(tables, p, q)
         counts = (ell, m, tau - ell - m)
         bits = _radix_bits([norm ** c for (_, _, norm), c in zip(triples, counts)])
         den = math.prod(d ** c for (d, _, _), c in zip(triples, counts))
         mats = {x: _pack(block, bits) for x, (_, block, _), c in zip("PCE", triples, counts) if c}
-        entry = packed[p, q, ell, m, tau] = bits, den, mats
+        entry = packed[ell, m, tau] = bits, den, mats
     bits, den, mats = entry
     trace_v = balanced_digits(_packed_trace([mats[x] for x in letters]), bits, 2 * tau + 1)
     u_coeffs = [0] * (2 * len(trace_v))
@@ -268,8 +266,8 @@ def certify_identities() -> list:
 
     Q = R S R^-1 and the zero rows 2 and 3 of S (which make
     tr prod Q X = tr prod Y) are constant.  With R = R2 / 2, the first is
-    det(R2) Q = R2 S adj(R2) in integers, and det(R2) = 72 is checked with
-    it, so R is invertible.  The blocks Y_kind are integer
+    Q R2 = R2 S in integers, checked beside det(R2) = 72: R is invertible,
+    so the two say Q = R S R^-1.  The blocks Y_kind are integer
     polynomials in (k, v), v = (t-1)^2, over the common denominator
     e 4(k+1)^2 v^2, which is nonzero for k > 0 and t != 1; so each U
     identity, checked as an identity of polynomials, holds at every such
@@ -279,12 +277,11 @@ def certify_identities() -> list:
     naming every identity that fails.
     """
     r2 = _constant(R2)
-    det_r2 = _pdet(r2)
-    yp, yc, ye = _state(_tables())[1].values()
+    yp, yc, ye = _state()[1].values()
     u = [[{(0, j): c for j, c in enumerate(entry) if c} for entry in row] for row in U_TABLE]
     sides = {
-        "Q = R S R^-1": ([[det_r2]] + [[_pmul(det_r2, x) for x in row] for row in _constant(Q)],
-                         [[{(0, 0): 72}]] + _pmat_mul(_pmat_mul(r2, _constant(S)), _adj(r2))),
+        "Q = R S R^-1": ([[_pdet(r2)]] + _pmat_mul(_constant(Q), r2),
+                         [[{(0, 0): 72}]] + _pmat_mul(r2, _constant(S))),
         "S rows 2-3 = 0": (_constant(S[2:]), [[{}] * 4] * 2),
         "U Y_P = Y_C U": (_pmat_mul(u, yp), _pmat_mul(yc, u)),
         "U Y_C = Y_P U": (_pmat_mul(u, yc), _pmat_mul(yp, u)),

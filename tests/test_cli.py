@@ -94,6 +94,9 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
         ["verify", "--word", "PCE", "--bogus", "1"],
         ["verify", "--word", "PCE", "a\nb"],
         ["blowup", "--word", "EEEPCC", "--k", "2", "--tol", "1e-9"],
+        # no option may be abbreviated
+        ["verify", "--wo", "PCE", "--meth", "transfer"],
+        ["scan", "--tau", "8"],
     ],
     ids=["k-zero-denominator", "out-missing-dir", "verify-k-empty",
          "charpoly-k-blank", "blowup-k-empty", "export-k-blank", "spectrum-k-empty",
@@ -101,7 +104,8 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
          "verify-k-list", "charpoly-k-list", "blowup-k-list", "export-k-list",
          "spectrum-k-list", "budget-negative", "budget-zero",
          "no-command", "word-missing", "format-xml", "budget-not-int", "k-read-as-option",
-         "unknown-option", "unknown-argument-with-line-break", "blowup-tol"],
+         "unknown-option", "unknown-argument-with-line-break", "blowup-tol",
+         "verify-abbreviated", "scan-abbreviated"],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -275,6 +279,19 @@ def test_transfer_scan_builds_only_the_graphs_wl_reads(capsys, monkeypatch):
         graphs = [assemble_ring(parse_word(x), Rat(e["k"])) for x in (e["word"], e["toggled_word"])]
         assert e["n"] == graphs[0].n
         assert e["edge_counts"] == [g.edge_count for g in graphs[:1 if e["trivial"] else 2]]
+
+
+def test_oracle_scan_builds_no_graph_for_a_self_toggle_entry(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "assemble_ring", lambda w, k: built.append(str(w))
+                        or assemble_ring(w, k))
+    code, payload, _ = run(capsys, "scan", "--tau-max", "6", "--k", "1", "--method", "oracle")
+    assert code == 0
+    # the oracle runs on both sides of a pair, and on no self-toggle entry
+    pairs = [e for e in payload["entries"] if not e["trivial"]]
+    assert all(e["checks"] == {} for e in payload["entries"] if e["trivial"])
+    assert len(built) == 2 * len(pairs) == 138
+    assert sorted(built) == sorted(x for e in pairs for x in (e["word"], e["toggled_word"]))
 
 
 def test_scan_unwitnessed_pair_is_counted_and_named(capsys, monkeypatch):

@@ -138,7 +138,7 @@ def evaluate(poly, k, v):
 def test_build_transfer_identities(k, t):
     # the certificate's blocks, polynomials in (k, v) over e 4(k+1)^2 v^2,
     # are the hand-written closed forms at each sample point
-    e, blocks = transfer._y_blocks(transfer._tables())
+    e, blocks, _ = transfer._state()
     v = (t - 1) ** 2
     den = e * 4 * (k + 1) ** 2 * v * v
     for kind in "PCE":
@@ -156,6 +156,15 @@ def test_singular_r2_fails_only_q(monkeypatch):
     # a rank-1 R2 has adj(R2) = 0, so every Y block is zero and the U
     # identities hold; det(R2) = 72 is what rejects it
     monkeypatch.setattr(transfer, "R2", (transfer.R2[0],) * 4)
+    with pytest.raises(IdentityCheckError, match=r": Q = R S R\^-1$"):
+        certify_identities()
+
+
+def test_r2_that_intertwines_but_is_singular_fails_only_q(monkeypatch):
+    # 2R's first column is an eigenvector of Q for 3, and S's first row is
+    # (3, 0, 0, 0), so that column alone has Q 2R = 2R S; det(2R) = 72 is
+    # what rejects it
+    monkeypatch.setattr(transfer, "R2", tuple((row[0], 0, 0, 0) for row in transfer.R2))
     with pytest.raises(IdentityCheckError, match=r": Q = R S R\^-1$"):
         certify_identities()
 
@@ -240,7 +249,7 @@ def test_a_table_patched_after_passing_runs_takes_effect(capsys, monkeypatch, na
 @pytest.mark.parametrize("k", sample_ks)
 def test_y_blocks_match_reference_forms(kind, k):
     # the kernel's integer block d u^4 Y at v = (t-1)^2, over d u^4
-    blocks = transfer._integral_blocks(transfer._tables(), k.numerator, k.denominator)
+    blocks = transfer._integral_blocks(k.numerator, k.denominator)
     d, block, _ = blocks["PCE".index(kind)]
     for t in sample_ts:
         v = (t - 1) ** 2
@@ -418,17 +427,19 @@ def test_one_table_coefficient_fails_the_proof_and_the_kernel(
 
 def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch):
     # -R2 conjugates as R2 does, so the blocks are the same, but it is a new
-    # table state, with nothing derived from it yet
+    # table state, with nothing derived from it yet (the memo is emptied, and
+    # put back as it was after the test)
+    monkeypatch.setattr(transfer, "_held", (None, None))
     monkeypatch.setattr(transfer, "R2", tuple(tuple(-x for x in row) for row in transfer.R2))
     derived, evaluated = [], []
     adj, integral_blocks = transfer._adj, transfer._integral_blocks
-    # _adj runs once per (k, v) derivation, and each packing evaluates its k once
+    # _adj runs once per (k, v) derivation, and _integral_blocks once per k
     monkeypatch.setattr(transfer, "_adj", lambda m: derived.append(1) or adj(m))
-    monkeypatch.setattr(transfer, "_integral_blocks", lambda tables, p, q:
-                        evaluated.append((p, q)) or integral_blocks(tables, p, q))
+    monkeypatch.setattr(transfer, "_integral_blocks", lambda p, q:
+                        evaluated.append((p, q)) or integral_blocks(p, q))
 
-    def packings():
-        return transfer._state(transfer._tables())[2]
+    def ks():
+        return transfer._state()[2]
 
     k = Rat(5, 7)
     ws = [parse_word(s) for s in ("PCE", "PPCCE", "EEE", "CCCPEP")]
@@ -436,26 +447,41 @@ def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch):
     # blocks served from the memo give the same polynomials
     assert [(short_part(w, k), charpoly_via_transfer(w, k)) for w in ws] == polys
     assert all(p == short_part_via_qx(w, k) for w, (p, _) in zip(ws, polys))
-    assert (len(derived), len(evaluated)) == (1, len(ws)) == (1, len(packings()))
+    # one evaluation at k, and one packing per letter-count triple
+    assert (len(derived), evaluated, list(ks())) == (1, [(5, 7)], [(5, 7)])
+    assert len(ks()[5, 7][1]) == len(ws)
     # the triples are nested tuples: they hash (else TypeError), and nothing can change them
-    hash(transfer._integral_blocks(transfer._tables(), 5, 7))
-    # a scan at 22 k still derives the (k, v) blocks once, and evaluates a
-    # k once per packing (and once for the hash above): the state holds
-    # every k's packings
-    ks = ",".join(f"{j}/29" for j in range(1, 23))
-    assert main(["scan", "--tau-max", "6", "--k", ks, "--method", "transfer"]) == 0
+    hash(integral_blocks(5, 7))
+    # a scan at 22 k still derives the (k, v) blocks once, and evaluates
+    # each k once: the state holds every k
+    scan_ks = [(j, 29) for j in range(1, 23)]
+    argv = ["scan", "--tau-max", "6", "--k", ",".join(f"{p}/{q}" for p, q in scan_ks),
+            "--method", "transfer"]
+    assert main(argv) == 0
     capsys.readouterr()
-    assert len(derived) == 1 and len(evaluated) == len(packings()) + 1
-    assert {(p, q) for p, q, *_ in packings()} == {(5, 7)} | {(j, 29) for j in range(1, 23)}
-    # the restored table is one more state, derived once
+    assert len(derived) == 1 and evaluated == list(ks()) == [(5, 7)] + scan_ks
+    # the restored table is one more state, derived once, with only its own k
     monkeypatch.setattr(transfer, "R2", R2_TABLE)
     for k in (Rat(1, 31), Rat(2, 31)):
         transfer.transfer_u(ws[0], k)
-    assert len(derived) == 2 and sorted(packings()) == [(1, 31, 1, 1, 3), (2, 31, 1, 1, 3)]
+    assert len(derived) == 2 and evaluated[-2:] == list(ks()) == [(1, 31), (2, 31)]
+
+
+def test_scan_evaluates_its_k_once(capsys, monkeypatch):
+    # an empty memo, put back as it was after the test
+    monkeypatch.setattr(transfer, "_held", (None, None))
+    evaluated, integral_blocks = [], transfer._integral_blocks
+    monkeypatch.setattr(transfer, "_integral_blocks", lambda *args:
+                        evaluated.append(args) or integral_blocks(*args))
+    assert main(["scan", "--tau-max", "8", "--k", "5/9", "--method", "transfer"]) == 0
+    capsys.readouterr()
+    assert len(evaluated) == 1
 
 
 def test_blocks_packed_once_per_table_state_k_and_letter_counts(capsys, monkeypatch):
-    # a new table state (-R2 conjugates as R2 does), so nothing is packed yet
+    # a new table state (-R2 conjugates as R2 does) in an emptied memo, so
+    # nothing is packed yet
+    monkeypatch.setattr(transfer, "_held", (None, None))
     monkeypatch.setattr(transfer, "R2", tuple(tuple(-x for x in row) for row in transfer.R2))
     packed, counts, radices, derived = [], [], [], []
     pack, kernel, digits, adj = (transfer._pack, transfer._short_kernel,
@@ -471,8 +497,7 @@ def test_blocks_packed_once_per_table_state_k_and_letter_counts(capsys, monkeypa
     argv = ["scan", "--tau-max", "6", "--k", "3/41", "--method", "transfer"]
     assert main(argv) == 0
     capsys.readouterr()
-    tables = transfer._tables()
-    triples = transfer._integral_blocks(tables, 3, 41)
+    triples = transfer._integral_blocks(3, 41)
 
     def radix(cs):
         return transfer._radix_bits([norm ** c for (_, _, norm), c in zip(triples, cs)])
@@ -484,11 +509,13 @@ def test_blocks_packed_once_per_table_state_k_and_letter_counts(capsys, monkeypa
     expected = sorted((block, radix(cs))
                       for cs in set(counts) for (_, block, _), c in zip(triples, cs) if c)
     assert sorted(packed) == expected
-    # the state holds one packing per (k, counts): the radix, the denominator
-    # and the packed blocks by letter
-    old = transfer._state(tables)[2]
-    assert sorted(old) == sorted((3, 41, ell, m, ell + m + e) for ell, m, e in set(counts))
-    for (_, _, ell, m, tau), (bits, den, mats) in old.items():
+    # the state holds k's blocks and one packing per counts: the radix, the
+    # denominator and the packed blocks by letter
+    ks = transfer._state()[2]
+    assert list(ks) == [(3, 41)] and ks[3, 41][0] == triples
+    old = ks[3, 41][1]
+    assert sorted(old) == sorted((ell, m, ell + m + e) for ell, m, e in set(counts))
+    for (ell, m, tau), (bits, den, mats) in old.items():
         cs = (ell, m, tau - ell - m)
         assert bits == radix(cs)
         assert den == math.prod(d ** c for (d, _, _), c in zip(triples, cs))
@@ -505,9 +532,10 @@ def test_blocks_packed_once_per_table_state_k_and_letter_counts(capsys, monkeypa
     held = len(old)
     monkeypatch.setattr(transfer, "R2", R2_TABLE)
     transfer.transfer_u(parse_word("PCE"), Rat(3, 41))
-    assert len(derived) == 2 and transfer._held[0] == transfer._tables()
-    assert transfer._state(transfer._tables())[2] is not old and len(old) == held
-    assert list(transfer._state(transfer._tables())[2]) == [(3, 41, 1, 1, 3)]
+    assert len(derived) == 2 and transfer._held[0][0] is R2_TABLE
+    ks = transfer._state()[2]
+    assert ks[3, 41][1] is not old and len(old) == held
+    assert list(ks) == [(3, 41)] and list(ks[3, 41][1]) == [(1, 1, 3)]
     assert sorted(packed[len(expected):]) == sorted((block, radix((1, 1, 1)))
                                                     for _, block, _ in triples)
 
