@@ -50,15 +50,21 @@ def blow_up(g: WeightedGraph, multiplicity: dict) -> WeightedGraph:
 
     An edge {u, v} of weight w becomes a complete bipartite graph with
     every weight w / (r_u r_v).  Vertices absent from the map keep
-    multiplicity 1.  Raises RecipeError past the size limits above.
+    multiplicity 1.  A key that is no vertex or a multiplicity that is not a
+    whole number >= 1 raises ParameterError, and the limits above RecipeError.
     """
+    for v in multiplicity:
+        if v not in range(g.n):
+            raise ParameterError(f"multiplicity given for {v!r}, not a vertex of a graph on {g.n}")
     reps = []
     offsets = []
     total = 0
     for v in range(g.n):
-        r = int(multiplicity.get(v, 1))
-        if r < 1:
-            raise ParameterError(f"multiplicity of vertex {v} must be >= 1, got {r}")
+        r = multiplicity.get(v, 1)
+        if not isinstance(r, (int, float, Rat)) or r < 1 or r % 1:
+            raise ParameterError(f"multiplicity of vertex {v} must be a whole number >= 1, "
+                                 f"got {r!r}")
+        r = int(r)
         offsets.append(total)
         reps.append(r)
         total += r

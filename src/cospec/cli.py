@@ -41,14 +41,13 @@ from .graphs import (
     assemble_ring,
     eigenvalues_numeric,
     export_graph,
-    module_parameter,
     non_isomorphism_witness,
     ring_edge_count,
     ring_embeds,
 )
 from .linalg import exact_u
 from .polynomials import t_json
-from .rationals import BACKEND, parse_rat, rat_str
+from .rationals import BACKEND, module_parameter, parse_rat, rat_str
 from .transfer import certify_identities, transfer_u
 from .words import Word, is_self_toggle, parse_word, toggle, toggle_classes
 
@@ -88,7 +87,7 @@ def _witness(sides: tuple, counts: list, graphs, k):
 def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
                  compare_trivial: bool = True) -> dict:
     """Check G(w) against G(toggle(w)) by each route `method` names; trivial = is_self_toggle(w).
-    k > 0 is the caller's check (`module_parameter`).
+    k has passed `module_parameter` in the command, so k <= 0 stops there, before any route.
 
     The verdict is the routes' exact charpolys alone: equal charpolys are
     equal spectra, multiplicities included, so no float check is made.
@@ -223,7 +222,7 @@ def _write_or_print(text: str, path: str) -> None:
 
 def cmd_blowup(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
-    k = parse_rat(args.k)
+    k = module_parameter(parse_rat(args.k))
     scale = parse_rat(args.scale)
     wt = toggle(w)
     if scale == 1:

@@ -20,7 +20,7 @@ import math
 from typing import Optional
 
 from .errors import DegreeError, FormatError, NumericalError, ParameterError, ShapeError
-from .rationals import Rat, as_rat, rat_str
+from .rationals import Rat, module_parameter, rat_str
 from .words import ALPHABET, Word
 
 # weights k = (0, 1, 0), 1 = (1, 0, 0), k + 1 = (1, 1, 0) and k^2 = (0, 0, 1)
@@ -30,16 +30,6 @@ GADGETS = {
           ("a", "b", (0, 0, 1))),
     "E": (("+", "-", (1, 1, 0)),),
 }
-
-
-def module_parameter(k):
-    """k as an exact rational, or ParameterError unless k > 0: the one check
-    of the module parameter, made by `build_module_gadget` and by the
-    commands before any route runs."""
-    k = as_rat(k)
-    if k.numerator <= 0:
-        raise ParameterError(f"module parameter k must be positive, got {k}")
-    return k
 
 
 def build_module_gadget(kind: str, k) -> tuple:
@@ -141,12 +131,12 @@ class WeightedGraph:
 
 
 def assemble_ring(w: Word, k) -> WeightedGraph:
-    """Assemble G(W): tau gadgets joined in cyclic order at signed vertices.
-    `build_module_gadget` rejects k <= 0; its gadgets share one scale."""
-    k = as_rat(k)
+    """Assemble G(W): tau gadgets joined in cyclic order at signed vertices,
+    k checked once and each `GADGETS` row read at k by `_gadget_at`, all at one scale."""
+    k = module_parameter(k)
     local = {}
     for kind in set(w.letters):
-        local[kind], scale = build_module_gadget(kind, k)
+        local[kind], scale = _gadget_at(GADGETS[kind], k.numerator, k.denominator)
     signed, unsigned, edges, n = [], [], [], 0
     for i, letter in enumerate(w):
         pair = (n + 1, n + 2) if letter in "PC" else None

@@ -1,7 +1,8 @@
 """Exact rationals at the package's edges.
 
 Graphs and routes work in integers; `Rat`, which is `fractions.Fraction`,
-parses `--k` and `--scale` and renders weights and k in the output.
+parses `--k` and `--scale` and renders weights and k in the output, and
+`module_parameter` is the package's one coercion and check of k.
 """
 
 from __future__ import annotations
@@ -21,9 +22,13 @@ def parse_rat(text: str) -> Rat:
         raise ParameterError(f"not a rational number: {text!r}") from exc
 
 
-def as_rat(x):
-    """x as an exact rational: ints and Fractions as they are, the rest through Fraction."""
-    return x if isinstance(x, (int, Rat)) else Rat(x)
+def module_parameter(k):
+    """k as an exact rational (an int or a Fraction as it is), or
+    ParameterError unless k > 0: the package's one coercion and check of k."""
+    k = k if isinstance(k, (int, Rat)) else Rat(k)
+    if k.numerator <= 0:
+        raise ParameterError(f"module parameter k must be positive, got {k}")
+    return k
 
 
 def rat_str(q) -> str:

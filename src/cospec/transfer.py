@@ -43,7 +43,7 @@ import math
 
 from .errors import CertificateError, IdentityCheckError, ParameterError
 from .polynomials import balanced_digits, lowest_terms
-from .rationals import as_rat
+from .rationals import module_parameter
 from .words import Word
 
 
@@ -186,12 +186,10 @@ def long_cycle_monomial(tau: int, ell: int, m: int, k) -> tuple:
     """The long-cycle part for a ring with counts (tau, ell, m) as the
     monomial ((c, d), j), meaning c (t - 1)^j / d: at k = p/q and e = ell + m,
     c = (-1)^(tau-1) q^e, d = 2^(tau-1) (p+q)^e and j = 2 e."""
-    k = as_rat(k)
+    k = module_parameter(k)
     p, q = k.numerator, k.denominator
     if tau < 3 or ell < 0 or m < 0 or ell + m > tau:
         raise ParameterError(f"invalid counts tau={tau}, ell={ell}, m={m}")
-    if p <= 0:
-        raise ParameterError(f"k must be positive, got {k}")
     e = ell + m
     return ((-1) ** (tau - 1) * q**e, 2 ** (tau - 1) * (p + q) ** e), 2 * e
 
@@ -205,9 +203,9 @@ def transfer_u(w: Word, k) -> tuple:
     degree n (coeffs[n] = den), or CertificateError is raised.  The short
     part is handed on as computed (`t_json` prints it as its lowest terms).
     """
-    k = as_rat(k)
+    k = module_parameter(k)
     ell, m, n = w.ell, w.m, w.n
-    (c, d), j = long_cycle_monomial(w.tau, ell, m, k)  # first, as it rejects k <= 0
+    (c, d), j = long_cycle_monomial(w.tau, ell, m, k)
     short, scale = _short_kernel(w.letters, ell, m, k.numerator, k.denominator)
     den = math.lcm(scale, d)
     coeffs = [x * (den // scale) for x in short]

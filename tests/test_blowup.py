@@ -75,6 +75,14 @@ def test_ccc_unsigned_blowup_unit_weights():
 def test_blowup_rejects_zero_multiplicity():
     with pytest.raises(ParameterError):
         blow_up(ring("EEE"), {0: 0})
+    # a multiplicity that is not a whole number, and a key that is no vertex
+    edge = WeightedGraph(2, [(0, 1, 1)])
+    for multiplicity, named in (({0: 1.5}, "vertex 0"), ({1: "2"}, "vertex 1"),
+                                ({99: 5}, "99"), ({-1: 3}, "-1")):
+        with pytest.raises(ParameterError, match=named):
+            blow_up(edge, multiplicity)
+    # integral values of other types keep working
+    assert blow_up(edge, {0: 2.0, 1: Rat(3)}).n == 5
 
 
 def test_blowup_degree_division():

@@ -55,13 +55,21 @@ def test_verify_bad_k(capsys):
 @pytest.mark.parametrize("argv", [["scan", "--tau-max", "3", "--k", "0"],
                                   ["scan", "--tau-max", "4", "--k", "1,-1/2"],
                                   ["verify", "--word", "PPE", "--k", "0"],
-                                  ["charpoly", "--word", "PPE", "--k", "0"]])
+                                  ["charpoly", "--word", "PPE", "--k", "0"],
+                                  ["export", "--word", "PCE", "--k", "0"],
+                                  ["spectrum", "--word", "PCE", "--k", "-2"],
+                                  ["blowup", "--word", "PCC", "--k", "0"],
+                                  ["blowup", "--word", "PCC", "--scale", "2", "--k", "0"]])
 def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, method):
-    # one message for every method, though the transfer route builds no graph
+    # one message for every command and method, though the transfer route
+    # builds no graph and the blowup recipe takes only integers; the
+    # commands without --method run alike under each
     monkeypatch.setattr(cli, "_verify_pair", lambda *a, **kw: pytest.fail("a route ran"))
-    assert main(argv + ["--method", method]) == 2
-    captured = capsys.readouterr()
     bad = argv[-1].split(",")[-1]
+    if argv[0] in ("scan", "verify", "charpoly"):
+        argv = argv + ["--method", method]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: module parameter k must be positive, got {bad}\n"
 

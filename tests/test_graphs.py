@@ -62,13 +62,13 @@ def test_c_gadget_weights():
 
 
 def test_gadget_rejects_bad_k():
-    with pytest.raises(ParameterError):
-        build_module_gadget("P", 0)
-    with pytest.raises(ParameterError):
-        build_module_gadget("E", Rat(-1, 2))
-    # assemble_ring leaves the check to the gadgets it builds
-    for k in (0, Rat(-1, 2)):
-        with pytest.raises(ParameterError, match="k must be positive"):
+    # the gadget and the ring take k through module_parameter, and its one message
+    for k in (0, -2, Rat(-1, 2)):
+        message = f"^module parameter k must be positive, got {k}$"
+        for kind in "PCE":
+            with pytest.raises(ParameterError, match=message):
+                build_module_gadget(kind, k)
+        with pytest.raises(ParameterError, match=message):
             assemble_ring(parse_word("PCE"), k)
 
 
@@ -368,8 +368,9 @@ def test_subgraph_rotated_alignment():
 
 
 def test_subgraph_rejects_k_at_most_0():
-    with pytest.raises(ParameterError, match="^module parameter k must be positive, got 0$"):
-        embeds("PPP", "CCC", 0)
+    for k in (0, -2):
+        with pytest.raises(ParameterError, match=f"^module parameter k must be positive, got {k}$"):
+            embeds("PPP", "CCC", k)
 
 
 # GADGETS rows patched as (kind, edit of its row), and the pairs w in

@@ -55,13 +55,13 @@ def imported_names(path: Path) -> list:
 
 
 def test_routes_work_in_integers():
-    # Fraction only parses and prints: a route takes k in through as_rat and
-    # imports nothing else of the rationals
+    # Fraction only parses and prints: a route takes k in through
+    # module_parameter and imports nothing else of the rationals
     for route in ROUTES:
         for name in imported_names(PACKAGE / f"{route}.py"):
             assert name.split(".")[0] != "fractions", (route, name)
-            assert name == "cospec.rationals.as_rat" or not name.startswith("cospec.rationals"), (
-                route, name)
+            assert (name == "cospec.rationals.module_parameter"
+                    or not name.startswith("cospec.rationals")), (route, name)
 
 
 def test_routes_import_no_numpy_and_only_the_graph_class():

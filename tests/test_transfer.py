@@ -565,8 +565,11 @@ def test_charpoly_via_transfer_postcondition_raises(monkeypatch):
 
 def test_route_rejects_k_and_counts_out_of_domain():
     for k in (0, -2):
-        with pytest.raises(ParameterError, match="k must be positive"):
+        message = f"^module parameter k must be positive, got {k}$"
+        with pytest.raises(ParameterError, match=message):
             transfer.transfer_u(parse_word("PCE"), k)
+        with pytest.raises(ParameterError, match=message):
+            transfer.long_cycle_monomial(3, 1, 1, k)
     for counts in ((3, 2, 2), (2, 0, 0)):  # more P and C than modules; tau < 3
         with pytest.raises(ParameterError, match="invalid counts"):
             transfer.long_cycle_monomial(*counts, 1)
