@@ -14,7 +14,7 @@ import math
 
 from .errors import ParameterError, RecipeError, ShapeError
 from .graphs import WeightedGraph, assemble_ring
-from .rationals import Rat
+from .rationals import Rat, module_parameter, rat_str
 from .words import Word, toggle
 
 # Limits on a blown-up graph, checked from its counts before any edge is
@@ -139,14 +139,17 @@ def _recipe_one(word: Word, k: int) -> WeightedGraph:
     return result
 
 
-def simple_blowup_recipe(w: Word, k: int):
+def simple_blowup_recipe(w: Word, k):
     """Blow both G(W) and G(W^T) up into certified simple graphs.
 
     Unsigned vertices get multiplicity k and each maximal run of at least
-    two E modules becomes k+1 parallel unit paths.
+    two E modules becomes k+1 parallel unit paths.  k is read through
+    `module_parameter`, and a k that is not whole raises RecipeError.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ParameterError(f"recipe needs a positive integer k, got {k!r}")
+    k = module_parameter(k)
+    if k.denominator != 1:
+        raise RecipeError(f"blowup recipe needs integer k, got {rat_str(k)}")
+    k = int(k)
     return _recipe_one(w, k), _recipe_one(toggle(w), k)
 
 

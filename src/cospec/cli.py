@@ -8,8 +8,10 @@ error included, prints one `error:` line and exits with its `exit_code`; a
 failed check exits as a failed certificate does, and a `scan` that skipped
 a pair as a budget.
 
-`verify` and `scan` decide by the routes' exact charpolys alone; only
-`spectrum` and `blowup` compute a float spectrum, and so load numpy.
+`verify` and `scan` decide by the routes' exact charpolys alone, and read
+what tells a pair's two rings apart (edge counts, witness, subgraph
+relation) from the words, so the transfer route alone builds no graph;
+only `spectrum` and `blowup` compute a float spectrum, and so load numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .graphs import (
     assemble_ring,
     eigenvalues_numeric,
     export_graph,
-    non_isomorphism_witness,
     ring_edge_count,
     ring_embeds,
 )
@@ -75,13 +76,15 @@ def _compare(checks: dict, route: str, pairs: list, exact) -> None:
         checks[f"{route}_matches_exact"] = pairs[0] == exact
 
 
-def _witness(sides: tuple, counts: list, graphs, k):
-    """Why G(w) and G(toggle(w)) are not isomorphic: "edge_count" when the
-    words' edge counts differ, else the graphs' `non_isomorphism_witness`
-    (built here when no route built them)."""
+def _witness(counts: list, trivial: bool):
+    """Why G(w) and G(toggle(w)) are not isomorphic, read from the words:
+    "edge_count" when their edge counts differ, else "ring_class" unless w
+    is its own toggle (None).  For tau >= 3 and k > 0, G(w) and G(w') are
+    isomorphic exactly when w' is a rotation or reflection of w (README,
+    "Why toggled rings differ")."""
     if counts[0] != counts[1]:
         return "edge_count"
-    return non_isomorphism_witness(*(graphs or [assemble_ring(x, k) for x in sides]))
+    return None if trivial else "ring_class"
 
 
 def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
@@ -91,10 +94,9 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
 
     The verdict is the routes' exact charpolys alone: equal charpolys are
     equal spectra, multiplicities included, so no float check is made.
-    n, the edge counts and the subgraph relation are read from the words;
-    the graphs are built only when a route that reads them runs (exact, or
-    the oracle), and the WL witness of a pair with equal edge counts builds
-    its own when none did.
+    n, the edge counts, the subgraph relation and the witness are read from
+    the words; the graphs are built only when a route that reads them runs
+    (exact, or the oracle), so the transfer route alone builds none.
 
     With compare_trivial=False a self-toggle class, whose two graphs are
     one graph relabelled, is checked alone: only the cross-route checks
@@ -143,7 +145,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     if len(sides) == 2:
         sparse, dense = sides if counts[0] <= counts[1] else sides[::-1]
         entry["subgraph_sparse_in_dense"] = ring_embeds(sparse, dense, k)
-        entry["witness"] = _witness(sides, counts, graphs, k)
+        entry["witness"] = _witness(counts, trivial)
     entry["checks"] = checks
     entry["pass"] = all(v for v in checks.values() if v is not None)
     entry["seconds"] = round(time.perf_counter() - start, 6)
@@ -226,9 +228,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
     scale = parse_rat(args.scale)
     wt = toggle(w)
     if scale == 1:
-        if k.denominator != 1:
-            raise RecipeError(f"blowup recipe needs integer k, got {rat_str(k)}")
-        b1, b2 = simple_blowup_recipe(w, int(k))
+        b1, b2 = simple_blowup_recipe(w, k)
         specs = {"recipe": "unsigned-multiplicity-and-path-split", "multiplicity": int(k)}
     else:
         pair = []

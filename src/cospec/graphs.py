@@ -1,7 +1,8 @@
 """Module gadgets and ring assembly for the graph family, what a word says
-of its ring without building it (the edge count and the subgraph relation),
-and the numeric spectrum (the package's only numpy use; only `spectrum` and
-`blowup` read it).
+of its ring without building it (the edge count and the subgraph relation;
+the README proves that its class alone decides the ring up to
+isomorphism), and the numeric spectrum (the package's only numpy use; only
+`spectrum` and `blowup` read it).
 
 `GADGETS` holds the P, C and E modules as edges on the poles +, - and the
 unsigned pair a, b, each weight the integer coefficients of 1, k and k^2.
@@ -242,49 +243,6 @@ def _fits_rotated(s: str, d: str, fits: tuple) -> bool:
         if not live:
             return False
     return True
-
-
-def non_isomorphism_witness(g1: WeightedGraph, g2: WeightedGraph) -> Optional[str]:
-    """Why g1 and g2 are not isomorphic as weighted graphs, or None if unshown.
-
-    "edge_count" when the edge counts differ, else "wl" when 1-WL colour
-    refinement separates them.  Isomorphic graphs get None, since an
-    isomorphism preserves every colour histogram.
-    """
-    if g1.edge_count != g2.edge_count:
-        return "edge_count"
-    return "wl" if _wl_separates(g1, g2) else None
-
-
-def _wl_separates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
-    """1-WL colour refinement on both graphs in lockstep: a vertex starts
-    with its weighted degree, and each round its colour becomes its old
-    colour plus the sorted (weight, colour) pairs of its neighbours.  Colours
-    are interned in one table, so equal colours mean equal refinement
-    histories; True iff the histograms differ at some round.  Weights and
-    degrees are the graphs' integers over their common scale."""
-    scale = math.lcm(g1.scale, g2.scale)
-    multipliers = [scale // g.scale for g in (g1, g2)]
-    table: dict = {}
-    colours = [[table.setdefault(d * m, len(table)) for d in g.scaled_degrees]
-               for g, m in zip((g1, g2), multipliers)]
-    for _ in range(max(g1.n, g2.n)):
-        if sorted(colours[0]) != sorted(colours[1]):
-            return True
-        classes = len(set(colours[0]))
-        colours = [
-            [
-                table.setdefault(
-                    (c[v], tuple(sorted((x * m, c[u]) for u, x in g.scaled_adj[v].items()))),
-                    len(table),
-                )
-                for v in range(g.n)
-            ]
-            for g, m, c in zip((g1, g2), multipliers, colours)
-        ]
-        if len(set(colours[0])) == classes:
-            break
-    return sorted(colours[0]) != sorted(colours[1])
 
 
 def export_graph(g: WeightedGraph, format: str) -> str:

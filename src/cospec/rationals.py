@@ -2,7 +2,7 @@
 
 Graphs and routes work in integers; `Rat`, which is `fractions.Fraction`,
 parses `--k` and `--scale` and renders weights and k in the output, and
-`module_parameter` is the package's one coercion and check of k.
+`module_parameter` is the package's one check of k.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ def parse_rat(text: str) -> Rat:
 
 
 def module_parameter(k):
-    """k as an exact rational (an int or a Fraction as it is), or
-    ParameterError unless k > 0: the package's one coercion and check of k."""
-    k = k if isinstance(k, (int, Rat)) else Rat(k)
+    """k as it is, or ParameterError unless k is an int or a Fraction and
+    k > 0: the package's one check of k."""
+    if not isinstance(k, (int, Rat)):
+        raise ParameterError(f"module parameter k must be an int or a Fraction, got {k!r}")
     if k.numerator <= 0:
         raise ParameterError(f"module parameter k must be positive, got {k}")
     return k

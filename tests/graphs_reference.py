@@ -1,8 +1,11 @@
-"""The graph-level subgraph test, as the reference for the word rule
-`graphs.ring_embeds`: it aligns two assembled rings module by module and
-compares their edges and weights, for the tests."""
+"""Graph-level references for what the package reads from words, for the
+tests: the subgraph test, which aligns two assembled rings module by
+module and compares their edges and weights (the reference for
+`graphs.ring_embeds`), and 1-WL colour refinement, the reference for the
+witness rule that distinct word classes give non-isomorphic rings."""
 
 import math
+from typing import Optional
 
 from cospec.errors import ShapeError
 from cospec.graphs import WeightedGraph
@@ -54,3 +57,46 @@ def subgraph_after_symmetry(g1: WeightedGraph, g2: WeightedGraph) -> bool:
             if all(weights2.get((mapping[u], mapping[v])) == x for u, v, x in edges1):
                 return True
     return False
+
+
+def non_isomorphism_witness(g1: WeightedGraph, g2: WeightedGraph) -> Optional[str]:
+    """Why g1 and g2 are not isomorphic as weighted graphs, or None if unshown.
+
+    "edge_count" when the edge counts differ, else "wl" when 1-WL colour
+    refinement separates them.  Isomorphic graphs get None, since an
+    isomorphism preserves every colour histogram.
+    """
+    if g1.edge_count != g2.edge_count:
+        return "edge_count"
+    return "wl" if wl_separates(g1, g2) else None
+
+
+def wl_separates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
+    """1-WL colour refinement on both graphs in lockstep: a vertex starts
+    with its weighted degree, and each round its colour becomes its old
+    colour plus the sorted (weight, colour) pairs of its neighbours.  Colours
+    are interned in one table, so equal colours mean equal refinement
+    histories; True iff the histograms differ at some round.  Weights and
+    degrees are the graphs' integers over their common scale."""
+    scale = math.lcm(g1.scale, g2.scale)
+    multipliers = [scale // g.scale for g in (g1, g2)]
+    table: dict = {}
+    colours = [[table.setdefault(d * m, len(table)) for d in g.scaled_degrees]
+               for g, m in zip((g1, g2), multipliers)]
+    for _ in range(max(g1.n, g2.n)):
+        if sorted(colours[0]) != sorted(colours[1]):
+            return True
+        classes = len(set(colours[0]))
+        colours = [
+            [
+                table.setdefault(
+                    (c[v], tuple(sorted((x * m, c[u]) for u, x in g.scaled_adj[v].items()))),
+                    len(table),
+                )
+                for v in range(g.n)
+            ]
+            for g, m, c in zip((g1, g2), multipliers, colours)
+        ]
+        if len(set(colours[0])) == classes:
+            break
+    return sorted(colours[0]) != sorted(colours[1])

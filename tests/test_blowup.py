@@ -172,8 +172,14 @@ def test_recipe_isolated_e_obstruction():
 
 
 def test_recipe_rejects_noninteger_k():
-    with pytest.raises(ParameterError):
+    # k passes module_parameter, and the recipe checks only that it is whole
+    with pytest.raises(RecipeError, match="^blowup recipe needs integer k, got 1/2$"):
         simple_blowup_recipe(parse_word("PPP"), Rat(1, 2))
+    with pytest.raises(ParameterError, match="^module parameter k must be positive, got 0$"):
+        simple_blowup_recipe(parse_word("PPP"), 0)
+    got = simple_blowup_recipe(parse_word("PPP"), Rat(2))
+    assert [g.scaled_weights for g in got] == [
+        g.scaled_weights for g in simple_blowup_recipe(parse_word("PPP"), 2)]
 
 
 def split_words(tau_max):

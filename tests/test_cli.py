@@ -7,11 +7,19 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec import __version__, cli, errors, graphs
+from cospec import __version__, cli, errors, graphs, transfer
 from cospec.cli import main
+from cospec.decomps import DEFAULT_BUDGET
 from cospec.graphs import assemble_ring
-from cospec.rationals import Rat, rat_str
-from cospec.words import canonical_form, canonical_words, is_self_toggle, parse_word, toggle
+from cospec.rationals import Rat
+from cospec.words import (
+    canonical_form,
+    canonical_words,
+    is_self_toggle,
+    parse_word,
+    toggle,
+    toggle_classes,
+)
 from polynomial_reference import charpoly_exact
 
 
@@ -267,21 +275,17 @@ def test_scan_one_entry_per_unordered_pair_and_k(capsys):
     assert (summary["pairs_checked"], summary["trivial"], summary["witnessed"],
             summary["unwitnessed"], summary["failures"]) == (82, 24, 58, 0, 0)
     witnesses = [e["witness"] for e in entries if not e["trivial"]]
-    assert (witnesses.count("edge_count"), witnesses.count("wl")) == (56, 2)
+    assert (witnesses.count("edge_count"), witnesses.count("ring_class")) == (56, 2)
     assert "24 trivial" in err and "58 witnessed, 0 unwitnessed" in err
 
 
-def test_transfer_scan_builds_only_the_graphs_wl_reads(capsys, monkeypatch):
+def test_transfer_scan_builds_no_graph(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "assemble_ring", lambda w, k: built.append((w, k))
                         or assemble_ring(w, k))
-    code, payload, _ = run(capsys, "scan", "--tau-max", "5", "--k", "1,7/3", "--method", "transfer")
-    assert code == 0
-    wl = [(e["word"], e["toggled_word"], e["k"]) for e in payload["entries"]
-          if e.get("witness") == "wl"]
-    assert len(wl) == 2
-    assert sorted((str(w), rat_str(k)) for w, k in built) == sorted(
-        (x, k) for w, wt, k in wl for x in (w, wt))
+    code, payload, _ = run(capsys, "scan", "--tau-max", "5", "--k", "1,2,7/3",
+                           "--method", "transfer")
+    assert code == 0 and built == []
     # the entries hold what the graphs hold
     for e in payload["entries"]:
         graphs = [assemble_ring(parse_word(x), Rat(e["k"])) for x in (e["word"], e["toggled_word"])]
@@ -303,8 +307,8 @@ def test_oracle_scan_builds_no_graph_for_a_self_toggle_entry(capsys, monkeypatch
 
 
 def test_scan_unwitnessed_pair_is_counted_and_named(capsys, monkeypatch):
-    # the witness of a pair: the words' edge counts, else WL on the graphs
-    monkeypatch.setattr("cospec.cli._witness", lambda sides, counts, graphs, k: None)
+    # the witness of a pair: the words' edge counts, else their ring classes
+    monkeypatch.setattr("cospec.cli._witness", lambda counts, trivial: None)
     code, payload, err = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "exact")
     assert code == 0
     assert (payload["summary"]["witnessed"], payload["summary"]["unwitnessed"]) == (0, 4)
@@ -348,6 +352,17 @@ def test_verify_self_toggle_runs_every_check(capsys):
     result = payload["result"]
     assert result["trivial"] is True and result["witness"] is None
     assert result["checks"] == {"exact_equal": True}
+
+
+def test_transfer_verify_reads_the_witness_from_the_words(capsys, monkeypatch):
+    def no_graph(w, k):
+        raise AssertionError(f"built G({w})")
+
+    monkeypatch.setattr(cli, "assemble_ring", no_graph)
+    code, payload, _ = run(capsys, "verify", "--word", "CECPP", "--k", "1", "--method", "transfer")
+    assert code == 0
+    result = payload["result"]
+    assert result["edge_counts"] == [15, 15] and result["witness"] == "ring_class"
 
 
 ROUTE_CHECKS = {
@@ -731,3 +746,79 @@ def test_cli_fuzz_exit_codes(argv):
     if code == 2:  # usage errors too: one error line and nothing else
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# -------------------------------------------------------- mutation sweeps
+
+
+def bumped(coeffs: tuple, i: int, d: int) -> tuple:
+    """coeffs with d added to the coefficient at index i, zero-padded to reach it."""
+    coeffs = list(coeffs) + [0] * (i + 1 - len(coeffs))
+    coeffs[i] += d
+    return tuple(coeffs)
+
+
+# Each mutant is (dict, key, value), applied with monkeypatch.setitem;
+# R2 is patched in the module's own namespace, vars(transfer).
+
+
+def x_table_mutants():
+    # every (kind, state, v-power, k-power <= 2) slot, +1 and -1
+    for kind, states in transfer.X_TABLE.items():
+        for s, state in enumerate(states):
+            for j, entry in enumerate(state):
+                for i in range(3):
+                    for d in (1, -1):
+                        new = state[:j] + (bumped(entry, i, d),) + state[j + 1:]
+                        yield transfer.X_TABLE, kind, states[:s] + (new,) + states[s + 1:]
+
+
+def gadget_mutants():
+    # every weight coefficient, +1 and -1, where the weight stays a non-zero
+    # polynomial with non-negative coefficients
+    for kind, row in graphs.GADGETS.items():
+        for e, (a, b, x) in enumerate(row):
+            for i in range(3):
+                for d in (1, -1):
+                    y = bumped(x, i, d)
+                    if min(y) >= 0 and any(y):
+                        yield graphs.GADGETS, kind, row[:e] + ((a, b, y),) + row[e + 1:]
+
+
+def r2_mutants():
+    r2 = transfer.R2
+    for r in range(4):
+        for c in range(4):
+            for d in (1, -1):
+                row = r2[r][:c] + (r2[r][c] + d,) + r2[r][c + 1:]
+                yield vars(transfer), "R2", r2[:r] + (row,) + r2[r + 1:]
+
+
+def fails_some_class(method: str) -> bool:
+    for w, trivial in toggle_classes(3, 6):
+        try:
+            if not cli._verify_pair(w, Rat(2), method, DEFAULT_BUDGET, trivial=trivial)["pass"]:
+                return True
+        except errors.CospecError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("mutants, count, route", [
+    (x_table_mutants, 216, "transfer"),
+    (gadget_mutants, 26, "exact"),
+    (r2_mutants, 32, "transfer"),
+])
+def test_every_single_coefficient_mutant_fails_a_verify(monkeypatch, mutants, count, route):
+    # each table mutant, one coefficient off by one, fails (or raises on) some
+    # class with tau <= 6 at k = 2, by all routes and by the route that reads it
+    patches = list(mutants())
+    assert len(patches) == count
+    assert not fails_some_class("all") and not fails_some_class(route)
+    missed = []
+    for table, key, value in patches:
+        with monkeypatch.context() as m:
+            m.setitem(table, key, value)
+            if not (fails_some_class("all") and fails_some_class(route)):
+                missed.append((key, value))
+    assert missed == []

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec import graphs
+from cospec import cli, graphs
 from cospec.errors import DegreeError, FormatError, ParameterError, ShapeError
 from cospec.graphs import (
     GADGETS,
@@ -13,14 +14,13 @@ from cospec.graphs import (
     assemble_ring,
     build_module_gadget,
     export_graph,
-    non_isomorphism_witness,
     normalized_laplacian,
     ring_edge_count,
     ring_embeds,
 )
-from cospec.rationals import Rat
+from cospec.rationals import Rat, module_parameter
 from cospec.words import canonical_words, parse_word, toggle, toggle_classes
-from graphs_reference import subgraph_after_symmetry
+from graphs_reference import non_isomorphism_witness, subgraph_after_symmetry, wl_separates
 from polynomial_reference import random_walk_matrix
 
 words = st.text(alphabet="PCE", min_size=3, max_size=8).map(parse_word)
@@ -70,6 +70,15 @@ def test_gadget_rejects_bad_k():
                 build_module_gadget(kind, k)
         with pytest.raises(ParameterError, match=message):
             assemble_ring(parse_word("PCE"), k)
+
+
+@pytest.mark.parametrize("k", ["abc", "2", float("nan"), 0.1, 2.0, None])
+def test_module_parameter_takes_only_an_int_or_a_fraction(k):
+    # a string or a float is not read as a number, so 0.1 is not its binary value
+    with pytest.raises(ParameterError, match="^module parameter k must be an int or a Fraction, got "):
+        module_parameter(k)
+    with pytest.raises(ParameterError):
+        assemble_ring(parse_word("PCE"), k)
 
 
 @pytest.mark.parametrize("k", [1, Rat(7, 3), Rat(2, 5), Rat(10**12, 7)])
@@ -457,6 +466,19 @@ def toggle_pairs(tau_max, k):
             yield w, assemble_ring(w, k), assemble_ring(toggle(w), k)
 
 
+@pytest.mark.parametrize("k", [Rat(1), Rat(2), Rat(1, 2), Rat(7, 3)])
+def test_distinct_classes_give_non_isomorphic_rings(k):
+    # the lemma behind the "ring_class" witness (README, "Why toggled rings
+    # differ"): classes with equal (tau, ell, m) have equal edge counts, and
+    # the WL reference separates the rings of every two of them
+    groups = {}
+    for w in canonical_words(3, 8):
+        groups.setdefault((w.tau, w.ell, w.m), []).append(assemble_ring(w, k))
+    pairs = [pair for rings in groups.values() for pair in itertools.combinations(rings, 2)]
+    assert len(pairs) == 6400
+    assert [(g1.word, g2.word) for g1, g2 in pairs if not wl_separates(g1, g2)] == []
+
+
 @pytest.mark.parametrize("k", [Rat(1), Rat(2), Rat(7, 3)])
 def test_every_toggle_pair_has_a_witness(k):
     witnesses = [non_isomorphism_witness(g1, g2) for _, g1, g2 in toggle_pairs(7, k)]
@@ -491,7 +513,8 @@ def test_no_witness_for_a_relabelled_graph(w, k, rnd):
 
 
 @pytest.mark.parametrize("k", [Rat(1), Rat(7, 3)])
-def test_witnessed_pairs_are_not_isomorphic(k):
+def test_witnessed_pairs_are_not_isomorphic(capsys, k):
+    # the scan's witnesses, read from the words, against networkx on the rings
     nx = pytest.importorskip("networkx")
 
     def as_nx(g):
@@ -501,8 +524,10 @@ def test_witnessed_pairs_are_not_isomorphic(k):
         return h
 
     same_weight = nx.algorithms.isomorphism.categorical_edge_match("weight", None)
-    pairs = list(toggle_pairs(6, k))
+    assert cli.main(["scan", "--tau-max", "6", "--k", str(k), "--method", "transfer"]) == 0
+    pairs = [e for e in json.loads(capsys.readouterr().out)["entries"] if not e["trivial"]]
     assert len(pairs) == 69
-    for w, g1, g2 in pairs:
-        assert non_isomorphism_witness(g1, g2) is not None
-        assert not nx.is_isomorphic(as_nx(g1), as_nx(g2), edge_match=same_weight), w
+    for e in pairs:
+        assert e["witness"] in ("edge_count", "ring_class")
+        g1, g2 = (assemble_ring(parse_word(x), k) for x in (e["word"], e["toggled_word"]))
+        assert not nx.is_isomorphic(as_nx(g1), as_nx(g2), edge_match=same_weight), e["word"]
