@@ -76,17 +76,6 @@ def _compare(checks: dict, route: str, pairs: list, exact) -> None:
         checks[f"{route}_matches_exact"] = pairs[0] == exact
 
 
-def _witness(counts: list, trivial: bool):
-    """Why G(w) and G(toggle(w)) are not isomorphic, read from the words:
-    "edge_count" when their edge counts differ, else "ring_class" unless w
-    is its own toggle (None).  For tau >= 3 and k > 0, G(w) and G(w') are
-    isomorphic exactly when w' is a rotation or reflection of w (README,
-    "Why toggled rings differ")."""
-    if counts[0] != counts[1]:
-        return "edge_count"
-    return None if trivial else "ring_class"
-
-
 def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
                  compare_trivial: bool = True) -> dict:
     """Check G(w) against G(toggle(w)) by each route `method` names; trivial = is_self_toggle(w).
@@ -145,7 +134,10 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     if len(sides) == 2:
         sparse, dense = sides if counts[0] <= counts[1] else sides[::-1]
         entry["subgraph_sparse_in_dense"] = ring_embeds(sparse, dense, k)
-        entry["witness"] = _witness(counts, trivial)
+        # for tau >= 3 and k > 0, G(w) and G(w') are isomorphic exactly when
+        # w' is a rotation or reflection of w (README, "Why toggled rings differ")
+        entry["witness"] = ("edge_count" if counts[0] != counts[1]
+                            else None if trivial else "ring_class")
     entry["checks"] = checks
     entry["pass"] = all(v for v in checks.values() if v is not None)
     entry["seconds"] = round(time.perf_counter() - start, 6)
@@ -168,7 +160,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # one k per value, in first-seen order: "1" and "1/1" are one k
     ks = [module_parameter(k) for k in dict.fromkeys(parse_rat(s) for s in items)]
     entries = []
-    failures = skipped = 0
+    summary = dict.fromkeys(("pairs_checked", "failures", "skipped", "trivial", "witnessed",
+                             "subgraph_hits"), 0)
     for w, trivial in toggle_classes(3, args.tau_max):
         for k in ks:
             try:
@@ -177,38 +170,26 @@ def cmd_scan(args: argparse.Namespace) -> int:
             except BudgetError as exc:
                 entries.append({"word": str(w), "k": rat_str(k),
                                 "trivial": trivial, "skipped": str(exc)})
-                skipped += 1
+                summary["skipped"] += 1
                 continue
             entry["edge_delta"] = entry["edge_counts"][-1] - entry["edge_counts"][0]
             entries.append(entry)
-            if not entry["pass"]:
-                failures += 1
-    checked = len(entries) - skipped
-    pairs = [e for e in entries if "witness" in e]
-    unwitnessed = [f"{e['word']}/{e['toggled_word']} (k={e['k']})"
-                   for e in pairs if e["witness"] is None]
+            summary["pairs_checked"] += 1
+            summary["failures"] += not entry["pass"]
+            summary["trivial"] += trivial
+            summary["witnessed"] += entry.get("witness") is not None
+            summary["subgraph_hits"] += entry.get("subgraph_sparse_in_dense", False)
     payload = {
         "backend": BACKEND,
         "tau_max": args.tau_max,
         "k": [rat_str(k) for k in ks],
         "entries": entries,
-        "summary": {
-            "pairs_checked": checked,
-            "failures": failures,
-            "skipped": skipped,
-            "trivial": sum(1 for e in entries if e["trivial"] and "skipped" not in e),
-            "witnessed": len(pairs) - len(unwitnessed),
-            "unwitnessed": len(unwitnessed),
-            "subgraph_hits": sum(1 for e in pairs if e["subgraph_sparse_in_dense"]),
-        },
+        "summary": summary,
     }
-    summary = payload["summary"]
-    line = (f"scan tau<={args.tau_max}: {checked} pairs ({summary['trivial']} trivial), "
-            f"{failures} failures, {skipped} skipped, {summary['witnessed']} witnessed, "
-            f"{len(unwitnessed)} unwitnessed")
-    if unwitnessed:
-        line += ": " + ", ".join(unwitnessed)
-    return _report(args, payload, line, passed=not failures, skipped=bool(skipped))
+    line = ("scan tau<={tau_max}: {pairs_checked} pairs ({trivial} trivial), {failures} failures, "
+            "{skipped} skipped, {witnessed} witnessed").format(tau_max=args.tau_max, **summary)
+    return _report(args, payload, line, passed=not summary["failures"],
+                   skipped=bool(summary["skipped"]))
 
 
 def _write_or_print(text: str, path: str) -> None:
@@ -323,8 +304,25 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
                    passed=agree)
 
 
+class _StoreOnce(argparse.Action):
+    """The default store action, but an option given twice is a usage error.
+    The options given so far are kept in the namespace of this parse."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"argument {option_string}: given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises its usage errors for `main` to report; its subparsers share the class."""
+    """Raises its usage errors for `main` to report, and stores each option
+    once (`_StoreOnce`); its subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
 
     def error(self, message):
         # an unknown argument is quoted raw, and may hold a line break

@@ -113,6 +113,10 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
         # no option may be abbreviated
         ["verify", "--wo", "PCE", "--meth", "transfer"],
         ["scan", "--tau", "8"],
+        # no option may be given twice
+        ["scan", "--tau-max", "3", "--k", "1", "--k", "2"],
+        ["verify", "--word", "PCE", "--word", "CCC"],
+        ["charpoly", "--word", "PCE", "--method", "exact", "--method", "oracle"],
     ],
     ids=["k-zero-denominator", "out-missing-dir", "verify-k-empty",
          "charpoly-k-blank", "blowup-k-empty", "export-k-blank", "spectrum-k-empty",
@@ -121,7 +125,8 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
          "spectrum-k-list", "budget-negative", "budget-zero",
          "no-command", "word-missing", "format-xml", "budget-not-int", "k-read-as-option",
          "unknown-option", "unknown-argument-with-line-break", "blowup-tol",
-         "verify-abbreviated", "scan-abbreviated"],
+         "verify-abbreviated", "scan-abbreviated",
+         "scan-k-twice", "verify-word-twice", "charpoly-method-twice"],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -273,10 +278,41 @@ def test_scan_one_entry_per_unordered_pair_and_k(capsys):
         assert sorted(covered) == sorted(c.letters for c in canonical_words(3, 5))
     summary = payload["summary"]
     assert (summary["pairs_checked"], summary["trivial"], summary["witnessed"],
-            summary["unwitnessed"], summary["failures"]) == (82, 24, 58, 0, 0)
+            summary["failures"]) == (82, 24, 58, 0)
     witnesses = [e["witness"] for e in entries if not e["trivial"]]
     assert (witnesses.count("edge_count"), witnesses.count("ring_class")) == (56, 2)
-    assert "24 trivial" in err and "58 witnessed, 0 unwitnessed" in err
+    assert "24 trivial" in err and err.endswith(", 58 witnessed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "transfer"],
+    ["--method", "exact"],
+    ["--method", "oracle"],
+    ["--method", "all"],
+    ["--method", "oracle", "--budget", "50"],
+    ["--method", "all", "--budget", "50"],
+], ids=" ".join)
+def test_scan_summary_counts_its_entries(capsys, argv):
+    code, payload, err = run(capsys, "scan", "--tau-max", "6", "--k", "1,7/3", *argv)
+    entries, summary = payload["entries"], payload["summary"]
+    checked = [e for e in entries if "skipped" not in e]
+    assert summary == {
+        "pairs_checked": len(checked),
+        "failures": sum(not e["pass"] for e in checked),
+        "skipped": len(entries) - len(checked),
+        "trivial": sum(e["trivial"] for e in checked),
+        "witnessed": sum(e.get("witness") is not None for e in checked),
+        "subgraph_hits": sum(e.get("subgraph_sparse_in_dense", False) for e in checked),
+    }
+    # each pair of distinct rings is told apart by its words (README, "Why toggled rings differ")
+    assert summary["witnessed"] == summary["pairs_checked"] - summary["trivial"]
+    assert err == ("scan tau<=6: {pairs_checked} pairs ({trivial} trivial), {failures} failures, "
+                   "{skipped} skipped, {witnessed} witnessed\n").format(**summary)
+    assert code == (3 if summary["skipped"] else 0) and summary["failures"] == 0
+    if "--budget" in argv:
+        # a budget error skips the entry under the oracle alone, and only the oracle under all
+        assert (summary["skipped"] > 0) == (argv[1] == "oracle")
+        assert any("oracle_skipped" in e for e in entries) == (argv[1] == "all")
 
 
 def test_transfer_scan_builds_no_graph(capsys, monkeypatch):
@@ -304,15 +340,6 @@ def test_oracle_scan_builds_no_graph_for_a_self_toggle_entry(capsys, monkeypatch
     assert all(e["checks"] == {} for e in payload["entries"] if e["trivial"])
     assert len(built) == 2 * len(pairs) == 138
     assert sorted(built) == sorted(x for e in pairs for x in (e["word"], e["toggled_word"]))
-
-
-def test_scan_unwitnessed_pair_is_counted_and_named(capsys, monkeypatch):
-    # the witness of a pair: the words' edge counts, else their ring classes
-    monkeypatch.setattr("cospec.cli._witness", lambda counts, trivial: None)
-    code, payload, err = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "exact")
-    assert code == 0
-    assert (payload["summary"]["witnessed"], payload["summary"]["unwitnessed"]) == (0, 4)
-    assert "4 unwitnessed: PPP/CCC (k=1/1), " in err
 
 
 def test_scan_trivial_entry_checks_one_graph(capsys):
@@ -748,6 +775,21 @@ def test_cli_fuzz_exit_codes(argv):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+# a value each option accepts
+ONE_VALUE = {"--word": "PCE", "--k": "1", "--method": "exact", "--format": "json",
+             "--budget": "10", "--scale": "1", "--tau-max": "3", "--out": "{tmp}/g.out"}
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c, options in COMMAND_OPTIONS.items()
+                                             for o in options])
+def test_an_option_given_twice_is_a_usage_error_naming_it(capsys, tmp_path, command, option):
+    # the same value twice too: argparse alone would keep the last one given
+    value = ONE_VALUE[option].format(tmp=tmp_path)
+    code, payload, err = run(capsys, command, option, value, option, value)
+    assert code == 2 and payload is None
+    assert err == f"error: argument {option}: given more than once\n"
+
+
 # -------------------------------------------------------- mutation sweeps
 
 
@@ -794,6 +836,20 @@ def r2_mutants():
                 yield vars(transfer), "R2", r2[:r] + (row,) + r2[r + 1:]
 
 
+def s_mutants(rows):
+    s = transfer.S
+    for r in rows:
+        for c in range(4):
+            for d in (1, -1):
+                row = s[r][:c] + (s[r][c] + d,) + s[r][c + 1:]
+                yield vars(transfer), "S", s[:r] + (row,) + s[r + 1:]
+
+
+def s_rows_0_1_mutants():
+    # the transfer kernel reads only rows 0 and 1 of S adj(R2)
+    return s_mutants((0, 1))
+
+
 def fails_some_class(method: str) -> bool:
     for w, trivial in toggle_classes(3, 6):
         try:
@@ -808,6 +864,7 @@ def fails_some_class(method: str) -> bool:
     (x_table_mutants, 216, "transfer"),
     (gadget_mutants, 26, "exact"),
     (r2_mutants, 32, "transfer"),
+    (s_rows_0_1_mutants, 16, "transfer"),
 ])
 def test_every_single_coefficient_mutant_fails_a_verify(monkeypatch, mutants, count, route):
     # each table mutant, one coefficient off by one, fails (or raises on) some
@@ -822,3 +879,15 @@ def test_every_single_coefficient_mutant_fails_a_verify(monkeypatch, mutants, co
             if not (fails_some_class("all") and fails_some_class(route)):
                 missed.append((key, value))
     assert missed == []
+
+
+def test_s_mutants_in_rows_2_3_pass_every_transfer_verify_and_fail_identities(monkeypatch):
+    # rows 2 and 3 of S, which no route reads, are pinned by "S rows 2-3 = 0"
+    patches = list(s_mutants((2, 3)))
+    assert len(patches) == 16
+    for table, key, value in patches:
+        with monkeypatch.context() as m:
+            m.setitem(table, key, value)
+            assert not fails_some_class("transfer"), value
+            with pytest.raises(errors.IdentityCheckError, match="S rows 2-3 = 0"):
+                transfer.certify_identities()
