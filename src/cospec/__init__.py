@@ -10,7 +10,6 @@ from .decomps import oracle_u
 from .graphs import (
     WeightedGraph,
     assemble_ring,
-    build_module_gadget,
     eigenvalues_numeric,
     export_graph,
     normalized_laplacian,
@@ -24,9 +23,8 @@ from .words import Word, canonical_form, parse_word, toggle
 __all__ = [
     "blow_up", "is_simple", "scale_weights", "simple_blowup_recipe",
     "oracle_u",
-    "WeightedGraph", "assemble_ring", "build_module_gadget",
-    "eigenvalues_numeric", "export_graph", "normalized_laplacian",
-    "ring_embeds",
+    "WeightedGraph", "assemble_ring", "eigenvalues_numeric", "export_graph",
+    "normalized_laplacian", "ring_embeds",
     "exact_u",
     "Rat",
     "certify_identities", "transfer_u",

@@ -66,16 +66,6 @@ def _report(args, payload: dict, summary: str, *, passed=True, skipped=False) ->
     return BudgetError.exit_code if skipped else 0
 
 
-def _compare(checks: dict, route: str, pairs: list, exact) -> None:
-    """Record a route's checks: its polynomials, as (coeffs, den) pairs in
-    lowest terms, agree on the two sides, and on G(w) it matches the exact
-    route (when that ran)."""
-    if len(pairs) == 2:
-        checks[f"{route}_equal"] = pairs[0] == pairs[1]
-    if exact is not None:
-        checks[f"{route}_matches_exact"] = pairs[0] == exact
-
-
 def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
                  compare_trivial: bool = True) -> dict:
     """Check G(w) against G(toggle(w)) by each route `method` names; trivial = is_self_toggle(w).
@@ -109,28 +99,22 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
         "trivial": trivial,
         "edge_counts": counts,
     }
-    checks = {}
-    exact = None
+    charpolys = {}  # each route's charpolys, side by side; None for a skipped oracle
     if exact_runs:
-        exacts = [exact_u(g) for g in graphs]
-        _compare(checks, "exact", exacts, None)
-        exact = exacts[0]
-        entry["charpoly_exact"] = t_json(*exact)
+        charpolys["exact"] = [exact_u(g) for g in graphs]
+        entry["charpoly_exact"] = t_json(*charpolys["exact"][0])
     if method in ("all", "transfer"):
         transfers = [transfer_u(x, k) for x in sides]
-        _compare(checks, "transfer", [charpoly for charpoly, _ in transfers], exact)
+        charpolys["transfer"] = [charpoly for charpoly, _ in transfers]
         entry["short_part"] = t_json(*transfers[0][1])
     if oracle_runs:
         try:
-            oracles = [oracle_u(g, budget) for g in graphs]
+            charpolys["oracle"] = [oracle_u(g, budget) for g in graphs]
         except BudgetError as exc:
             if method == "oracle":
                 raise
-            if len(sides) == 2:
-                checks["oracle_equal"] = None
+            charpolys["oracle"] = None
             entry["oracle_skipped"] = str(exc)
-        else:
-            _compare(checks, "oracle", oracles, exact)
     if len(sides) == 2:
         sparse, dense = sides if counts[0] <= counts[1] else sides[::-1]
         entry["subgraph_sparse_in_dense"] = ring_embeds(sparse, dense, k)
@@ -138,6 +122,14 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
         # w' is a rotation or reflection of w (README, "Why toggled rings differ")
         entry["witness"] = ("edge_count" if counts[0] != counts[1]
                             else None if trivial else "ring_class")
+    # each route's polynomials, as (coeffs, den) pairs in lowest terms, agree
+    # on the two sides, and on G(w) match the exact route's (when that ran)
+    checks = {}
+    for route, polys in charpolys.items():
+        if len(sides) == 2:
+            checks[f"{route}_equal"] = None if polys is None else polys[0] == polys[1]
+        if polys is not None and route != "exact" and "exact" in charpolys:
+            checks[f"{route}_matches_exact"] = polys[0] == charpolys["exact"][0]
     entry["checks"] = checks
     entry["pass"] = all(v for v in checks.values() if v is not None)
     entry["seconds"] = round(time.perf_counter() - start, 6)

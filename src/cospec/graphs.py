@@ -33,22 +33,32 @@ GADGETS = {
 }
 
 
-def build_module_gadget(kind: str, k) -> tuple:
-    """`GADGETS[kind]` at k = p/q > 0 as (edges, scale): edges (label, label, x)
-    of weight x / scale, with scale = q^2.  The row is evaluated once per
-    (row value, k) and kept, so a patched `GADGETS` row takes effect at the
-    next call."""
-    k = module_parameter(k)
-    if kind not in GADGETS:
-        raise ParameterError(f"unknown module kind {kind!r}")
-    return _gadget_at(GADGETS[kind], k.numerator, k.denominator)
+_REFLECT = {"+": "-", "-": "+", "a": "b", "b": "a"}
 
 
 @functools.cache
-def _gadget_at(row: tuple, p: int, q: int) -> tuple:
-    """A `GADGETS` row at k = p/q as `build_module_gadget` returns it."""
+def _gadgets_at(rows: tuple, p: int, q: int) -> tuple:
+    """The `GADGETS` rows in `ALPHABET` order at k = p/q > 0, read once per
+    (row values, k) and kept, so a patched row takes effect at the next
+    call: (by_letter, scale, forward, reflected).  by_letter maps each
+    letter to its edges (label, label, x) of weight x / scale, scale = q^2.
+    forward and reflected are each the `str.translate` tables of the
+    letters X in `ALPHABET` order, where a letter Y reads "1" when X fits
+    on Y (`ring_embeds`); reflected, + and - swap, and so do a and b."""
     qq, pq, pp = q * q, p * q, p * p
-    return tuple((a, b, c0 * qq + c1 * pq + c2 * pp) for a, b, (c0, c1, c2) in row), qq
+    at_k = [tuple((a, b, c0 * qq + c1 * pq + c2 * pp) for a, b, (c0, c1, c2) in row)
+            for row in rows]
+    edges = [{(frozenset((a, b)), x) for a, b, x in row} for row in at_k]
+    fits = []
+    for turn in ({}, _REFLECT):
+        tables = []
+        for x, own in zip(ALPHABET, edges):
+            moved = {(frozenset(turn.get(v, v) for v in pair), c) for pair, c in own}
+            tables.append(str.maketrans(ALPHABET, "".join(
+                "1" if (x not in "PC" or y in "PC") and moved <= other else "0"
+                for y, other in zip(ALPHABET, edges))))
+        fits.append(tuple(tables))
+    return dict(zip(ALPHABET, at_k)), qq, *fits
 
 
 class WeightedGraph:
@@ -133,11 +143,10 @@ class WeightedGraph:
 
 def assemble_ring(w: Word, k) -> WeightedGraph:
     """Assemble G(W): tau gadgets joined in cyclic order at signed vertices,
-    k checked once and each `GADGETS` row read at k by `_gadget_at`, all at one scale."""
+    k checked once and the `GADGETS` rows read at k by `_gadgets_at`, all at one scale."""
     k = module_parameter(k)
-    local = {}
-    for kind in set(w.letters):
-        local[kind], scale = _gadget_at(GADGETS[kind], k.numerator, k.denominator)
+    rows = tuple(map(GADGETS.__getitem__, ALPHABET))
+    local, scale, _, _ = _gadgets_at(rows, k.numerator, k.denominator)
     signed, unsigned, edges, n = [], [], [], 0
     for i, letter in enumerate(w):
         pair = (n + 1, n + 2) if letter in "PC" else None
@@ -194,37 +203,15 @@ def ring_embeds(w1: Word, w2: Word, k) -> bool:
     edge of equal weight.  Read from the words, with no graph built: a
     module fits on another when it has an unsigned pair only if the other
     has, and every edge of its `GADGETS` row at k, with its weight, is an
-    edge of the other's row; reflected, + and - swap, and so do a and b."""
+    edge of the other's row (the fit tables of `_gadgets_at`)."""
     if w1.tau != w2.tau:
         raise ShapeError(f"ring lengths differ: {w1.tau} vs {w2.tau}")
     k = module_parameter(k)
     rows = tuple(map(GADGETS.__getitem__, ALPHABET))
-    forward, reflected = _letter_fits(rows, k.numerator, k.denominator)
+    _, _, forward, reflected = _gadgets_at(rows, k.numerator, k.denominator)
     s, d = w1.letters, w2.letters
     # module i onto offset - i is module i onto a rotation of the reversed word
     return _fits_rotated(s, d, forward) or _fits_rotated(s, d[::-1], reflected)
-
-
-_REFLECT = {"+": "-", "-": "+", "a": "b", "b": "a"}
-
-
-@functools.cache
-def _letter_fits(rows: tuple, p: int, q: int) -> tuple:
-    """For the `GADGETS` rows in `ALPHABET` order, at k = p/q > 0 (each
-    through `_gadget_at`): the forward and the reflected fit, each the
-    `str.translate` tables of the letters X in `ALPHABET` order, where a
-    letter Y reads "1" when X fits on Y."""
-    edges = [{(frozenset((a, b)), x) for a, b, x in _gadget_at(row, p, q)[0]} for row in rows]
-    fits = []
-    for turn in ({}, _REFLECT):
-        tables = []
-        for x, own in zip(ALPHABET, edges):
-            moved = {(frozenset(turn.get(v, v) for v in pair), c) for pair, c in own}
-            tables.append(str.maketrans(ALPHABET, "".join(
-                "1" if (x not in "PC" or y in "PC") and moved <= other else "0"
-                for y, other in zip(ALPHABET, edges))))
-        fits.append(tuple(tables))
-    return tuple(fits)
 
 
 def _fits_rotated(s: str, d: str, fits: tuple) -> bool:

@@ -210,6 +210,20 @@ def test_charpoly_oracle_budget_below_the_cycle_count_exits_3(capsys):
     assert err == "error: more than 19 decompositions\n"
 
 
+@pytest.mark.parametrize("budget, expected", [(18104199, 0), (18104198, 3)])
+def test_charpoly_oracle_at_its_vertex_limit_counts_every_decomposition(capsys, budget, expected):
+    # ring C x 10 (n = 30, the oracle's vertex limit) has exactly 18,104,199
+    # decompositions; the budget counts them, not the work of the walk, so
+    # the default of 10,000,000 stops this ring
+    code, payload, err = run(capsys, "charpoly", "--word", "C" * 10, "--method", "oracle",
+                             "--budget", str(budget))
+    assert code == expected
+    if code:
+        assert payload is None and err == f"error: more than {budget} decompositions\n"
+    else:
+        assert payload["methods_agree"] is True and list(payload["coefficients"]) == ["oracle"]
+
+
 def test_scan_tau3(capsys):
     code, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "exact")
     assert code == 0
@@ -241,6 +255,26 @@ def test_scan_with_skipped_pairs_exits_3(capsys):
     assert payload["summary"]["skipped"] == 4 and payload["summary"]["failures"] == 0
     assert len(payload["entries"]) == 6
     assert "4 skipped" in err
+
+
+def test_scan_at_k_1_proves_simple_pairs_with_a_subgraph(capsys):
+    # at k = 1 a ring without E is a simple graph, so these entries are
+    # simple cospectral pairs; per tau from 3 to 8: (pairs, unequal edge
+    # counts, sparser ring a subgraph of the denser one)
+    code, payload, _ = run(capsys, "scan", "--tau-max", "8", "--k", "1", "--method", "transfer")
+    assert code == 0
+    simple = [e for e in payload["entries"] if not e["trivial"] and "E" not in e["word"]]
+    counts = {tau: (sum(1 for e in simple if len(e["word"]) == tau),
+                    sum(1 for e in simple if len(e["word"]) == tau
+                        and e["edge_counts"][0] != e["edge_counts"][1]),
+                    sum(1 for e in simple if len(e["word"]) == tau
+                        and e["subgraph_sparse_in_dense"]))
+              for tau in range(3, 9)}
+    assert counts == {3: (2, 2, 2), 4: (2, 2, 2), 5: (4, 4, 4), 6: (5, 5, 5), 7: (9, 9, 9),
+                      8: (12, 11, 11)}
+    first = next(e for e in simple if e["subgraph_sparse_in_dense"])
+    assert (first["word"], first["toggled_word"], first["n"], first["edge_counts"]) == (
+        "PPP", "CCC", 9, [9, 12])
 
 
 @pytest.mark.parametrize("method, calls", [("oracle", 8), ("all", 10), ("exact", 0)])
@@ -416,6 +450,43 @@ def test_checks_are_the_routes_exact_comparisons_alone(capsys, method):
         expected = {c for c in checks if c.endswith("_matches_exact")} if e["trivial"] else checks
         assert set(e["checks"]) == expected, e["word"]
         assert "eigenvalue_gap" not in e
+
+
+VERIFY_KEYS = ["word", "toggled_word", "k", "n", "trivial", "edge_counts", "charpoly_exact",
+               "short_part", "subgraph_sparse_in_dense", "witness", "checks", "pass", "seconds"]
+ALL_CHECKS = ["exact_equal", "transfer_equal", "transfer_matches_exact", "oracle_equal",
+              "oracle_matches_exact"]
+
+
+def test_entry_keys_come_in_one_order(capsys):
+    # the JSON key order is part of the output: routes in the order they
+    # run, each route's _equal before its _matches_exact
+    _, payload, _ = run(capsys, "verify", "--word", "PPP", "--k", "1")
+    assert list(payload["result"]) == VERIFY_KEYS
+    assert list(payload["result"]["checks"]) == ALL_CHECKS
+    # an oracle over its budget: oracle_skipped after short_part, no oracle_matches_exact
+    code, payload, _ = run(capsys, "verify", "--word", "C" * 10, "--k", "1")
+    result = payload["result"]
+    assert code == 0
+    assert list(result) == VERIFY_KEYS[:8] + ["oracle_skipped"] + VERIFY_KEYS[8:]
+    assert result["checks"] == {"exact_equal": True, "transfer_equal": True,
+                                "transfer_matches_exact": True, "oracle_equal": None}
+    assert list(result["checks"]) == ALL_CHECKS[:4]
+    _, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "2", "--method", "all")
+    for e in payload["entries"]:
+        if e["trivial"]:
+            assert list(e) == ["word", "toggled_word", "k", "n", "trivial", "edge_counts",
+                               "charpoly_exact", "short_part", "checks", "pass", "seconds",
+                               "edge_delta"], e["word"]
+            assert list(e["checks"]) == ["transfer_matches_exact", "oracle_matches_exact"]
+        else:
+            assert list(e) == VERIFY_KEYS + ["edge_delta"], e["word"]
+            assert list(e["checks"]) == ALL_CHECKS
+    assert "CEP" in [e["word"] for e in payload["entries"] if e["trivial"]]
+    _, payload, _ = run(capsys, "scan", "--tau-max", "3", "--k", "1", "--method", "oracle",
+                        "--budget", "5")
+    skipped = [e for e in payload["entries"] if "skipped" in e]
+    assert skipped and all(list(e) == ["word", "k", "trivial", "skipped"] for e in skipped)
 
 
 def test_scan_with_oracle_skipped_inside_pairs_exits_0(capsys):

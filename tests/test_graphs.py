@@ -12,7 +12,6 @@ from cospec.graphs import (
     GADGETS,
     WeightedGraph,
     assemble_ring,
-    build_module_gadget,
     export_graph,
     normalized_laplacian,
     ring_edge_count,
@@ -43,31 +42,35 @@ def integer_form(g):
 # ---------------------------------------------------------------- gadgets
 
 
+def module_weights(g, i):
+    """Module i of the ring g as assembled: {frozenset of two of its labels
+    +, -, a, b: the rational weight of that edge}."""
+    labels = {g.signed[i]: "+", g.signed[(i + 1) % g.word.tau]: "-"}
+    if g.unsigned[i] is not None:
+        labels.update(zip(g.unsigned[i], "ab"))
+    return {frozenset((labels[u], labels[v])): w
+            for u, v, w in g.edges() if u in labels and v in labels}
+
+
 def test_e_gadget_single_edge():
-    edges, _ = build_module_gadget("E", 1)
-    assert edges == (("+", "-", Rat(2)),)
+    assert module_weights(ring("EEE"), 0) == {frozenset("+-"): 2}
 
 
 def test_p_gadget_unit_path():
-    edges, _ = build_module_gadget("P", 1)
-    assert [w for *_, w in edges] == [1, 1, 1]
+    assert sorted(module_weights(ring("PEE"), 0).values()) == [1, 1, 1]
 
 
 def test_c_gadget_weights():
-    edges, _ = build_module_gadget("C", 2)
-    weights = {frozenset((x, y)): w for x, y, w in edges}
+    weights = module_weights(ring("CEE", 2), 0)
     assert weights[frozenset(("a", "+"))] == 2
     assert weights[frozenset(("+", "-"))] == 1
     assert weights[frozenset(("a", "b"))] == 4
 
 
 def test_gadget_rejects_bad_k():
-    # the gadget and the ring take k through module_parameter, and its one message
+    # the ring takes k through module_parameter, and its one message
     for k in (0, -2, Rat(-1, 2)):
         message = f"^module parameter k must be positive, got {k}$"
-        for kind in "PCE":
-            with pytest.raises(ParameterError, match=message):
-                build_module_gadget(kind, k)
         with pytest.raises(ParameterError, match=message):
             assemble_ring(parse_word("PCE"), k)
 
@@ -85,15 +88,15 @@ def test_module_parameter_takes_only_an_int_or_a_fraction(k):
 def test_gadget_integers_over_their_scale_are_the_weights(k):
     # k, 1, k + 1 and k^2 as integers over the one denominator q^2
     expected = {
-        "E": [("+", "-", k + 1)],
         "P": [("a", "+", k), ("+", "-", 1), ("-", "b", k)],
         "C": [("a", "+", k), ("+", "-", 1), ("-", "b", k), ("a", "b", k * k)],
+        "E": [("+", "-", k + 1)],
     }
-    for kind, edges in expected.items():
-        scaled, scale = build_module_gadget(kind, k)
-        assert scale == Rat(k).denominator ** 2
-        assert all(isinstance(x, int) for *_, x in scaled)
-        assert [(x, y, Rat(wt, scale)) for x, y, wt in scaled] == edges
+    g = ring("PCE", k)
+    assert g.scale == Rat(k).denominator ** 2
+    assert all(isinstance(x, int) for x in g.scaled_weights.values())
+    for i, edges in enumerate(expected.values()):
+        assert module_weights(g, i) == {frozenset((x, y)): wt for x, y, wt in edges}
 
 
 def test_gadget_signed_degree_is_k_plus_one():
@@ -109,17 +112,6 @@ def test_gadget_signed_degree_is_k_plus_one():
         for pole in "+-":
             at_pole = [coeffs for x, y, coeffs in edges if pole in (x, y)]
             assert [sum(c) for c in zip(*at_pole)] == [1, 1, 0]  # k + 1
-    for kind in "PCE":
-        for k in (Rat(1), Rat(5, 2)):
-            edges, scale = build_module_gadget(kind, k)
-            for pole in "+-":
-                deg = Rat(sum(w for x, y, w in edges if pole in (x, y)), scale)
-                assert deg == k + 1
-
-
-def test_gadget_rejects_unknown_kind():
-    with pytest.raises(ParameterError, match="unknown module kind"):
-        build_module_gadget("X", 1)
 
 
 # ---------------------------------------------------------------- assembly
@@ -159,9 +151,9 @@ def test_degree_invariants(w, k):
 
 
 def ring_reference(w, k):
-    """G(w) built the general way: the rational weights of
-    `build_module_gadget` placed on the ring layout, through the rational
-    constructor."""
+    """G(w) built the general way: each `GADGETS` row evaluated at k as
+    c0 + c1*k + c2*k^2 in rationals, placed on the ring layout, through the
+    rational constructor."""
     k = Rat(k)
     signed, unsigned, n = [], [], 0
     for letter in w:
@@ -173,8 +165,8 @@ def ring_reference(w, k):
         labels = {"+": signed[i], "-": signed[(i + 1) % w.tau]}
         if unsigned[i] is not None:
             labels["a"], labels["b"] = unsigned[i]
-        gadget, scale = build_module_gadget(letter, k)
-        edges += [(labels[x], labels[y], Rat(wt, scale)) for x, y, wt in gadget]
+        edges += [(labels[x], labels[y], c0 + c1 * k + c2 * k * k)
+                  for x, y, (c0, c1, c2) in GADGETS[letter]]
     return WeightedGraph(n, edges, word=w, k=k, signed=signed, unsigned=unsigned)
 
 
