@@ -16,11 +16,11 @@ only `spectrum` and `blowup` compute a float spectrum, and so load numpy.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 import time
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import __version__
 from .blowup import (
@@ -136,7 +136,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     return entry
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     w = parse_word(args.word)
     k = module_parameter(parse_rat(args.k))
     entry = _verify_pair(w, k, args.method, args.budget, trivial=is_self_toggle(w))
@@ -145,7 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _report(args, {"backend": BACKEND, "result": entry}, summary, passed=entry["pass"])
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: SimpleNamespace) -> int:
     items = [s.strip() for s in args.k.split(",") if s.strip()]
     if not items:
         raise ParameterError(f"--k needs at least one value, got {args.k!r}")
@@ -195,7 +195,7 @@ def _write_or_print(text: str, path: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_blowup(args: argparse.Namespace) -> int:
+def cmd_blowup(args: SimpleNamespace) -> int:
     w = parse_word(args.word)
     k = module_parameter(parse_rat(args.k))
     scale = parse_rat(args.scale)
@@ -237,7 +237,7 @@ def cmd_blowup(args: argparse.Namespace) -> int:
                    passed=ok)
 
 
-def cmd_identities(args: argparse.Namespace) -> int:
+def cmd_identities(args: SimpleNamespace) -> int:
     # certify_identities raises IdentityCheckError unless all hold
     entries = certify_identities()
     payload = {
@@ -249,14 +249,14 @@ def cmd_identities(args: argparse.Namespace) -> int:
                    f"identities: {len(entries)} hold as polynomials in (k, v = (t-1)^2): PASS")
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: SimpleNamespace) -> int:
     g = assemble_ring(parse_word(args.word), parse_rat(args.k))
     _write_or_print(export_graph(g, args.format), args.out)
     print(f"exported {g}", file=sys.stderr)
     return 0
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: SimpleNamespace) -> int:
     w = parse_word(args.word)
     k = parse_rat(args.k)
     g = assemble_ring(w, k)
@@ -269,7 +269,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return _report(args, payload, f"spectrum of G({w}), n={g.n}")
 
 
-def cmd_charpoly(args: argparse.Namespace) -> int:
+def cmd_charpoly(args: SimpleNamespace) -> int:
     w = parse_word(args.word)
     k = module_parameter(parse_rat(args.k))
     # the transfer route reads the word alone
@@ -296,89 +296,89 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
                    passed=agree)
 
 
-class _StoreOnce(argparse.Action):
-    """The default store action, but an option given twice is a usage error.
-    The options given so far are kept in the namespace of this parse."""
+Option = namedtuple("Option", "name default convert choices help", defaults=(str, (), ""))
+Command = namedtuple("Command", "run help options")
+REQUIRED = object()  # the default of an option that must be given
+WORD = Option("--word", REQUIRED, help="module word over P/C/E")
+K = Option("--k", "1", help='module parameter as "p/q"')
+FORMAT = Option("--format", "json", choices=("json", "dot", "csv"))
+ROUTES = (Option("--method", "all", choices=("all", "exact", "transfer", "oracle")),
+          Option("--budget", DEFAULT_BUDGET, int, help="most decompositions the oracle may sum"))
+COMMANDS = {
+    "verify": Command(cmd_verify, "check one toggled pair by all methods", (WORD, K, *ROUTES)),
+    "scan": Command(cmd_scan, "verify every cyclic word class up to a length",
+                    (Option("--tau-max", REQUIRED, int, help="longest word length, 3 to 12"),
+                     Option("--k", "1/1,2/1,1/2", help="comma-separated k values"), *ROUTES)),
+    "blowup": Command(cmd_blowup, "emit a simple cospectral pair of blowups",
+                      (WORD, K, Option("--scale", "1", help="pre-scale edge weights"), FORMAT,
+                       Option("--out", "", help="directory for the two blowup files"))),
+    "identities": Command(cmd_identities, "prove the transfer-matrix identities for all k > 0, "
+                                          "t not in {0, 1, 2}", ()),
+    "export": Command(cmd_export, "serialize one ring graph",
+                      (WORD, K, FORMAT, Option("--out", "", help="output file, stdout when ''"))),
+    "spectrum": Command(cmd_spectrum, "numeric normalized-Laplacian eigenvalues", (WORD, K)),
+    "charpoly": Command(cmd_charpoly, "exact characteristic polynomial", (WORD, K, *ROUTES)),
+}
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        given = vars(namespace).setdefault("_given", set())
-        if self.dest in given:
-            parser.error(f"argument {option_string}: given more than once")
-        given.add(self.dest)
-        setattr(namespace, self.dest, values)
+
+def _help(name: str = "") -> str:
+    """The usage line, then a line per command or, for command `name`, per option."""
+    rows = [("-h, --help", "this help")] + [(n, c.help) for n, c in COMMANDS.items() if not name]
+    for o in COMMANDS[name].options if name else ():
+        given = "required" if o.default is REQUIRED else f"default {o.default!r}"
+        rows.append((o.name, " ".join(filter(None, (o.help, "|".join(o.choices), f"({given})")))))
+    return "\n".join([f"usage: cospec {name or '[--version] COMMAND'} [-h] [--OPTION VALUE ...]",
+                      ""] + [f"  {left:<10}  {right}" for left, right in rows])
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises its usage errors for `main` to report, and stores each option
-    once (`_StoreOnce`); its subparsers share the class."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.register("action", None, _StoreOnce)
-
-    def error(self, message):
-        # an unknown argument is quoted raw, and may hold a line break
-        raise CospecError(message.replace("\n", "\\n"))
-
-
-@functools.cache  # built on first use; parsing leaves it unchanged for the next call
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cospec",
-        allow_abbrev=False,  # an abbreviated option is a usage error, as in every subparser
-        description="Build ring-of-modules graphs and verify their cospectrality.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, run, help, *, word=False, k=False, fmt=False, routes=False, out=None):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(run=run)
-        if word:
-            p.add_argument("--word", required=True, help="module word over P/C/E")
-        if k:
-            p.add_argument("--k", default="1", help='module parameter as "p/q"')
-        if fmt:
-            p.add_argument("--format", default="json", choices=["json", "dot", "csv"])
-        if routes:
-            p.add_argument(
-                "--method", default="all", choices=["all", "exact", "transfer", "oracle"]
-            )
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="most decompositions the oracle may enumerate")
-        if out:
-            p.add_argument("--out", default="", help=out)
-        return p
-
-    add("verify", cmd_verify, "check one toggled pair by all methods", word=True, k=True,
-        routes=True)
-    scan = add("scan", cmd_scan, "verify every cyclic word class up to a length", routes=True)
-    scan.add_argument("--tau-max", type=int, required=True)
-    scan.add_argument("--k", default="1/1,2/1,1/2", help="comma-separated k values")
-    blow = add("blowup", cmd_blowup, "emit a simple cospectral pair of blowups", word=True,
-               k=True, fmt=True, out="directory for the two blowup files")
-    blow.add_argument("--scale", default="1", help="pre-scale edge weights")
-    add("identities", cmd_identities,
-        "prove the transfer-matrix identities for all k > 0, t not in {0, 1, 2}")
-    add("export", cmd_export, "serialize one ring graph", word=True, k=True, fmt=True,
-        out="output file (default: stdout)")
-    add("spectrum", cmd_spectrum, "numeric normalized-Laplacian eigenvalues", word=True, k=True)
-    add("charpoly", cmd_charpoly, "exact characteristic polynomial", word=True, k=True,
-        routes=True)
-    return parser
+def parse_args(argv: list) -> SimpleNamespace | None:
+    """The command and each of its options, given once as `--name value` (a value may start
+    with "-" only as a negative number) or `--name=value`, or defaulted; None once
+    -h/--help or --version has printed from `COMMANDS`."""
+    name = argv[0] if argv else ""
+    if name in ("-h", "--help", "--version"):
+        print(__version__ if name == "--version" else _help())
+        return None
+    if name not in COMMANDS:  # repr, as below: an argument may hold a line break
+        raise CospecError(f"expected a command ({', '.join(COMMANDS)}), got {name!r}")
+    options = {o.name: o for o in COMMANDS[name].options}
+    given, rest = {}, iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            print(_help(name))
+            return None
+        key, eq, value = arg.partition("=")
+        if key not in options:
+            raise CospecError(f"unrecognized argument {arg!r}")
+        if key in given:
+            raise CospecError(f"argument {key}: given more than once")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value[:1] == "-" and not value[1:].replace(".", "", 1).isdecimal():
+                raise CospecError(f"argument {key}: expected one value")
+        convert, choices = options[key].convert, options[key].choices
+        if choices and value not in choices:
+            raise CospecError(f"argument {key}: {value!r} is not one of {', '.join(choices)}")
+        try:
+            given[key] = convert(value)
+        except ValueError:
+            raise CospecError(f"argument {key}: {value!r} is not an {convert.__name__}") from None
+    if missing := [k for k, o in options.items() if o.default is REQUIRED and k not in given]:
+        raise CospecError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=name, **{k[2:].replace("-", "_"): given.get(k, o.default)
+                                            for k, o in options.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # --help or --version
+            return 0
         if args.command == "scan" and not (3 <= args.tau_max <= 12):
             raise ParameterError(f"--tau-max must be in [3, 12], got {args.tau_max}")
-        budget = getattr(args, "budget", 1)
-        if budget < 1:
-            raise ParameterError(f"--budget must be at least 1, got {budget}")
-        return args.run(args)
-    except SystemExit:  # --help and --version: usage errors raise CospecError
-        return 0
+        if getattr(args, "budget", 1) < 1:
+            raise ParameterError(f"--budget must be at least 1, got {args.budget}")
+        return COMMANDS[args.command].run(args)
     except (CospecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", CospecError.exit_code)

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,12 +103,18 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
         ["spectrum", "--word", "PCE", "--k", "1,2"],
         ["charpoly", "--word", "PCE", "--method", "oracle", "--budget", "-1"],
         ["verify", "--word", "PCE", "--budget", "0"],
-        # usage errors, which argparse words differently on each Python
+        # usage errors, each one line from cli.parse_args
         [],
+        ["bogus"],
         ["verify"],
+        ["verify", "--word", "PCE", "--k"],
+        ["verify", "--word", "PCE", "stray"],
         ["export", "--word", "PCE", "--format", "xml"],
         ["verify", "--word", "PCE", "--budget", "x"],
+        # a value that starts with "-" and is no negative number is a missing value
         ["verify", "--word", "PCE", "--k", "-3/2"],
+        ["verify", "--word", "-PCE"],
+        ["export", "--word", "PCE", "--out", "-x"],
         ["verify", "--word", "PCE", "--bogus", "1"],
         ["verify", "--word", "PCE", "a\nb"],
         ["blowup", "--word", "EEEPCC", "--k", "2", "--tol", "1e-9"],
@@ -117,16 +125,19 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
         ["scan", "--tau-max", "3", "--k", "1", "--k", "2"],
         ["verify", "--word", "PCE", "--word", "CCC"],
         ["charpoly", "--word", "PCE", "--method", "exact", "--method", "oracle"],
+        ["verify", "--word", "PCE", "--k=1", "--k", "2"],
     ],
     ids=["k-zero-denominator", "out-missing-dir", "verify-k-empty",
          "charpoly-k-blank", "blowup-k-empty", "export-k-blank", "spectrum-k-empty",
          "scan-k-comma", "word-empty",
          "verify-k-list", "charpoly-k-list", "blowup-k-list", "export-k-list",
          "spectrum-k-list", "budget-negative", "budget-zero",
-         "no-command", "word-missing", "format-xml", "budget-not-int", "k-read-as-option",
+         "no-command", "unknown-command", "word-missing", "k-without-value", "stray-argument",
+         "format-xml", "budget-not-int", "k-read-as-option", "word-read-as-option",
+         "out-read-as-option",
          "unknown-option", "unknown-argument-with-line-break", "blowup-tol",
          "verify-abbreviated", "scan-abbreviated",
-         "scan-k-twice", "verify-word-twice", "charpoly-method-twice"],
+         "scan-k-twice", "verify-word-twice", "charpoly-method-twice", "k-twice-one-with-equals"],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -756,22 +767,35 @@ def _outcome(capsys, argv):
     return code, out, captured.err
 
 
-def test_cached_parser_is_reused_without_leaking_values(capsys):
-    assert cli.build_parser() is cli.build_parser()
+def test_an_option_may_be_joined_to_its_value_by_equals(capsys):
+    joined = _outcome(capsys, ["verify", "--word=PCE", "--k=7/3"])
+    assert joined[0] == 0
+    assert joined == _outcome(capsys, ["verify", "--word", "PCE", "--k", "7/3"])
+    # joined, a value may start with "-": k = -3/2 reaches the check of k
+    assert _outcome(capsys, ["verify", "--word", "PCE", "--k=-3/2"]) == (
+        2, "", "error: module parameter k must be positive, got -3/2\n")
+    assert _outcome(capsys, ["verify", "--word", "PCE", "--k=1", "--k", "2"]) == (
+        2, "", "error: argument --k: given more than once\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--word", "PCE", "--budget", "-1"], "--budget must be at least 1, got -1"),
+    (["scan", "--tau-max", "-3"], "--tau-max must be in [3, 12], got -3"),
+], ids=["budget", "tau-max"])
+def test_a_negative_number_is_a_value(capsys, argv, message):
+    assert _outcome(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_commands_in_turn_give_their_outcomes_alone_on_their_own_defaults(capsys):
     sequence = [
         ["scan", "--tau-max", "3", "--k", "2/3", "--method", "transfer"],
         ["verify", "--word", "PCE", "--method", "bogus"],
         ["verify", "--help"],
         ["verify", "--word", "PCE"],
     ]
-    alone = []
-    for argv in sequence:
-        cli.build_parser.cache_clear()
-        alone.append(_outcome(capsys, argv))
-    cli.build_parser.cache_clear()
-    parser = cli.build_parser()
+    # in reverse order the last verify runs first, after none of the others
+    alone = [_outcome(capsys, argv) for argv in reversed(sequence)][::-1]
     in_turn = [_outcome(capsys, argv) for argv in sequence]
-    assert cli.build_parser() is parser
     assert in_turn == alone
     assert [code for code, *_ in in_turn] == [0, 2, 0, 0]
     # the last call ran on its own defaults, not the scan's --k and --method
@@ -805,15 +829,18 @@ OPTION_VALUES = {
     "--tau-max": (st.just("3"), st.sampled_from(["2", "13", "x"])),
     "--out": (st.sampled_from(["{dir}", "{dir}/g.out"]), st.just("{dir}/missing/g.out")),
 }
-COMMAND_OPTIONS = {
-    "verify": ["--word", "--k", "--method", "--budget"],
-    "scan": ["--tau-max", "--k", "--method", "--budget"],
-    "blowup": ["--word", "--k", "--format", "--out", "--scale"],
-    "identities": [],
-    "export": ["--word", "--k", "--format", "--out"],
-    "spectrum": ["--word", "--k"],
-    "charpoly": ["--word", "--k", "--method", "--budget"],
-}
+COMMAND_OPTIONS = {name: [o.name for o in command.options]
+                   for name, command in cli.COMMANDS.items()}
+
+
+def test_readme_options_table_is_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("Options per subcommand"):].split("\n\n")[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        command, options = re.findall(r"^\| `(\w+)` \| (.*) \|$", row)[0]
+        documented[command] = set(re.findall(r"(--[\w-]+)`", options))
+    assert documented == {name: set(options) for name, options in COMMAND_OPTIONS.items()}
 
 
 @st.composite

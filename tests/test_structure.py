@@ -105,23 +105,38 @@ def test_readme_python_usage_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-def test_exact_commands_never_load_numpy():
-    # a subprocess, since this pytest session has imported numpy itself
-    script = """
+EXACT_COMMANDS = [["charpoly", "--word", "PCEP", "--k", "3/5", "--method", "all"],
+                  ["identities"], ["export", "--word", "PCE"],
+                  ["verify", "--word", "PCE", "--k", "2"],
+                  ["scan", "--tau-max", "4", "--k", "1,7/3", "--method", "all"]]
+
+
+def run_then_check_unloaded(argvs: list, module: str) -> subprocess.CompletedProcess:
+    """Run each argv through `main` in a fresh interpreter, then exit 1 if `module` was
+    imported; a subprocess, since this pytest session may have imported it itself."""
+    script = f"""
 import contextlib, io, sys
 from cospec.cli import main
-for argv in (["charpoly", "--word", "PCEP", "--k", "3/5", "--method", "all"],
-             ["identities"], ["export", "--word", "PCE"], ["verify", "--word", "PCE", "--k", "2"],
-             ["scan", "--tau-max", "4", "--k", "1,7/3", "--method", "all"]):
+for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     if code != 0:
-        sys.exit(f"{argv} exited {code}")
-if "numpy" in sys.modules:
-    sys.exit("numpy was imported")
+        sys.exit(f"{{argv}} exited {{code}}")
+if {module!r} in sys.modules:
+    sys.exit("{module} was imported")
 """
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+
+
+def test_exact_commands_never_load_numpy():
+    result = run_then_check_unloaded(EXACT_COMMANDS, "numpy")
+    assert result.returncode == 0, result.stderr
+
+
+def test_the_package_never_loads_argparse():
+    # the command table is parsed by cli.parse_args, help included
+    result = run_then_check_unloaded(EXACT_COMMANDS + [["scan", "--help"]], "argparse")
     assert result.returncode == 0, result.stderr
 
 
