@@ -17,6 +17,7 @@ only `spectrum` and `blowup` compute a float spectrum, and so load numpy.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from collections import namedtuple
@@ -39,16 +40,10 @@ from .errors import (
     ParameterError,
     RecipeError,
 )
-from .graphs import (
-    assemble_ring,
-    eigenvalues_numeric,
-    export_graph,
-    ring_edge_count,
-    ring_embeds,
-)
+from .graphs import assemble_ring, eigenvalues_numeric, export_graph, ring_edge_count, ring_embeds
 from .linalg import exact_u
 from .polynomials import t_json
-from .rationals import BACKEND, module_parameter, parse_rat, rat_str
+from .rationals import BACKEND, module_parameter, module_parameters, parse_rat, rat_str
 from .transfer import certify_identities, transfer_u
 from .words import Word, is_self_toggle, parse_word, toggle, toggle_classes
 
@@ -69,7 +64,7 @@ def _report(args, payload: dict, summary: str, *, passed=True, skipped=False) ->
 def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
                  compare_trivial: bool = True) -> dict:
     """Check G(w) against G(toggle(w)) by each route `method` names; trivial = is_self_toggle(w).
-    k has passed `module_parameter` in the command, so k <= 0 stops there, before any route.
+    k has passed `module_parameter` as the `--k` reader of `COMMANDS`, so k <= 0 stops there.
 
     The verdict is the routes' exact charpolys alone: equal charpolys are
     equal spectra, multiplicities included, so no float check is made.
@@ -137,25 +132,19 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    w = parse_word(args.word)
-    k = module_parameter(parse_rat(args.k))
-    entry = _verify_pair(w, k, args.method, args.budget, trivial=is_self_toggle(w))
+    entry = _verify_pair(args.word, args.k, args.method, args.budget,
+                         trivial=is_self_toggle(args.word))
     status = "PASS" if entry["pass"] else "FAIL"
-    summary = f"verify {w} vs {entry['toggled_word']} (k={rat_str(k)}): {status}"
+    summary = f"verify {args.word} vs {entry['toggled_word']} (k={entry['k']}): {status}"
     return _report(args, {"backend": BACKEND, "result": entry}, summary, passed=entry["pass"])
 
 
 def cmd_scan(args: SimpleNamespace) -> int:
-    items = [s.strip() for s in args.k.split(",") if s.strip()]
-    if not items:
-        raise ParameterError(f"--k needs at least one value, got {args.k!r}")
-    # one k per value, in first-seen order: "1" and "1/1" are one k
-    ks = [module_parameter(k) for k in dict.fromkeys(parse_rat(s) for s in items)]
     entries = []
     summary = dict.fromkeys(("pairs_checked", "failures", "skipped", "trivial", "witnessed",
                              "subgraph_hits"), 0)
     for w, trivial in toggle_classes(3, args.tau_max):
-        for k in ks:
+        for k in args.k:
             try:
                 entry = _verify_pair(w, k, args.method, args.budget, trivial=trivial,
                                      compare_trivial=False)
@@ -174,7 +163,7 @@ def cmd_scan(args: SimpleNamespace) -> int:
     payload = {
         "backend": BACKEND,
         "tau_max": args.tau_max,
-        "k": [rat_str(k) for k in ks],
+        "k": [rat_str(k) for k in args.k],
         "entries": entries,
         "summary": summary,
     }
@@ -196,9 +185,7 @@ def _write_or_print(text: str, path: str) -> None:
 
 
 def cmd_blowup(args: SimpleNamespace) -> int:
-    w = parse_word(args.word)
-    k = module_parameter(parse_rat(args.k))
-    scale = parse_rat(args.scale)
+    w, k, scale = args.word, args.k, args.scale
     wt = toggle(w)
     if scale == 1:
         b1, b2 = simple_blowup_recipe(w, k)
@@ -250,28 +237,25 @@ def cmd_identities(args: SimpleNamespace) -> int:
 
 
 def cmd_export(args: SimpleNamespace) -> int:
-    g = assemble_ring(parse_word(args.word), parse_rat(args.k))
+    g = assemble_ring(args.word, args.k)
     _write_or_print(export_graph(g, args.format), args.out)
     print(f"exported {g}", file=sys.stderr)
     return 0
 
 
 def cmd_spectrum(args: SimpleNamespace) -> int:
-    w = parse_word(args.word)
-    k = parse_rat(args.k)
-    g = assemble_ring(w, k)
+    g = assemble_ring(args.word, args.k)
     payload = {
-        "word": str(w),
-        "k": rat_str(k),
+        "word": str(args.word),
+        "k": rat_str(args.k),
         "n": g.n,
         "eigenvalues": [float(x) for x in eigenvalues_numeric(g)],
     }
-    return _report(args, payload, f"spectrum of G({w}), n={g.n}")
+    return _report(args, payload, f"spectrum of G({args.word}), n={g.n}")
 
 
 def cmd_charpoly(args: SimpleNamespace) -> int:
-    w = parse_word(args.word)
-    k = module_parameter(parse_rat(args.k))
+    w, k = args.word, args.k
     # the transfer route reads the word alone
     g = None if args.method == "transfer" else assemble_ring(w, k)
     pairs = {}
@@ -299,8 +283,9 @@ def cmd_charpoly(args: SimpleNamespace) -> int:
 Option = namedtuple("Option", "name default convert choices help", defaults=(str, (), ""))
 Command = namedtuple("Command", "run help options")
 REQUIRED = object()  # the default of an option that must be given
-WORD = Option("--word", REQUIRED, help="module word over P/C/E")
-K = Option("--k", "1", help='module parameter as "p/q"')
+WORD = Option("--word", REQUIRED, parse_word, help="module word over P/C/E")
+K = Option("--k", "1", lambda text: module_parameter(parse_rat(text)),
+           help='module parameter as "p/q"')
 FORMAT = Option("--format", "json", choices=("json", "dot", "csv"))
 ROUTES = (Option("--method", "all", choices=("all", "exact", "transfer", "oracle")),
           Option("--budget", DEFAULT_BUDGET, int, help="most decompositions the oracle may sum"))
@@ -308,10 +293,11 @@ COMMANDS = {
     "verify": Command(cmd_verify, "check one toggled pair by all methods", (WORD, K, *ROUTES)),
     "scan": Command(cmd_scan, "verify every cyclic word class up to a length",
                     (Option("--tau-max", REQUIRED, int, help="longest word length, 3 to 12"),
-                     Option("--k", "1/1,2/1,1/2", help="comma-separated k values"), *ROUTES)),
+                     Option("--k", "1/1,2/1,1/2", module_parameters,
+                            help="comma-separated k values"), *ROUTES)),
     "blowup": Command(cmd_blowup, "emit a simple cospectral pair of blowups",
-                      (WORD, K, Option("--scale", "1", help="pre-scale edge weights"), FORMAT,
-                       Option("--out", "", help="directory for the two blowup files"))),
+                      (WORD, K, Option("--scale", "1", parse_rat, help="pre-scale edge weights"),
+                       FORMAT, Option("--out", "", help="directory for the two blowup files"))),
     "identities": Command(cmd_identities, "prove the transfer-matrix identities for all k > 0, "
                                           "t not in {0, 1, 2}", ()),
     "export": Command(cmd_export, "serialize one ring graph",
@@ -361,12 +347,14 @@ def parse_args(argv: list) -> SimpleNamespace | None:
             raise CospecError(f"argument {key}: {value!r} is not one of {', '.join(choices)}")
         try:
             given[key] = convert(value)
+        except CospecError:  # a reader's own message
+            raise
         except ValueError:
             raise CospecError(f"argument {key}: {value!r} is not an {convert.__name__}") from None
     if missing := [k for k, o in options.items() if o.default is REQUIRED and k not in given]:
         raise CospecError(f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(command=name, **{k[2:].replace("-", "_"): given.get(k, o.default)
-                                            for k, o in options.items()})
+    return SimpleNamespace(command=name, **{k[2:].replace("-", "_"): given[k] if k in given
+                                            else o.convert(o.default) for k, o in options.items()})
 
 
 def main(argv=None) -> int:
@@ -379,7 +367,10 @@ def main(argv=None) -> int:
         if getattr(args, "budget", 1) < 1:
             raise ParameterError(f"--budget must be at least 1, got {args.budget}")
         return COMMANDS[args.command].run(args)
-    except (CospecError, ValueError) as exc:
+    except (CospecError, ValueError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout closed early; its last flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            exc = OutputError(f"cannot write stdout: {exc.strerror}")
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", CospecError.exit_code)
 

@@ -1,8 +1,8 @@
 """Exact rationals at the package's edges.
 
-Graphs and routes work in integers; `Rat`, which is `fractions.Fraction`,
-parses `--k` and `--scale` and renders weights and k in the output, and
-`module_parameter` is the package's one check of k.
+Graphs and routes work in integers; `Rat`, which is `fractions.Fraction`, parses
+`--k` and `--scale` and renders weights and k; `module_parameter` is the package's
+one check of k, and `module_parameters` reads scan's k list through it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ def module_parameter(k):
     if k.numerator <= 0:
         raise ParameterError(f"module parameter k must be positive, got {k}")
     return k
+
+
+def module_parameters(text: str) -> list:
+    """A checked k per value of comma-separated `text`, in first-seen order ("1" = "1/1")."""
+    items = [s.strip() for s in text.split(",") if s.strip()]
+    if not items:
+        raise ParameterError(f"--k needs at least one value, got {text!r}")
+    return [module_parameter(k) for k in dict.fromkeys(parse_rat(s) for s in items)]
 
 
 def rat_str(q) -> str:

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -15,6 +18,7 @@ from cospec.decomps import DEFAULT_BUDGET
 from cospec.graphs import assemble_ring
 from cospec.rationals import Rat
 from cospec.words import (
+    Word,
     canonical_form,
     canonical_words,
     is_self_toggle,
@@ -126,6 +130,8 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
         ["verify", "--word", "PCE", "--word", "CCC"],
         ["charpoly", "--word", "PCE", "--method", "exact", "--method", "oracle"],
         ["verify", "--word", "PCE", "--k=1", "--k", "2"],
+        # a value fails as it is read, before a missing option is named
+        ["verify", "--k", "0"],
     ],
     ids=["k-zero-denominator", "out-missing-dir", "verify-k-empty",
          "charpoly-k-blank", "blowup-k-empty", "export-k-blank", "spectrum-k-empty",
@@ -137,7 +143,8 @@ def test_k_at_most_0_is_rejected_before_any_route(capsys, monkeypatch, argv, met
          "out-read-as-option",
          "unknown-option", "unknown-argument-with-line-break", "blowup-tol",
          "verify-abbreviated", "scan-abbreviated",
-         "scan-k-twice", "verify-word-twice", "charpoly-method-twice", "k-twice-one-with-equals"],
+         "scan-k-twice", "verify-word-twice", "charpoly-method-twice", "k-twice-one-with-equals",
+         "k-zero-word-missing"],
 )
 def test_domain_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -196,6 +203,39 @@ def test_each_error_raised_in_a_command_exits_with_its_code(capsys, monkeypatch,
     assert code == EXIT_CODES.get(error, 2)
     assert captured.out == ""
     assert captured.err == "error: raised inside the command\n"
+
+
+def test_parse_args_hands_each_command_its_values():
+    verify = cli.parse_args(["verify", "--word", "pce", "--k", "2/4"])
+    assert (verify.word, verify.k) == (Word("PCE"), Rat(1, 2))
+    assert cli.parse_args(["scan", "--tau-max", "3", "--k", "1, 1/1,2"]).k == [1, 2]
+    assert cli.parse_args(["scan", "--tau-max", "3"]).k == [1, 2, Rat(1, 2)]
+    assert cli.parse_args(["blowup", "--word", "PCC"]).scale == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "--k", "0"],
+                                  ["verify", "--k", "0", "--word", "PXE"],
+                                  ["scan", "--tau-max", "13", "--k", "0"]],
+                         ids=["word-missing", "word-bad-after", "tau-max-out-of-range"])
+def test_a_value_fails_as_it_is_read_before_any_other_error(capsys, argv):
+    # argv order, as --budget x: no missing option, later value or range check is reached
+    assert _outcome(capsys, argv) == (2, "", "error: module parameter k must be positive, got 0\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_closed_stdout_exits_2_with_one_error_line(flags):
+    # the tau <= 8 report (about 240 KB) outgrows a pipe's buffer, so the
+    # scan is still writing when the reader takes one byte and closes
+    root = Path(__file__).resolve().parents[1]
+    scan = subprocess.Popen(
+        [sys.executable, *flags, "-m", "cospec.cli", "scan", "--tau-max", "8", "--k", "1",
+         "--method", "transfer"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert len(scan.stdout.read(1)) == 1
+    scan.stdout.close()
+    err = scan.stderr.read().decode()
+    assert scan.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_tau_max_is_checked_before_budget(capsys):
