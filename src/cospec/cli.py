@@ -280,7 +280,7 @@ def cmd_charpoly(args: SimpleNamespace) -> int:
                    passed=agree)
 
 
-Option = namedtuple("Option", "name default convert choices help", defaults=(str, (), ""))
+Option = namedtuple("Option", "name default read choices help", defaults=(str, (), ""))
 Command = namedtuple("Command", "run help options")
 REQUIRED = object()  # the default of an option that must be given
 WORD = Option("--word", REQUIRED, parse_word, help="module word over P/C/E")
@@ -342,19 +342,19 @@ def parse_args(argv: list) -> SimpleNamespace | None:
             value = next(rest, None)
             if value is None or value[:1] == "-" and not value[1:].replace(".", "", 1).isdecimal():
                 raise CospecError(f"argument {key}: expected one value")
-        convert, choices = options[key].convert, options[key].choices
+        read, choices = options[key].read, options[key].choices
         if choices and value not in choices:
             raise CospecError(f"argument {key}: {value!r} is not one of {', '.join(choices)}")
         try:
-            given[key] = convert(value)
+            given[key] = read(value)
         except CospecError:  # a reader's own message
             raise
         except ValueError:
-            raise CospecError(f"argument {key}: {value!r} is not an {convert.__name__}") from None
+            raise CospecError(f"argument {key}: {value!r} is not an {read.__name__}") from None
     if missing := [k for k, o in options.items() if o.default is REQUIRED and k not in given]:
         raise CospecError(f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(command=name, **{k[2:].replace("-", "_"): given[k] if k in given
-                                            else o.convert(o.default) for k, o in options.items()})
+                                            else o.read(o.default) for k, o in options.items()})
 
 
 def main(argv=None) -> int:
