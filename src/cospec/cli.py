@@ -6,7 +6,7 @@ prints its graph as indented JSON, or as DOT or CSV with `--format`.
 Exit codes live on the error classes (`cospec.errors`): an error, a usage
 error included, prints one `error:` line and exits with its `exit_code`; a
 failed check exits as a failed certificate does, and a `scan` that skipped
-a pair as a budget.
+a pair, or a run out of memory, as an exhausted budget (3).
 
 `verify` and `scan` decide by the routes' exact charpolys alone, and read
 what tells a pair's two rings apart (edge counts, witness, subgraph
@@ -72,6 +72,10 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     the words; the graphs are built only when a route that reads them runs
     (exact, or the oracle), so the transfer route alone builds none.
 
+    The transfer route runs on G(w) alone: the U identities, proven for
+    every k (`certify_identities`, once per table state), make G(toggle(w))'s
+    transfer charpoly equal to it, so transfer_equal stands on the proof.
+
     With compare_trivial=False a self-toggle class, whose two graphs are
     one graph relabelled, is checked alone: only the cross-route checks
     remain, and a route runs on G(w) once when a check or an output field
@@ -99,9 +103,11 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
         charpolys["exact"] = [exact_u(g) for g in graphs]
         entry["charpoly_exact"] = t_json(*charpolys["exact"][0])
     if method in ("all", "transfer"):
-        transfers = [transfer_u(x, k) for x in sides]
-        charpolys["transfer"] = [charpoly for charpoly, _ in transfers]
-        entry["short_part"] = t_json(*transfers[0][1])
+        if len(sides) == 2:
+            certify_identities()  # raises unless the identities hold
+        charpoly, short = transfer_u(w, k)
+        charpolys["transfer"] = [charpoly] * len(sides)
+        entry["short_part"] = t_json(*short)
     if oracle_runs:
         try:
             charpolys["oracle"] = [oracle_u(g, budget) for g in graphs]
@@ -367,10 +373,12 @@ def main(argv=None) -> int:
         if getattr(args, "budget", 1) < 1:
             raise ParameterError(f"--budget must be at least 1, got {args.budget}")
         return COMMANDS[args.command].run(args)
-    except (CospecError, ValueError, BrokenPipeError) as exc:
+    except (CospecError, ValueError, BrokenPipeError, MemoryError) as exc:
         if isinstance(exc, BrokenPipeError):  # stdout closed early; its last flush goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             exc = OutputError(f"cannot write stdout: {exc.strerror}")
+        elif isinstance(exc, MemoryError):
+            exc = BudgetError("out of memory")
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", CospecError.exit_code)
 

@@ -28,8 +28,9 @@ the trace, which packs u^{4 tau} tr(prod).  The radix is proven wide
 enough: with |M| the largest row sum of the entries' coefficient
 1-norms, every trace coefficient is at most 2 prod_i |M_i|, and B is
 chosen with 2^(B-1) above that, so balanced base-2^B digits read the
-coefficients back.  One memo, `_state`, reads the tables and holds the
-(k, v) blocks of their state and, per k, the blocks evaluated at k and
+coefficients back.  One memo, `_state`, reads every table the kernel and
+the proof read and holds the (k, v) blocks of their state, the proof's
+entries once it has passed, and, per k, the blocks evaluated at k and
 their packings, one per letter-count triple at that triple's radix, so a
 call forms only the packed trace and reads its digits back; a patched
 table replaces the whole state.  Dividing by u^{4 tau - n} gives
@@ -72,17 +73,19 @@ _held = None, None
 
 
 def _state() -> tuple:
-    """(e, blocks, ks) for R2, S and X_TABLE as they stand: `_y_blocks`, and
-    ks[p, q] = (`_integral_blocks(p, q)`, {(ell, m, tau): (bits, den, mats)}),
-    the blocks at k = p/q and `_short_kernel`'s packings of them.  Only the
-    latest table state is held, so a patched table drops every k of the old
-    one.  The tables are compared with `==`, which short-circuits on the
-    same table objects, so a call hashes nothing."""
+    """(e, blocks, ks, proof) for R2, S, X_TABLE, Q and U_TABLE as they stand:
+    `_y_blocks`, ks[p, q] = (`_integral_blocks(p, q)`, {(ell, m, tau): (bits,
+    den, mats)}), the blocks at k = p/q and `_short_kernel`'s packings of
+    them, and proof, `certify_identities`' entries once they have passed
+    (empty until then).  Only the latest table state is held, so a patched
+    table drops every k and the proof of the old one.  The tables are
+    compared with `==`, which short-circuits on the same table objects, so
+    a call hashes nothing."""
     global _held
-    tables = R2, S, X_TABLE["P"], X_TABLE["C"], X_TABLE["E"]
+    tables = R2, S, X_TABLE["P"], X_TABLE["C"], X_TABLE["E"], Q, U_TABLE
     held, state = _held
     if tables != held:
-        state = *_y_blocks(tables), {}
+        state = *_y_blocks(tables[:5]), {}, []
         _held = tables, state
     return state
 
@@ -113,7 +116,7 @@ def _integral_blocks(p: int, q: int) -> tuple:
     tuples: `_state`'s block at k (times q^D, D = max(2, its degree in k), each
     entry an integer triple in v over 4 e (p+q)^2 q^(D-2)) with the common
     factor divided out of it and den, and norm the largest row sum of its 1-norms."""
-    e, polys, _ = _state()
+    e, polys, *_ = _state()
     triples = []
     for poly in polys.values():
         deg = max([2] + [i for row in poly for entry in row for i, _ in entry])
@@ -272,10 +275,14 @@ def certify_identities() -> list:
     point.  det U = -144 v (v - 1) vanishes exactly at t in {0, 1, 2}.
     Returns one entry per identity: its name, the largest degrees in k and
     in v of its two sides, and whether it holds.  Raises IdentityCheckError
-    naming every identity that fails.
+    naming every identity that fails.  A passing proof is held in `_state`,
+    so it runs once per table state.
     """
+    _, blocks, _, proof = _state()
+    if proof:
+        return [dict(e) for e in proof]
     r2 = _constant(R2)
-    yp, yc, ye = _state()[1].values()
+    yp, yc, ye = blocks.values()
     u = [[{(0, j): c for j, c in enumerate(entry) if c} for entry in row] for row in U_TABLE]
     sides = {
         "Q = R S R^-1": ([[_pdet(r2)]] + _pmat_mul(_constant(Q), r2),
@@ -298,4 +305,5 @@ def certify_identities() -> list:
     failed = [e["identity"] for e in entries if not e["holds"]]
     if failed:
         raise IdentityCheckError(f"identities fail as polynomials in (k, v): {'; '.join(failed)}")
+    proof.extend(dict(e) for e in entries)
     return entries

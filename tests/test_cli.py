@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -236,6 +237,20 @@ def test_a_closed_stdout_exits_2_with_one_error_line(flags):
     err = scan.stderr.read().decode()
     assert scan.wait(timeout=120) == 2
     assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_running_out_of_memory_exits_3_with_one_error_line():
+    # n = 9,000: the exact route's n x n matrix alone outgrows 600 MB of
+    # address space, which is set in the child only
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "cospec.cli", "charpoly", "--word", "P" * 3000, "--method",
+         "exact"], capture_output=True, text=True, timeout=300, preexec_fn=limit,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert (run.returncode, run.stdout, run.stderr) == (3, "", "error: out of memory\n")
 
 
 def test_tau_max_is_checked_before_budget(capsys):
@@ -965,27 +980,23 @@ def gadget_mutants():
                         yield graphs.GADGETS, kind, row[:e] + ((a, b, y),) + row[e + 1:]
 
 
-def r2_mutants():
-    r2 = transfer.R2
-    for r in range(4):
-        for c in range(4):
-            for d in (1, -1):
-                row = r2[r][:c] + (r2[r][c] + d,) + r2[r][c + 1:]
-                yield vars(transfer), "R2", r2[:r] + (row,) + r2[r + 1:]
-
-
-def s_mutants(rows):
-    s = transfer.S
+def matrix_mutants(name, rows=range(4)):
+    # every entry in the given rows of the 4x4 integer table transfer.<name>
+    m = vars(transfer)[name]
     for r in rows:
         for c in range(4):
             for d in (1, -1):
-                row = s[r][:c] + (s[r][c] + d,) + s[r][c + 1:]
-                yield vars(transfer), "S", s[:r] + (row,) + s[r + 1:]
+                row = m[r][:c] + (m[r][c] + d,) + m[r][c + 1:]
+                yield vars(transfer), name, m[:r] + (row,) + m[r + 1:]
+
+
+def r2_mutants():
+    return matrix_mutants("R2")
 
 
 def s_rows_0_1_mutants():
     # the transfer kernel reads only rows 0 and 1 of S adj(R2)
-    return s_mutants((0, 1))
+    return matrix_mutants("S", (0, 1))
 
 
 def fails_some_class(method: str) -> bool:
@@ -1019,13 +1030,52 @@ def test_every_single_coefficient_mutant_fails_a_verify(monkeypatch, mutants, co
     assert missed == []
 
 
-def test_s_mutants_in_rows_2_3_pass_every_transfer_verify_and_fail_identities(monkeypatch):
-    # rows 2 and 3 of S, which no route reads, are pinned by "S rows 2-3 = 0"
-    patches = list(s_mutants((2, 3)))
-    assert len(patches) == 16
+def u_table_mutants():
+    u = transfer.U_TABLE
+    for r in range(2):
+        for c in range(2):
+            for i in range(2):
+                for d in (1, -1):
+                    row = u[r][:c] + (bumped(u[r][c], i, d),) + u[r][c + 1:]
+                    yield vars(transfer), "U_TABLE", u[:r] + (row,) + u[r + 1:]
+
+
+@pytest.mark.parametrize("mutants, count, failed", [
+    (lambda: matrix_mutants("S", (2, 3)), 16, "S rows 2-3 = 0"),
+    (u_table_mutants, 16, r"\(k, v\): (U |det U)"),
+    (lambda: matrix_mutants("Q"), 32, r"\(k, v\): Q = R S R\^-1$"),
+], ids=["S-rows-2-3", "U_TABLE", "Q"])
+def test_mutants_of_tables_the_kernel_skips_fail_a_transfer_verify_by_the_proof(
+        monkeypatch, mutants, count, failed):
+    # the kernel reads neither Q, U_TABLE nor rows 2 and 3 of S; the toggled
+    # side's transfer charpoly stands on the proof, so a transfer verify
+    # proves the identities first, and a mutant stops it with the failed one
+    patches = list(mutants())
+    assert len(patches) == count
+    w = parse_word("PCE")
+    assert cli._verify_pair(w, Rat(2), "transfer", DEFAULT_BUDGET, trivial=False)["pass"]
     for table, key, value in patches:
         with monkeypatch.context() as m:
             m.setitem(table, key, value)
-            assert not fails_some_class("transfer"), value
-            with pytest.raises(errors.IdentityCheckError, match="S rows 2-3 = 0"):
-                transfer.certify_identities()
+            with pytest.raises(errors.IdentityCheckError, match=failed):
+                cli._verify_pair(w, Rat(2), "transfer", DEFAULT_BUDGET, trivial=False)
+
+
+def test_a_transfer_scan_runs_transfer_u_once_per_entry(capsys, monkeypatch):
+    # the toggled side's charpoly is taken from the proof, not computed; the
+    # report is the one a run that computes and compares both sides prints
+    argv = ["scan", "--tau-max", "8", "--k", "1", "--method", "transfer"]
+    calls, transfer_u, verify_pair = [], cli.transfer_u, cli._verify_pair
+    monkeypatch.setattr(cli, "transfer_u", lambda w, k: calls.append(str(w)) or transfer_u(w, k))
+    code, one_side, err = _outcome(capsys, argv)
+    assert code == 0 and calls == [entry["word"] for entry in one_side["entries"]]
+
+    def both_sides(w, k, method, budget, **kwargs):
+        entry = verify_pair(w, k, method, budget, **kwargs)
+        if "transfer_equal" in entry["checks"]:
+            equal = transfer_u(w, k)[0] == transfer_u(toggle(w), k)[0]
+            entry["checks"]["transfer_equal"] = entry["pass"] = equal
+        return entry
+
+    monkeypatch.setattr(cli, "_verify_pair", both_sides)
+    assert _outcome(capsys, argv) == (code, one_side, err)

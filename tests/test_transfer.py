@@ -138,7 +138,7 @@ def evaluate(poly, k, v):
 def test_build_transfer_identities(k, t):
     # the certificate's blocks, polynomials in (k, v) over e 4(k+1)^2 v^2,
     # are the hand-written closed forms at each sample point
-    e, blocks, _ = transfer._state()
+    e, blocks = transfer._state()[:2]
     v = (t - 1) ** 2
     den = e * 4 * (k + 1) ** 2 * v * v
     for kind in "PCE":
@@ -409,7 +409,8 @@ def test_one_table_coefficient_fails_the_proof_and_the_kernel(
     capsys, monkeypatch, kind, state, power, value, word
 ):
     # the kernel multiplies the blocks the proof reads: a wrong table entry
-    # fails both, the kernel against the exact route
+    # fails both; a verify stops at the proof, and charpoly, which proves
+    # nothing, fails the kernel against the exact route
     argv = ["verify", "--word", word, "--k", "2", "--method", "all"]
     assert main(argv) == 0
     capsys.readouterr()
@@ -422,7 +423,29 @@ def test_one_table_coefficient_fails_the_proof_and_the_kernel(
         certify_identities()
     assert main(argv) == 1
     out, err = capsys.readouterr()
-    assert ('"transfer_matches_exact": false' in out) or err.startswith("error: ")
+    assert out == "" and err.startswith("error: identities fail") and err.count("\n") == 1
+    assert main(["charpoly", "--word", word, "--k", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert '"methods_agree": false' in out or err.startswith("error: ")
+
+
+def test_a_passing_proof_is_held_once_per_table_state(monkeypatch):
+    # an emptied memo, put back as it was after the test; -U intertwines as
+    # U does and has its determinant, so it is a second passing table state
+    monkeypatch.setattr(transfer, "_held", (None, None))
+    products, pmat_mul = [], transfer._pmat_mul
+    monkeypatch.setattr(transfer, "_pmat_mul", lambda a, b: products.append(1) or pmat_mul(a, b))
+    negated = tuple(tuple(tuple(-c for c in entry) for entry in row) for row in U_TABLE)
+    for u_table in (U_TABLE, negated):
+        monkeypatch.setattr(transfer, "U_TABLE", u_table)
+        assert transfer._state()[3] == []
+        derived = len(products)
+        entries = certify_identities()
+        proof = len(products) - derived
+        entries[0]["holds"] = False  # the caller's copy, not the held proof
+        again = certify_identities()
+        assert len(products) - derived == proof > 0
+        assert all(e["holds"] for e in again) and again == transfer._state()[3]
 
 
 def test_blocks_built_once_per_table_kind_and_k(capsys, monkeypatch):
