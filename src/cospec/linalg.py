@@ -10,17 +10,20 @@ c takes one gcd per row, and M's rows one pass over the adjacency.
 
 The integer charpoly det(xI - M) is multi-modular, and each pass reads
 only M's nonzeros.  Hadamard's bound on the principal minors bounds every
-coefficient by B = prod_i (2 + isqrt(|row i|^2)).  The modulus is the
-first prime of a ladder above 2B: the Mersenne primes 2^61 - 1 to
-2^127 - 1, then Proth primes h 2^s + 1 of 160 to 448 bits; so one pass
-serves every bound below 2^446.  Wider bounds take the Mersenne primes
-from 2^521 - 1 up, as many as needed.  Modulo each prime, M is reduced
-to upper Hessenberg form and the Hessenberg recurrence gives the
-charpoly; CRT folds in each prime after the first, which leaves a single
-prime's residues as they are, and symmetric residues give the integers.  A
-point certificate checks the result: det(x0 I - M) by Gaussian
-elimination modulo 2^31 - 1, a prime outside every modulus set, must
-equal the rebuilt polynomial at x0, or CertificateError is raised.
+coefficient by B = prod_i (2 + isqrt(|row i|^2)).  Each modulus takes the
+fewest of CPython's 30-bit int digits its bounds allow.  The modulus is
+the first prime of a ladder above 2B: Proth primes h 2^s + 1 of 30 and 60
+bits, the Mersenne primes 2^89 - 1 to 2^127 - 1, then Proth primes of 160
+to 510 bits; so one pass serves every bound below 2^508.99.  Wider bounds
+take 2 to 8 Proth primes of 510 bits, then the Mersenne primes from
+2^521 - 1 up, as many as needed; past them all, BudgetError is raised.
+Modulo each prime, M is reduced to upper Hessenberg form and the
+Hessenberg recurrence gives the charpoly; CRT folds in each prime after
+the first, which leaves a single prime's residues as they are, and
+symmetric residues give the integers.  A point certificate checks the
+result: det(x0 I - M) by Gaussian elimination modulo the 30-bit Proth
+prime 32751 2^15 + 1, outside every modulus set, must equal the rebuilt
+polynomial at x0, or CertificateError is raised.
 `exact_u` hands the result on as integer u-coefficients over one
 denominator in lowest terms, the powers of c built one from the last,
 and checks det L = 0 and tr L = n on them.  The kernel sees only M,
@@ -32,44 +35,65 @@ from __future__ import annotations
 
 import math
 
-from .errors import CertificateError, DegreeError, ParameterError
+from .errors import BudgetError, CertificateError, DegreeError
 from .graphs import WeightedGraph
 from .polynomials import lowest_terms
 
-# Moduli for the multi-modular kernel.  Every bound B below 2^446 takes one
-# prime, the first of the ladder above 2B; the top rung is about 2^447.02,
-# so bounds from 2^446 on may need 2^521 - 1.  The ladder is the Mersenne
-# primes 2^e - 1 up to 2^127 - 1 (each proven prime by the Lucas-Lehmer
-# test), then Proth primes h 2^s + 1 with h < 2^s, each proven prime by
-# Proth's theorem with the witness a stored beside it: a^((N-1)/2) = -1
-# modulo N.  Wider bounds take the Mersenne primes from 2^521 - 1 up, as
-# many as needed, and CRT.  The Proth rungs serve only bounds of 2^126 and
-# more (rings of about 32 vertices and more at k = 7/3).  Mersenne primes
-# alone would serve those bounds by two passes modulo primes of at most 127
-# bits and a CRT step (bounds up to 2^233), or by one pass modulo
-# 2^521 - 1, and take longer: per rung, on 6 ring graphs at k = 7/3 spread
-# over its bounds, the sparse-row _charpoly_integer took (ms, mean of
-# per-graph medians of 5 runs, CPython 3.11, 2 cores, October 2026):
+# Moduli for the multi-modular kernel.  CPython stores an int in 30-bit
+# digits (sys.int_info.bits_per_digit), and a pass modulo p costs by the
+# digits of p and of the products it reduces, so each modulus takes the
+# fewest 30-bit digits its bounds allow.  Every bound B below 2^508.99 takes
+# one prime, the first of a ladder above 2B: Proth primes h 2^s + 1 with
+# h < 2^s of 30 and 60 bits (1 and 2 digits), the Mersenne primes 2^89 - 1
+# to 2^127 - 1 (3 to 5 digits), then Proth primes of 160 to 448 bits and
+# one of 510 (17 digits).  Wider bounds take sets of 2 to 8 Proth primes of
+# 510 bits, then Mersenne primes from 2^521 - 1 up, as many as needed, and
+# CRT; so bounds from about 2^509 to 2^520 take two passes where 2^521 - 1
+# would take one.  A Mersenne prime is proven by the Lucas-Lehmer test, a
+# Proth prime by Proth's theorem with the witness a stored beside it:
+# a^((N-1)/2) = -1 modulo N.  Per pass, the sparse-row _charpoly_mod took
+# (CPython 3.11, 2 cores, October 2026):
+#   both sides of every class of scan --tau-max 5 at 35 k (2,870 graphs,
+#     n <= 15; 28 % take the 30-bit rung, 69 % the 60-bit one): 76 us at 30
+#     bits, 103 us at 60 bits and 125 us modulo 2^61 - 1, which has 3
+#     digits as 2^89 - 1 has (mean, best of 4);
+#   n = 38: 0.9-1.5 ms with any modulus from 60 to 160 bits, so the
+#     loops, not the digits, set the cost and the rungs from 89 bits stay;
+#   n = 464 (a tau = 200 ring at k = 7/3, four passes): 1.35-1.56 s per
+#     510-bit prime, against 1.5-2.3 s modulo 2^521 - 1 or 2^607 - 1 and
+#     4.9-5.1 s modulo 2^1279 - 1 of the Mersenne set (521, 607, 1279).
+# Against Mersenne primes alone the 160- to 448-bit rungs took 0.58-0.70 of
+# the time (ms, mean of per-graph medians of 5 runs, 6 ring graphs at
+# k = 7/3 per rung; no graph above 0.80):
 #   rung (bits)          160     192     256     320     384     448
 #   graph bounds (bits) 127-158 159-190 191-254 255-318 319-382 383-446
 #   Mersenne sets        4.6     8.2    18.7    34.5    51.4    97.4
 #   ladder               3.0     5.4    10.8    20.0    35.0    68.1
-# and no graph took longer with the ladder (worst ratio 0.80, at 448 bits).
-_SMALL_PRIMES = tuple((1 << e) - 1 for e in (61, 89, 107, 127))
-_PROTH_PRIMES = (  # (h, s, a): N = h 2^s + 1 of 160, 192, 256, 320, 384 and 448 bits
-    (32931, 144, 5), (32791, 176, 3), (32875, 240, 3),
-    (33087, 304, 5), (32871, 368, 5), (33121, 432, 3),
+_PROTH_PRIMES = (  # (h, s, a): N = h 2^s + 1 of 30, 60, 160, 192, 256, 320, 384 and 448 bits
+    (32765, 15, 3), (536870907, 31, 5), (32931, 144, 5), (32791, 176, 3),
+    (32875, 240, 3), (33087, 304, 5), (32871, 368, 5), (33121, 432, 3),
 )
+_WIDE_PRIMES = (  # (h, s, a): N = h 2^s + 1 of 510 bits
+    (32571, 495, 19), (32379, 495, 5), (32025, 495, 11), (31671, 495, 11),
+    (31281, 495, 7), (30815, 495, 3), (30621, 495, 17), (29951, 495, 3),
+)
+_SMALL_PRIMES = tuple((1 << e) - 1 for e in (89, 107, 127))
 _LARGE_PRIMES = tuple(
     (1 << e) - 1 for e in (521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
 )
-_MODULUS_SETS = [(p,) for p in _SMALL_PRIMES] + [
-    ((h << s) + 1,) for h, s, _ in _PROTH_PRIMES
-] + [_LARGE_PRIMES[:i] for i in range(1, len(_LARGE_PRIMES) + 1)]
+_WIDE = tuple((h << s) + 1 for h, s, _ in _WIDE_PRIMES)
+_MODULUS_SETS = [
+    (p,) for p in sorted(_SMALL_PRIMES + tuple((h << s) + 1 for h, s, _ in _PROTH_PRIMES))
+] + [_WIDE[:i] for i in range(1, len(_WIDE) + 1)] + [
+    _LARGE_PRIMES[:i] for i in range(1, len(_LARGE_PRIMES) + 1)
+    if math.prod(_LARGE_PRIMES[:i]) > math.prod(_WIDE)
+]
 
 # The point certificate: det(x0 I - m) by Gaussian elimination modulo the
-# Mersenne prime 2^31 - 1, which is in no modulus set.
-_CHECK_PRIME = (1 << 31) - 1
+# one-digit Proth prime 32751 2^15 + 1, which is in no modulus set (on the
+# 2,870 graphs above, 36 us a call against 42 us modulo 2^31 - 1).
+_CHECK_PROTH = (32751, 15, 7)
+_CHECK_PRIME = (_CHECK_PROTH[0] << _CHECK_PROTH[1]) + 1
 _CHECK_POINT = 65537
 
 
@@ -90,7 +114,7 @@ def _moduli(bound: int) -> tuple:
     for moduli in _MODULUS_SETS:
         if math.prod(moduli) > 2 * bound:
             return moduli
-    raise ParameterError(
+    raise BudgetError(
         f"characteristic polynomial coefficients bounded by 2^{bound.bit_length()} "
         f"exceed the product of the listed moduli"
     )

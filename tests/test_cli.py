@@ -253,6 +253,19 @@ def test_running_out_of_memory_exits_3_with_one_error_line():
     assert (run.returncode, run.stdout, run.stderr) == (3, "", "error: out of memory\n")
 
 
+def test_a_ring_past_every_modulus_set_exits_3_with_one_error_line():
+    # n = 3,300 at k = 1048573/1048571: a coefficient bound of 2^71500 is
+    # past the product of every modulus set, found before any pass runs
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "cospec.cli", "charpoly", "--word", "P" * 1100, "--k",
+         "1048573/1048571", "--method", "exact"], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == ("error: characteristic polynomial coefficients bounded by 2^71500 "
+                          "exceed the product of the listed moduli\n")
+
+
 def test_tau_max_is_checked_before_budget(capsys):
     code = main(["scan", "--tau-max", "13", "--budget", "0"])
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cospec import linalg
 from cospec.decomps import oracle_u
-from cospec.errors import CertificateError, DegreeError, ParameterError
+from cospec.errors import BudgetError, CertificateError, DegreeError
 from cospec.graphs import WeightedGraph, assemble_ring, eigenvalues_numeric
 from cospec.linalg import exact_u
 from cospec.polynomials import lowest_terms, t_json
@@ -355,14 +355,14 @@ def test_kernel_equals_berkowitz(m):
 
 
 @given(integer_matrices())
-@example([[65537, 1], [1, 0]])  # the diagonal pivot vanishes modulo 2^31 - 1: a row swap
+@example([[65537, 1], [1, 0]])  # the diagonal pivot vanishes modulo the check prime: a row swap
 @example([[0, 0], [0, 65537]])  # det(x0 I - m) = 0
 @settings(max_examples=300, deadline=None)
 def test_bound_and_certificate_read_only_the_nonzeros(m):
     rows = sparse_rows(m)
     assert linalg._coefficient_bound(rows) == math.prod(
         2 + math.isqrt(sum(x * x for x in row)) for row in m)
-    q, x0 = (1 << 31) - 1, 65537
+    q, x0 = linalg._CHECK_PRIME, linalg._CHECK_POINT
     value = 0
     for c in reversed(berkowitz(m)):
         value = (value * x0 + c) % q
@@ -377,12 +377,12 @@ def wide_diagonal(bits):
 
 
 @pytest.mark.parametrize("bits, moduli_bits", [
-    (10, (61,)), (30, (127,)), (37, (160,)), (50, (256,)), (100, (448,)), (200, (521, 607)),
-    (18, (89,)), (23, (107,)), (40, (192,)), (70, (320,)), (85, (384,)), (115, (521,)),
-    (300, (521, 607, 1279)),
+    (10, (60,)), (30, (127,)), (37, (160,)), (50, (256,)), (100, (448,)), (200, (510,) * 2),
+    (18, (89,)), (23, (107,)), (40, (192,)), (70, (320,)), (85, (384,)), (115, (510,)),
+    (300, (510,) * 3), (7, (30,)), (950, (510,) * 8), (1100, (521, 607, 1279, 2203)),
 ])
 def test_kernel_wide_coefficients_take_several_or_wide_moduli(bits, moduli_bits):
-    # one rung of the ladder per bound below 2^446; past it, |det| (about
+    # one rung of the ladder per bound below about 2^509; past it, |det| (about
     # 2^(4 bits)) is too wide for the set less its last prime
     m = wide_diagonal(bits)
     moduli = kernel_moduli(sparse_rows(m))
@@ -397,17 +397,22 @@ def test_moduli_are_the_first_set_over_twice_the_bound():
     products = [math.prod(s) for s in sets]
     assert products == sorted(products)
     assert all(linalg._CHECK_PRIME not in s for s in sets)
-    # the ladder: one prime per set up to 448 bits, then Mersenne sets with CRT
-    ladder = [s[0].bit_length() for s in sets if len(s) == 1 and s[0].bit_length() <= 448]
-    assert ladder == [61, 89, 107, 127, 160, 192, 256, 320, 384, 448]
-    # 2^446 - 1 is the last bound of this form the 448-bit rung covers
-    for bits in [*range(1, 2000, 7), 446, 447]:
+    # the ladder: one prime per set up to 510 bits, then sets of 510-bit
+    # Proth primes and of Mersenne primes with CRT
+    ladder = [s[0].bit_length() for s in sets if len(s) == 1]
+    assert ladder == [30, 60, 89, 107, 127, 160, 192, 256, 320, 384, 448, 510]
+    assert [len(s) for s in sets if s[0].bit_length() == 510] == list(range(1, 9))
+    assert [p.bit_length() for p in sets[-1]] == [
+        521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937]
+    # 2^508 - 1 is the last bound of this form the 510-bit rung covers
+    for bits in [*range(1, 2000, 7), 508, 509]:
         bound = 2**bits - 1
         moduli = linalg._moduli(bound)
         i = sets.index(moduli)
         assert math.prod(moduli) > 2 * bound and (i == 0 or products[i - 1] <= 2 * bound)
-        assert len(moduli) == 1 or bits > 446
-    with pytest.raises(ParameterError):
+        assert len(moduli) == 1 or bits > 508
+    # past every set the route is out of capacity: exit 3, not a usage error
+    with pytest.raises(BudgetError, match="exceed the product of the listed moduli"):
         linalg._moduli(products[-1])
 
 
@@ -426,7 +431,7 @@ def proth(h: int, s: int, a: int) -> bool:
 
 
 def test_moduli_are_mersenne_primes():
-    primes = set(linalg._SMALL_PRIMES + linalg._LARGE_PRIMES) | {linalg._CHECK_PRIME}
+    primes = set(linalg._SMALL_PRIMES + linalg._LARGE_PRIMES)
     for p in primes:
         e = p.bit_length()
         assert p == (1 << e) - 1
@@ -442,6 +447,40 @@ def test_proth_moduli_are_proven_primes():
         # the entry with h moved to the next h' making h' 2^s + 1 a multiple of 3 fails
         composite = next(x for x in range(h + 1, h + 4) if ((x << s) + 1) % 3 == 0)
         assert not proth(composite, s, a)
+
+
+def test_every_modulus_and_the_check_prime_are_proven_primes():
+    proth_tables = linalg._PROTH_PRIMES + linalg._WIDE_PRIMES + (linalg._CHECK_PROTH,)
+    witnessed = {(h << s) + 1: (h, s, a) for h, s, a in proth_tables}
+    primes = {p for s in linalg._MODULUS_SETS for p in s}
+    assert linalg._CHECK_PRIME not in primes
+    for p in primes | {linalg._CHECK_PRIME}:
+        if p in witnessed:
+            assert proth(*witnessed[p])
+        else:  # Lucas-Lehmer beyond 2^4423 - 1 takes seconds each
+            e = p.bit_length()
+            assert p == (1 << e) - 1 and (e > 4423 or lucas_lehmer(e))
+    assert len(witnessed) == len(proth_tables) == 17
+
+
+def test_each_rung_takes_more_digits_than_the_last():
+    # CPython stores an int in 30-bit digits (sys.int_info.bits_per_digit
+    # on 3.10 to 3.13), and a rung with as many digits as the next one up
+    # costs as much per pass and serves fewer bounds
+    digits = [-(-s[0].bit_length() // 30) for s in linalg._MODULUS_SETS if len(s) == 1]
+    assert digits == sorted(set(digits)) and digits[:2] == [1, 2]
+    assert {-(-p.bit_length() // 30) for p in linalg._WIDE} == {17}
+    assert linalg._CHECK_PRIME < 1 << 30
+
+
+def test_the_largest_bound_of_each_set_lands_on_it_and_the_next_on_the_next_set():
+    sets = linalg._MODULUS_SETS
+    for moduli, following in zip(sets, sets[1:]):
+        largest = (math.prod(moduli) - 1) // 2
+        assert linalg._moduli(largest) == moduli
+        assert linalg._moduli(largest + 1) == following
+    with pytest.raises(BudgetError):
+        linalg._moduli((math.prod(sets[-1]) - 1) // 2 + 1)
 
 
 # n = 38; its bound, 2^154, takes the 160-bit Proth prime, and its
@@ -518,7 +557,7 @@ def test_one_prime_read_back_equals_crt(monkeypatch):
 
 @pytest.mark.parametrize("word, moduli_bits", [
     (WIDE, (160,)),  # one Proth prime
-    ("PCE" * 20, (521, 607)),  # a 2^566 bound: two Mersenne primes, then CRT
+    ("PCE" * 20, (510, 510)),  # a 2^566 bound: two 510-bit Proth primes, then CRT
 ])
 def test_exact_u_runs_each_elimination_once_per_modulus(monkeypatch, word, moduli_bits):
     calls = []
@@ -529,7 +568,7 @@ def test_exact_u_runs_each_elimination_once_per_modulus(monkeypatch, word, modul
         monkeypatch.setattr(linalg, name, counted)
     exact_u(ring(word, Rat(7, 3)))
     assert [bits for name, bits in calls if name == "_charpoly_mod"] == list(moduli_bits)
-    assert len(calls) == len(moduli_bits) + 1 and calls[-1] == ("_det_mod", 31)
+    assert len(calls) == len(moduli_bits) + 1 and calls[-1] == ("_det_mod", 30)
 
 
 def test_empty_graph_is_the_empty_determinant():
