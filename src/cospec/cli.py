@@ -8,10 +8,16 @@ error included, prints one `error:` line and exits with its `exit_code`; a
 failed check exits as a failed certificate does, and a `scan` that skipped
 a pair, or a run out of memory, as an exhausted budget (3).
 
-`verify` and `scan` decide by the routes' exact charpolys alone, and read
-what tells a pair's two rings apart (edge counts, witness, subgraph
-relation) from the words, so the transfer route alone builds no graph;
-only `spectrum` and `blowup` compute a float spectrum, and so load numpy.
+`verify`, `scan` and `charpoly` run, in table order, each route of
+`ROUTE_TABLE` that `--method` names, and build graphs only for a route that
+reads them, so the transfer route alone builds none.  Three rules read a row's
+columns: a word route compared on two sides proves the U identities and runs
+once; a route with no field runs on a self-toggle scan entry only under `all`;
+under `all` a `BudgetError` skips a route with no field and is raised from one
+with a field, as under one method.  `verify` and `scan` decide by the exact
+charpolys alone, and read what tells a pair's rings apart (edge counts,
+witness, subgraph relation) from the words; only `spectrum` and `blowup`
+compute a float spectrum, and so load numpy.
 """
 
 from __future__ import annotations
@@ -51,6 +57,15 @@ from .words import Word, is_self_toggle, parse_word, toggle, toggle_classes
 # largest numeric eigenvalue gap a blowup pair may show and pass
 BLOWUP_GAP_TOL = 1e-9
 
+Route = namedtuple("Route", "graph run field")
+# the charpoly routes in run order: whether one reads G(w) (else the word), its kernel on one
+# side, whose result's first item is the charpoly and last the entry field it reports (if any)
+ROUTE_TABLE = {
+    "exact": Route(True, lambda g, k, budget: (exact_u(g),), "charpoly_exact"),
+    "transfer": Route(False, lambda w, k, budget: transfer_u(w, k), "short_part"),
+    "oracle": Route(True, lambda g, k, budget: (oracle_u(g, budget),), None),
+}
+
 
 def _report(args, payload: dict, summary: str, *, passed=True, skipped=False) -> int:
     """Print the report headed by the command and version, then its summary; return the code."""
@@ -63,33 +78,26 @@ def _report(args, payload: dict, summary: str, *, passed=True, skipped=False) ->
 
 def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
                  compare_trivial: bool = True) -> dict:
-    """Check G(w) against G(toggle(w)) by each route `method` names; trivial = is_self_toggle(w).
-    k has passed `module_parameter` as the `--k` reader of `COMMANDS`, so k <= 0 stops there.
+    """Check G(w) against G(toggle(w)) by each `ROUTE_TABLE` route `method` names; trivial =
+    is_self_toggle(w). k has passed `module_parameter` as the `--k` reader of `COMMANDS`.
 
-    The verdict is the routes' exact charpolys alone: equal charpolys are
-    equal spectra, multiplicities included, so no float check is made.
-    n, the edge counts, the subgraph relation and the witness are read from
-    the words; the graphs are built only when a route that reads them runs
-    (exact, or the oracle), so the transfer route alone builds none.
-
-    The transfer route runs on G(w) alone: the U identities, proven for
-    every k (`certify_identities`, once per table state), make G(toggle(w))'s
-    transfer charpoly equal to it, so transfer_equal stands on the proof.
-
-    With compare_trivial=False a self-toggle class, whose two graphs are
-    one graph relabelled, is checked alone: only the cross-route checks
-    remain, and a route runs on G(w) once when a check or an output field
-    reads it (the exact and transfer routes always; the oracle only beside
-    the exact route).
+    The verdict is the routes' exact charpolys alone: equal charpolys are equal spectra,
+    multiplicities included. n, the edge counts, the subgraph relation and the witness are
+    read from the words. With compare_trivial=False a self-toggle class, whose two graphs are
+    one graph relabelled, is checked on G(w) alone, by its cross-route checks. The route rules:
+    - a word route on two sides runs on w once: the U identities, proven for every k
+      (`certify_identities`, once per table state), make its `_equal` check stand;
+    - a route with no field runs on one side only under "all", where `_matches_exact` reads it;
+    - under "all" a `BudgetError` skips a route with no field (`<route>_skipped`, its `_equal`
+      None), and from a route with a field, as from every route under one method, re-raises.
     """
     start = time.perf_counter()
     wt = toggle(w)
     sides = (w,) if trivial and not compare_trivial else (w, wt)
     counts = [ring_edge_count(x) for x in sides]
-    exact_runs = method in ("all", "exact")
-    # a trivial entry reads the oracle only through oracle_matches_exact
-    oracle_runs = method in ("all", "oracle") and (len(sides) == 2 or exact_runs)
-    graphs = [assemble_ring(x, k) for x in sides] if exact_runs or oracle_runs else None
+    runs = {name: row for name, row in ROUTE_TABLE.items() if method in ("all", name)
+            and (len(sides) == 2 or row.field or method == "all")}
+    graphs = [assemble_ring(x, k) for x in sides] if any(r.graph for r in runs.values()) else None
     entry = {
         "word": str(w),
         "toggled_word": str(wt),
@@ -98,24 +106,21 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
         "trivial": trivial,
         "edge_counts": counts,
     }
-    charpolys = {}  # each route's charpolys, side by side; None for a skipped oracle
-    if exact_runs:
-        charpolys["exact"] = [exact_u(g) for g in graphs]
-        entry["charpoly_exact"] = t_json(*charpolys["exact"][0])
-    if method in ("all", "transfer"):
-        if len(sides) == 2:
+    charpolys = {}  # each route's charpolys by side (one for a word route); None if skipped
+    for name, row in runs.items():
+        if not row.graph and len(sides) == 2:
             certify_identities()  # raises unless the identities hold
-        charpoly, short = transfer_u(w, k)
-        charpolys["transfer"] = [charpoly] * len(sides)
-        entry["short_part"] = t_json(*short)
-    if oracle_runs:
         try:
-            charpolys["oracle"] = [oracle_u(g, budget) for g in graphs]
+            outs = [row.run(x, k, budget) for x in (graphs if row.graph else sides[:1])]
         except BudgetError as exc:
-            if method == "oracle":
+            if row.field or method != "all":
                 raise
-            charpolys["oracle"] = None
-            entry["oracle_skipped"] = str(exc)
+            charpolys[name] = None
+            entry[f"{name}_skipped"] = str(exc)
+            continue
+        charpolys[name] = [out[0] for out in outs]
+        if row.field:
+            entry[row.field] = t_json(*outs[0][-1])
     if len(sides) == 2:
         sparse, dense = sides if counts[0] <= counts[1] else sides[::-1]
         entry["subgraph_sparse_in_dense"] = ring_embeds(sparse, dense, k)
@@ -128,7 +133,7 @@ def _verify_pair(w: Word, k, method: str, budget: int, *, trivial: bool,
     checks = {}
     for route, polys in charpolys.items():
         if len(sides) == 2:
-            checks[f"{route}_equal"] = None if polys is None else polys[0] == polys[1]
+            checks[f"{route}_equal"] = None if polys is None else polys[0] == polys[-1]
         if polys is not None and route != "exact" and "exact" in charpolys:
             checks[f"{route}_matches_exact"] = polys[0] == charpolys["exact"][0]
     entry["checks"] = checks
@@ -262,15 +267,9 @@ def cmd_spectrum(args: SimpleNamespace) -> int:
 
 def cmd_charpoly(args: SimpleNamespace) -> int:
     w, k = args.word, args.k
-    # the transfer route reads the word alone
-    g = None if args.method == "transfer" else assemble_ring(w, k)
-    pairs = {}
-    if args.method in ("all", "exact"):
-        pairs["exact"] = exact_u(g)
-    if args.method in ("all", "transfer"):
-        pairs["transfer"] = transfer_u(w, k)[0]
-    if args.method in ("all", "oracle"):
-        pairs["oracle"] = oracle_u(g, args.budget)
+    runs = {name: row for name, row in ROUTE_TABLE.items() if args.method in ("all", name)}
+    g = assemble_ring(w, k) if any(row.graph for row in runs.values()) else None
+    pairs = {name: row.run(g if row.graph else w, k, args.budget)[0] for name, row in runs.items()}
     vals = list(pairs.values())
     agree = all(vals[0] == p for p in vals[1:])
     payload = {
@@ -293,7 +292,7 @@ WORD = Option("--word", REQUIRED, parse_word, help="module word over P/C/E")
 K = Option("--k", "1", lambda text: module_parameter(parse_rat(text)),
            help='module parameter as "p/q"')
 FORMAT = Option("--format", "json", choices=("json", "dot", "csv"))
-ROUTES = (Option("--method", "all", choices=("all", "exact", "transfer", "oracle")),
+ROUTES = (Option("--method", "all", choices=("all", *ROUTE_TABLE)),
           Option("--budget", DEFAULT_BUDGET, int, help="most decompositions the oracle may sum"))
 COMMANDS = {
     "verify": Command(cmd_verify, "check one toggled pair by all methods", (WORD, K, *ROUTES)),
@@ -364,6 +363,7 @@ def parse_args(argv: list) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
+    sys.set_int_max_str_digits(0)  # a valid charpoly or --k may pass 4,300 digits
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:  # --help or --version

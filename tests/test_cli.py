@@ -790,6 +790,41 @@ def test_charpoly_methods_agree(capsys):
     assert payload["coefficients"]["exact"][0] == "0/1"
 
 
+def test_the_route_table_is_the_one_source_of_routes(capsys, monkeypatch):
+    for command in ("verify", "scan", "charpoly"):
+        method, = (o for o in cli.COMMANDS[command].options if o.name == "--method")
+        assert method.choices == ("all", *cli.ROUTE_TABLE)
+    # a fourth row, a second graph route over exact_u with no field, runs last under "all"
+    monkeypatch.setitem(cli.ROUTE_TABLE, "again",
+                        cli.Route(True, lambda g, k, budget: (cli.exact_u(g),), None))
+    code, payload, _ = run(capsys, "charpoly", "--word", "PCE", "--k", "2", "--method", "all")
+    assert (code, list(payload["coefficients"])) == (0, ["exact", "transfer", "oracle", "again"])
+    assert payload["coefficients"]["again"] == payload["coefficients"]["exact"]
+    entry = cli._verify_pair(parse_word("PCCE"), Rat(7, 3), "all", DEFAULT_BUDGET, trivial=False)
+    assert list(entry["checks"]) == ["exact_equal", "transfer_equal", "transfer_matches_exact",
+                                     "oracle_equal", "oracle_matches_exact",
+                                     "again_equal", "again_matches_exact"]
+    assert entry["pass"]
+    # like the oracle, it runs on a self-toggle scan entry only under "all"
+    checked = [cli._verify_pair(parse_word("PCCP"), Rat(7, 3), method, DEFAULT_BUDGET,
+                                trivial=True, compare_trivial=False)["checks"]
+               for method in ("again", "all")]
+    assert checked[0] == {} and checked[1]["again_matches_exact"]
+
+
+def test_a_charpoly_past_4300_digits_prints_in_full():
+    # at k = 10^1300 the coefficients pass CPython's default limit of 4,300
+    # digits on converting an int to a string, which main lifts
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "cospec.cli", "charpoly", "--word", "PCE", "--k", str(10 ** 1300),
+         "--method", "exact"], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert run.returncode == 0 and run.stdout.count("\n") == 1
+    coefficients = json.loads(run.stdout)["coefficients"]["exact"]
+    assert max(map(len, coefficients)) > 4300
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -889,7 +924,7 @@ OPTION_VALUES = {
                st.text(alphabet="PCEX", max_size=5)),
     "--k": (st.sampled_from(["1", "2", "1/2", "7/3", "1,2"]),
             st.sampled_from(["0", "-1", "1/0", "", ",", "x"])),
-    "--method": (st.sampled_from(["all", "exact", "transfer", "oracle"]), st.just("bogus")),
+    "--method": (st.sampled_from(["all", *cli.ROUTE_TABLE]), st.just("bogus")),
     "--format": (st.sampled_from(["json", "dot", "csv"]), st.just("xml")),
     "--budget": (st.sampled_from(["10", "100000"]), st.sampled_from(["0", "-1", "x"])),
     "--tol": (st.sampled_from(["1e-9", "0"]), st.sampled_from(["nan", "-1", "inf", "x"])),
